@@ -8,7 +8,7 @@
 //! on the synthetic scheme and prints the same per-pass rows.
 
 use fuzzyflow::prelude::*;
-use fuzzyflow::sweep::{format_sweep_table, sweep, SweepConfig};
+use fuzzyflow::session::NullSink;
 
 fn main() {
     println!("== Sec. 6.4: CLOUDSC-like scheme, custom transformation sweep ==");
@@ -24,23 +24,26 @@ fn main() {
             .sum::<usize>()
     );
 
-    let workloads = vec![("cloudsc_like".to_string(), program, bindings)];
-    let transformations = cloudsc_suite();
-    let cfg = SweepConfig::new().with_verify(
-        VerifyConfig::new()
-            .with_trials(100) // as in the paper
-            .with_size_max(10)
-            .with_seed(0xC10D),
-    );
+    let session = Campaign::new("cloudsc")
+        .with_workload("cloudsc_like", program, bindings)
+        .with_transformations(cloudsc_suite())
+        .with_verify(
+            VerifyConfig::new()
+                .with_trials(100) // as in the paper
+                .with_size_max(10)
+                .with_seed(0xC10D),
+        )
+        .session();
     let start = std::time::Instant::now();
-    let (results, rows) = sweep(&workloads, &transformations, &cfg);
+    let report = session.run(&NullSink);
     let elapsed = start.elapsed();
     println!(
         "instances tested: {}; wall-clock {:.1}s\n",
-        results.len(),
+        report.completed(),
         elapsed.as_secs_f64()
     );
-    println!("{}", format_sweep_table(&rows));
+    println!("{}", report.format_table());
+    let rows = report.table_rows();
 
     let paper: &[(&str, usize, usize)] = &[
         ("GpuKernelExtraction", 62, 48),
@@ -66,14 +69,10 @@ fn main() {
     // Time-to-detection per faulty instance (paper: 1-2 trials, ~43 s per
     // GPU-extraction case on the authors' testbed).
     println!("\nfaulty instances and trials-to-detection:");
-    for r in results.iter().filter(|r| r.is_fault()) {
-        let rep = r.report.as_ref().expect("fault has report");
+    for r in report.faults() {
         println!(
             "  {:<22} [{}] after {:?} trial(s): {}",
-            r.transformation,
-            r.label(),
-            rep.trials_to_detection,
-            r.match_description
+            r.transformation, r.label, r.trials_to_detection, r.match_description
         );
     }
 }

@@ -261,7 +261,15 @@ fn main() {
             },
             ..Default::default()
         };
-        tester.test(&cutout, &transformed, &constraints)
+        tester.test_compiled(
+            fuzzyflow::pool::WorkerPool::global(),
+            &cutout,
+            &orig_prog,
+            &trans_prog,
+            &constraints,
+            &fuzzyflow_fuzz::ArenaStash::new(),
+            None,
+        )
     };
     let blind = run_blind();
     let blind_found = blind.trials_to_detection.is_some();

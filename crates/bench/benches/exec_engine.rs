@@ -136,14 +136,25 @@ fn main() {
         threads: 0,
         ..Default::default()
     };
+    let (mha_orig, mha_tprog) = (
+        Program::compile(&mha_cut.sdfg),
+        Program::compile(&mha_trans),
+    );
+    let stash = fuzzyflow_fuzz::ArenaStash::new();
+    let run = |tester: &DiffTester| {
+        let pool = fuzzyflow_pool::WorkerPool::global();
+        tester.test_compiled(
+            pool, &mha_cut, &mha_orig, &mha_tprog, &mha_cons, &stash, None,
+        )
+    };
     let t_seq = time_per_iter(3, || {
-        let _ = seq_tester.test(&mha_cut, &mha_trans, &mha_cons);
+        let _ = run(&seq_tester);
     });
     let t_par = time_per_iter(3, || {
-        let _ = par_tester.test(&mha_cut, &mha_trans, &mha_cons);
+        let _ = run(&par_tester);
     });
-    let r_seq = seq_tester.test(&mha_cut, &mha_trans, &mha_cons);
-    let r_par = par_tester.test(&mha_cut, &mha_trans, &mha_cons);
+    let r_seq = run(&seq_tester);
+    let r_par = run(&par_tester);
     let identical = format!("{r_seq:?}") == format!("{r_par:?}");
     row(
         "DiffTester sequential, 100 trials (us)",

@@ -145,8 +145,20 @@ fn main() {
     // --- Trials to expose the size-dependent bug. ---
     // Gray-box: size symbols sampled in [1, S_max]; most draws are not
     // divisible by the vector width.
-    let tester = DiffTester::new(200, 2024);
-    let report = tester.test(&cutout_min, &transformed, &cons_min);
+    let tester = DiffTester {
+        trials: 200,
+        seed: 2024,
+        ..Default::default()
+    };
+    let report = tester.test_compiled(
+        fuzzyflow::pool::WorkerPool::global(),
+        &cutout_min,
+        &cut_c,
+        &trans_c,
+        &cons_min,
+        &fuzzyflow_fuzz::ArenaStash::new(),
+        None,
+    );
     row(
         "gray-box trials to detection (paper: ~1)",
         format!(

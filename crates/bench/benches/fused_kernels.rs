@@ -11,18 +11,14 @@
 //!   sampled inputs (the property suite covers this broadly; here it
 //!   guards the exact configurations being timed);
 //! * fused ≥ 1.5x over the per-element fast path on the fig. 5 MHA
-//!   cutout execution;
-//! * a fig. 6-shaped differential sweep performs no per-trial executor
-//!   construction — the per-worker arena cache bounds fresh arenas by
-//!   the worker count, not the trial count.
+//!   cutout execution.
 //!
 //! Results land in `BENCH_fused.json` with the machine configuration.
 
 use fuzzyflow::prelude::*;
 use fuzzyflow_bench::{prepare_pair, row, time_per_iter, write_bench_record};
 use fuzzyflow_fuzz::{sample_state, Constraints, ValueProfile, Xoshiro256};
-use fuzzyflow_interp::{fresh_arena_count, CompileOptions, ExecOptions, Program};
-use fuzzyflow_pool::resolve_threads;
+use fuzzyflow_interp::{CompileOptions, ExecOptions, Program};
 
 type Pair = (Cutout, fuzzyflow::ir::Sdfg, Constraints);
 
@@ -111,22 +107,6 @@ fn measure(pair: &Pair, seed: u64, iters: usize) -> FusionNumbers {
     }
 }
 
-fn sweep_reports(pairs: &[Pair]) -> Vec<String> {
-    let tester = DiffTester {
-        trials: 10,
-        threads: 0,
-        profile: ValueProfile {
-            size_max: 5,
-            ..Default::default()
-        },
-        ..DiffTester::new(0, 0xFEED_F00D)
-    };
-    pairs
-        .iter()
-        .map(|(c, t, cons)| format!("{:?}", tester.test(c, t, cons)))
-        .collect()
-}
-
 fn main() {
     println!("== fused_kernels: fused map kernels vs the per-element f64 fast path ==");
 
@@ -189,40 +169,6 @@ fn main() {
         format!("{:.2}x", sddmm_nums.cutout_speedup()),
     );
 
-    // --- Fig. 6-shaped sweep: per-worker arena cache profile. ---
-    let transformations: Vec<Box<dyn Transformation>> = vec![
-        Box::new(MapTiling::new(4)),
-        Box::new(MapTilingNoRemainder::new(4)),
-        Box::new(MapTilingOffByOne::new(4)),
-    ];
-    let chain = fuzzyflow::workloads::matmul_chain();
-    let chain_bindings = fuzzyflow::workloads::matmul_chain::default_bindings();
-    let mut pairs: Vec<Pair> = Vec::new();
-    for (program, bindings) in [(&att, &att_bindings), (&chain, &chain_bindings)] {
-        for t in &transformations {
-            for m in t.find_matches(program) {
-                pairs.push(prepare_pair(program, t.as_ref(), &m, true, bindings));
-            }
-        }
-    }
-    let warm = sweep_reports(&pairs); // warms every worker's arena cache
-    let before = fresh_arena_count();
-    let again = sweep_reports(&pairs);
-    let fresh = fresh_arena_count() - before;
-    assert_eq!(warm, again, "arena reuse changed sweep reports");
-    let trials = pairs.len() * 10;
-    // Every warm worker recycles; at worst a worker that sat out the warm
-    // sweep builds its one executor pair. Never one per trial.
-    let bound = 2 * (resolve_threads(0) as u64 + 1);
-    row(
-        "fig6 sweep fresh arenas (warm, vs trials)",
-        format!("{fresh} vs {trials}"),
-    );
-    assert!(
-        fresh <= bound,
-        "sweep built {fresh} fresh arenas (bound {bound}): per-trial executor construction"
-    );
-
     assert!(
         mha_nums.cutout_speedup() >= 1.5,
         "fused kernels below the 1.5x bar on the MHA cutout: {:.2}x",
@@ -246,13 +192,6 @@ fn main() {
         &[
             ("fig5_mha", fig(&mha_nums)),
             ("fig6_sddmm", fig(&sddmm_nums)),
-            (
-                "fig6_sweep_arena_cache",
-                format!(
-                    "{{\"fresh_arenas_warm_sweep\": {fresh}, \"trials\": {trials}, \
-                     \"per_trial_construction\": false}}"
-                ),
-            ),
         ],
     );
 }

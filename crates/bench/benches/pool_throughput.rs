@@ -9,7 +9,7 @@
 //! * **per-instance spawn** — the pre-pool architecture: a scoped
 //!   poller set fans out across instances (as PR 2's `sweep()` did) and
 //!   each instance's trial batch additionally spawns (and then joins) a
-//!   fresh 4-thread worker set, exactly what `DiffTester::test` did when
+//!   fresh 4-thread worker set, exactly what the trial loop did when
 //!   it created a `std::thread::scope` per call with `threads = 4` —
 //!   nested, per-instance spawn, with the oversubscription that implies;
 //! * **pooled** — the current architecture: instances and trial batches
@@ -31,11 +31,12 @@
 
 use fuzzyflow::prelude::*;
 use fuzzyflow_bench::{prepare_pair, row, time_per_iter};
-use fuzzyflow_fuzz::{sample_state, Constraints, ValueProfile, Xoshiro256};
+use fuzzyflow_fuzz::{sample_state, ArenaStash, Constraints, ValueProfile, Xoshiro256};
 use fuzzyflow_interp::{CompileOptions, ExecOptions, Program};
 use fuzzyflow_pool::{resolve_threads, WorkerPool};
 
-type Pair = (Cutout, fuzzyflow::ir::Sdfg, Constraints);
+/// A cutout with its compiled `(original, transformed)` programs.
+type Pair = (Cutout, Program, Program, Constraints);
 
 /// The paper's CLOUDSC trial batches run 4 wide; PR 2's `DiffTester`
 /// spawned exactly this many scoped threads per instance.
@@ -49,8 +50,14 @@ fn tester() -> DiffTester {
             size_max: 5,
             ..Default::default()
         },
-        ..DiffTester::new(0, 0x600D_5EED)
+        seed: 0x600D_5EED,
+        ..Default::default()
     }
+}
+
+fn test_pair(pool: &WorkerPool, (c, orig, trans, cons): &Pair) -> String {
+    let report = tester().test_compiled(pool, c, orig, trans, cons, &ArenaStash::new(), None);
+    format!("{report:?}")
 }
 
 fn run_sweep_per_instance_spawn(pairs: &[Pair]) -> Vec<String> {
@@ -72,9 +79,8 @@ fn run_sweep_per_instance_spawn(pairs: &[Pair]) -> Vec<String> {
                 if i >= pairs.len() {
                     break;
                 }
-                let (c, t, cons) = &pairs[i];
                 let fresh = WorkerPool::new(BATCH_WIDTH);
-                let report = format!("{:?}", tester().test_on(&fresh, c, t, cons));
+                let report = test_pair(&fresh, &pairs[i]);
                 results.lock().expect("results poisoned")[i] = Some(report);
             });
         }
@@ -88,9 +94,9 @@ fn run_sweep_per_instance_spawn(pairs: &[Pair]) -> Vec<String> {
 }
 
 fn run_sweep_pooled(pairs: &[Pair]) -> Vec<String> {
-    WorkerPool::global().map_indexed(pairs.len(), resolve_threads(0), |i| {
-        let (c, t, cons) = &pairs[i];
-        format!("{:?}", tester().test(c, t, cons))
+    let pool = WorkerPool::global();
+    pool.map_indexed(pairs.len(), resolve_threads(0), |i| {
+        test_pair(pool, &pairs[i])
     })
 }
 
@@ -112,7 +118,10 @@ fn main() {
     for (program, bindings) in [(&att, &att_bindings), (&chain, &chain_bindings)] {
         for t in &transformations {
             for m in t.find_matches(program) {
-                pairs.push(prepare_pair(program, t.as_ref(), &m, true, bindings));
+                let (c, transformed, cons) = prepare_pair(program, t.as_ref(), &m, true, bindings);
+                validate(&transformed).expect("tilings generate valid code");
+                let (orig, trans) = (Program::compile(&c.sdfg), Program::compile(&transformed));
+                pairs.push((c, orig, trans, cons));
             }
         }
     }

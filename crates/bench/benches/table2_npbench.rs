@@ -11,38 +11,44 @@
 //! overall pass.
 
 use fuzzyflow::prelude::*;
-use fuzzyflow::sweep::{format_sweep_table, sweep, SweepConfig};
+use fuzzyflow::session::NullSink;
 
 fn main() {
     println!("== Table 2 / Sec. 6.3: built-in transformation sweep over the NPBench-like suite ==");
-    let workloads: Vec<(String, fuzzyflow::ir::Sdfg, fuzzyflow::ir::Bindings)> =
-        fuzzyflow::workloads::suite()
-            .into_iter()
-            .map(|w| (w.name.to_string(), w.sdfg, w.bindings))
-            .collect();
+    let workloads = fuzzyflow::workloads::suite();
     println!("benchmarks: {} (paper: 52)", workloads.len());
 
     let transformations = builtin_suite();
     println!("built-in transformations: {}", transformations.len());
 
-    let cfg = SweepConfig::new().with_verify(
-        VerifyConfig::new()
-            .with_trials(40)
-            .with_size_max(10)
-            .with_seed(0xBEEF),
-    );
+    let mut campaign = Campaign::new("table2")
+        .with_transformations(transformations)
+        .with_verify(
+            VerifyConfig::new()
+                .with_trials(40)
+                .with_size_max(10)
+                .with_seed(0xBEEF),
+        );
+    for w in workloads {
+        campaign = campaign.with_workload(w.name, w.sdfg, w.bindings);
+    }
     let start = std::time::Instant::now();
-    let (results, rows) = sweep(&workloads, &transformations, &cfg);
+    let report = campaign.session().run(&NullSink);
     let elapsed = start.elapsed();
 
-    let total = results.len();
-    let faults = results.iter().filter(|r| r.is_fault()).count();
-    let errors = results.iter().filter(|r| r.error.is_some()).count();
+    let total = report.completed();
+    let faults = report.fault_count();
+    let errors = report
+        .instances
+        .iter()
+        .filter(|r| r.error.is_some())
+        .count();
     println!(
         "\ntransformation instances: {total} (paper: 3,280); faults: {faults}; pipeline errors: {errors}"
     );
     println!("sweep wall-clock: {:.1}s\n", elapsed.as_secs_f64());
-    println!("{}", format_sweep_table(&rows));
+    println!("{}", report.format_table());
+    let rows = report.table_rows();
 
     // Table-2 expectations: buggy passes flagged, correct passes clean.
     let faulty_passes = [
@@ -88,13 +94,10 @@ fn main() {
 
     // Example failing instances with their failure classes.
     println!("\nsample faulty instances:");
-    for r in results.iter().filter(|r| r.is_fault()).take(8) {
+    for r in report.faults().take(8) {
         println!(
             "  {:<16} {:<22} [{}] {}",
-            r.workload,
-            r.transformation,
-            r.label(),
-            r.match_description
+            r.workload, r.transformation, r.label, r.match_description
         );
     }
 }

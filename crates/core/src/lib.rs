@@ -5,8 +5,8 @@
 //! localization and test-case extraction framework for program
 //! optimizations built on a parametric dataflow IR.
 //!
-//! Given a program and a transformation instance, [`verify_instance`]
-//! runs the paper's full workflow (Fig. 1):
+//! Given a program and a transformation instance, the paper's workflow
+//! (Fig. 1) is:
 //!
 //! 1. apply the transformation to a clone and obtain its white-box
 //!    **change set** ΔT,
@@ -20,13 +20,20 @@
 //! 5. report a verdict; failures come with a bit-exact, replayable
 //!    [`TestCase`](fuzzyflow_fuzz::TestCase).
 //!
-//! The service-shaped entry point is a campaign [`session`]: declare
-//! workloads × transformations with a [`Campaign`]
-//! builder, then stream structured events from a
-//! [`Session`] while it verifies every instance —
-//! with budgets, cooperative cancellation (deterministic-prefix
-//! results), an artifact cache that makes re-runs warm, and a
-//! serializable [`CampaignReport`]:
+//! There are two entry points over that one path — steps 1–3 (plus
+//! replaying `T` on the cutout and compiling both sides) are one prepare
+//! function, and every trial of step 4 is classified by the one
+//! differential oracle, [`fuzzyflow_fuzz::judge`]:
+//!
+//! * [`verify_instance`] verifies **one** instance and returns the rich
+//!   [`Verdict`](fuzzyflow_fuzz::Verdict);
+//! * a campaign [`session`] verifies **many**: declare workloads ×
+//!   transformations with a [`Campaign`] builder, then stream structured
+//!   events from a [`Session`] while it verifies every instance — with
+//!   budgets, cooperative cancellation (deterministic-prefix results),
+//!   an artifact cache that makes re-runs warm, and a serializable
+//!   [`CampaignReport`] whose row for an instance is what
+//!   [`verify_instance`] reports for it:
 //!
 //! ```
 //! use fuzzyflow::prelude::*;
@@ -51,8 +58,7 @@
 //! assert!(json.contains("semantic change"));
 //! ```
 //!
-//! [`verify_instance`] is the single-instance wrapper over the same
-//! path:
+//! The same bug through the single-instance entry point:
 //!
 //! ```
 //! use fuzzyflow::prelude::*;
@@ -73,14 +79,10 @@
 //! ```
 
 pub mod session;
-pub mod sweep;
 pub mod verify;
 
 pub use session::{
     Campaign, CampaignReport, CancelToken, Event, EventSink, EvolveConfig, Session, TriageReport,
-};
-pub use sweep::{
-    format_sweep_table, sweep, sweep_on, EvolutionSummary, InstanceResult, SweepConfig, SweepRow,
 };
 pub use verify::{verify_instance, VerificationReport, VerifyConfig, VerifyError};
 

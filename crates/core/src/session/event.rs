@@ -116,8 +116,7 @@ impl<F: Fn(&Event) + Sync> EventSink for F {
     }
 }
 
-/// A sink that drops every event — the wrappers (`verify_instance`,
-/// `sweep`, …) run their single-shot sessions with this.
+/// A sink that drops every event, for runs that only want the report.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct NullSink;
 

@@ -22,10 +22,11 @@
 //! * each run yields a serializable [`CampaignReport`] with structured
 //!   errors and bit-exact, replayable test cases.
 //!
-//! [`verify_instance`](crate::verify_instance),
-//! [`sweep`](crate::sweep::sweep) and `CoverageFuzzer::run_many` are
-//! thin wrappers over single-shot sessions on this same path, so their
-//! reports are byte-identical to the campaign equivalents.
+//! [`verify_instance`](crate::verify_instance) is the one-instance entry
+//! point over the same two steps a session runs per instance (prepare,
+//! then trials through the one differential oracle,
+//! [`fuzzyflow_fuzz::judge`]), so its verdict is the campaign's row for
+//! that instance.
 //!
 //! ```
 //! use fuzzyflow::session::{Campaign, Event};
@@ -69,15 +70,12 @@ pub use fuzzyflow_evo::EvolveConfig;
 pub use fuzzyflow_session::{CancelToken, SessionBudget, StopReason};
 pub use report::{
     BucketRecord, CacheTally, CampaignReport, ErrorRecord, FaultRecord, FusionTally,
-    InstanceReport, ReportConfig, ReportParseError, TriageReport,
+    InstanceReport, ReportConfig, ReportParseError, TableRow, TriageReport,
 };
 
-use crate::sweep::{EvolutionSummary, InstanceResult};
-use crate::verify::{
-    prepare_instance, run_prepared, PreparedInstance, VerificationReport, VerifyConfig, VerifyError,
-};
-use fuzzyflow_evo::{rng_split, EvoEvent, EvolutionFuzzer};
-use fuzzyflow_fuzz::{CaseOutcome, TestCase, Verdict};
+use crate::verify::{prepare_instance, run_prepared, PreparedInstance, VerifyConfig, VerifyError};
+use fuzzyflow_evo::{EvoEvent, EvolutionFuzzer};
+use fuzzyflow_fuzz::{rng_split, DiffReport, Verdict};
 use fuzzyflow_ir::{Bindings, Sdfg};
 use fuzzyflow_pool::{resolve_threads, WorkerPool};
 use fuzzyflow_transforms::{Transformation, TransformationMatch};
@@ -127,8 +125,7 @@ impl Campaign {
     }
 
     /// Adds a workload; `bindings` concretizes min-cut capacities when
-    /// [`VerifyConfig::concretization`] is unset (exactly like
-    /// [`sweep`](crate::sweep::sweep)).
+    /// [`VerifyConfig::concretization`] is unset.
     pub fn with_workload(
         mut self,
         name: impl Into<String>,
@@ -212,10 +209,9 @@ impl Campaign {
     }
 
     /// Enumerates the instances (workload-major, then transformation,
-    /// then match order — the same order as [`sweep`](crate::sweep::sweep)) and
-    /// returns the executable session. The campaign is immutable from
-    /// here on, which is what makes the instance index a stable identity
-    /// for the session's artifact cache.
+    /// then match order) and returns the executable session. The
+    /// campaign is immutable from here on, which is what makes the
+    /// instance index a stable identity for the session's artifact cache.
     pub fn session(self) -> Session {
         let mut specs = Vec::new();
         for (wi, (name, sdfg, _)) in self.workloads.iter().enumerate() {
@@ -229,7 +225,7 @@ impl Campaign {
                         })
                     });
                     if keep {
-                        specs.push(OwnedSpec {
+                        specs.push(Spec {
                             workload: wi,
                             transformation: ti,
                             m,
@@ -249,7 +245,7 @@ impl Campaign {
 }
 
 /// One enumerated instance of a campaign, by index into its owner.
-struct OwnedSpec {
+struct Spec {
     workload: usize,
     transformation: usize,
     m: TransformationMatch,
@@ -269,7 +265,7 @@ type SessionCache = Mutex<HashMap<usize, PreparedEntry>>;
 /// back out of the per-instance stashes instead of being constructed.
 pub struct Session {
     campaign: Campaign,
-    specs: Vec<OwnedSpec>,
+    specs: Vec<Spec>,
     cache: SessionCache,
     prepares: AtomicUsize,
     /// Serializes whole runs: two concurrent `run` calls on one session
@@ -339,34 +335,28 @@ impl Session {
         let prog0 = fuzzyflow_interp::shared_cache_stats();
         let code0 = fuzzyflow_interp::code_cache_stats();
         let jit0 = fuzzyflow_interp::jit_native_runs_split();
-        let specs: Vec<Spec<'_>> = self
-            .specs
-            .iter()
-            .map(|os| {
-                let (name, sdfg, bindings) = &self.campaign.workloads[os.workload];
-                Spec {
-                    workload: name,
-                    sdfg,
-                    bindings: Some(bindings),
-                    t: self.campaign.transformations[os.transformation].as_ref(),
-                    m: &os.m,
-                }
-            })
-            .collect();
-        let (results, stop, trials_spent) = run_specs(
-            &specs,
-            &Exec {
-                pool,
-                verify: &self.campaign.verify,
-                threads: self.campaign.threads,
-                budget: &self.campaign.budget,
-                cancel,
-                sink,
-                cache: Some(&self.cache),
-                prepares: Some(&self.prepares),
-                evolve: self.campaign.evolve.as_ref(),
+
+        let n = self.specs.len();
+        sink.on_event(&Event::SessionStarted { instances: n });
+        let outcome = fuzzyflow_session::drive(
+            pool,
+            n,
+            resolve_threads(self.campaign.threads),
+            &self.campaign.budget,
+            cancel,
+            |i| {
+                let result = self.run_instance(pool, sink, i);
+                let cost = result.0.trials_run as u64;
+                (result, cost)
             },
         );
+        sink.on_event(&Event::SessionFinished {
+            completed: outcome.results.len(),
+            total: n,
+            stop: outcome.stop,
+        });
+        let (instances, triaged): (Vec<_>, Vec<_>) = outcome.results.into_iter().unzip();
+
         // Fusion eligibility over the completed prefix, folded from the
         // cached compiled programs in index order — a deterministic
         // function of the prefix, so warm and cold runs report the same
@@ -374,7 +364,7 @@ impl Session {
         let mut fusion = FusionTally::default();
         {
             let cache = self.cache.lock().expect("session cache poisoned");
-            for r in &results {
+            for r in &instances {
                 let Some(entry) = cache.get(&r.index) else {
                     continue;
                 };
@@ -410,87 +400,159 @@ impl Session {
         // index order, into the report's campaign-wide triage object.
         let triage = self.campaign.evolve.as_ref().map(|_| {
             let mut t = TriageReport::default();
-            for r in &results {
-                let Some(evo) = &r.evolution else { continue };
-                t.faults_found += evo.faults_found;
-                for b in &evo.buckets {
-                    t.buckets.push(BucketRecord {
-                        instance: r.index,
-                        culprit: b.culprit.clone(),
-                        kind: b.kind.clone(),
-                        container: b.container.clone(),
-                        label: b.label.clone(),
-                        trial: b.trial,
-                        duplicates: b.duplicates,
-                        representative: b.representative.clone(),
-                    });
-                }
+            for part in triaged.into_iter().flatten() {
+                t.faults_found += part.faults_found;
+                t.buckets.extend(part.buckets);
             }
             t
         });
         CampaignReport {
             campaign: self.campaign.name.clone(),
-            status: stop,
-            total_instances: self.specs.len(),
-            trials_spent,
+            status: outcome.stop,
+            total_instances: n,
+            trials_spent: outcome.cost_spent,
             config: ReportConfig::from_verify(&self.campaign.verify, self.campaign.threads),
             fusion,
             caches,
             triage,
-            instances: results.iter().map(InstanceReport::from_result).collect(),
+            instances,
         }
     }
-}
 
-/// A borrowed view of one instance to verify — the unit of work every
-/// public entry point reduces to.
-pub(crate) struct Spec<'a> {
-    pub workload: &'a str,
-    pub sdfg: &'a Sdfg,
-    pub bindings: Option<&'a Bindings>,
-    pub t: &'a dyn Transformation,
-    pub m: &'a TransformationMatch,
-}
-
-/// Execution context shared by every entry point.
-pub(crate) struct Exec<'a> {
-    pub pool: &'a WorkerPool,
-    pub verify: &'a VerifyConfig,
-    pub threads: usize,
-    pub budget: &'a SessionBudget,
-    pub cancel: Option<&'a CancelToken>,
-    pub sink: &'a dyn EventSink,
-    pub cache: Option<&'a SessionCache>,
-    pub prepares: Option<&'a AtomicUsize>,
-    /// When set, instances run the evolutionary loop instead of one-shot
-    /// sampling.
-    pub evolve: Option<&'a EvolveConfig>,
-}
-
-/// Fetches (or computes and caches) the prepared artifacts of instance
-/// `index`.
-fn prepared_entry(
-    spec: &Spec<'_>,
-    vcfg: &VerifyConfig,
-    exec: &Exec<'_>,
-    index: usize,
-) -> (PreparedEntry, bool) {
-    if let Some(cache) = exec.cache {
-        if let Some(entry) = cache.lock().expect("session cache poisoned").get(&index) {
+    /// Fetches (or computes and caches) the prepared artifacts of
+    /// instance `index`; the flag says whether they came from the cache.
+    fn prepared_entry(
+        &self,
+        sdfg: &Sdfg,
+        t: &dyn Transformation,
+        m: &TransformationMatch,
+        vcfg: &VerifyConfig,
+        index: usize,
+    ) -> (PreparedEntry, bool) {
+        if let Some(entry) = self
+            .cache
+            .lock()
+            .expect("session cache poisoned")
+            .get(&index)
+        {
             return (Arc::clone(entry), true);
         }
-    }
-    if let Some(prepares) = exec.prepares {
-        prepares.fetch_add(1, Ordering::Relaxed);
-    }
-    let entry = Arc::new(prepare_instance(spec.sdfg, spec.t, spec.m, vcfg));
-    if let Some(cache) = exec.cache {
-        cache
+        self.prepares.fetch_add(1, Ordering::Relaxed);
+        let entry = Arc::new(prepare_instance(sdfg, t, m, vcfg));
+        self.cache
             .lock()
             .expect("session cache poisoned")
             .insert(index, Arc::clone(&entry));
+        (entry, false)
     }
-    (entry, false)
+
+    /// Verifies instance `index` — prepare (or fetch from the cache),
+    /// then one-shot trials or the evolutionary loop — streaming its
+    /// lifecycle events, and returns its report record plus, in
+    /// evolution mode, its triage buckets.
+    fn run_instance(
+        &self,
+        pool: &WorkerPool,
+        sink: &dyn EventSink,
+        index: usize,
+    ) -> (InstanceReport, Option<TriageReport>) {
+        let spec = &self.specs[index];
+        let (workload, sdfg, bindings) = &self.campaign.workloads[spec.workload];
+        let t = self.campaign.transformations[spec.transformation].as_ref();
+        sink.on_event(&Event::InstanceStarted {
+            index,
+            workload: workload.clone(),
+            transformation: t.name().to_string(),
+            match_description: spec.m.description.clone(),
+        });
+
+        let mut vcfg = self.campaign.verify.clone();
+        if vcfg.concretization.is_none() {
+            vcfg.concretization = Some(bindings.clone());
+        }
+
+        let (entry, cached) = self.prepared_entry(sdfg, t, &spec.m, &vcfg, index);
+        let mut report = InstanceReport {
+            index,
+            workload: workload.clone(),
+            transformation: t.name().to_string(),
+            match_description: spec.m.description.clone(),
+            label: "pipeline error".to_string(),
+            trials_run: 0,
+            trials_to_detection: None,
+            cutout_nodes: 0,
+            program_nodes: 0,
+            mincut_reduction: None,
+            system_state: Vec::new(),
+            input_config: Vec::new(),
+            error: None,
+            fault: None,
+        };
+        let mut triage = None;
+        match entry.as_ref() {
+            Err(error) => {
+                sink.on_event(&Event::PipelineError {
+                    index,
+                    error: error.clone(),
+                });
+                report.error = Some(ErrorRecord {
+                    kind: error.kind().to_string(),
+                    message: error.detail(),
+                });
+            }
+            Ok(prepared) => {
+                let diff = match &self.campaign.evolve {
+                    // Evolution mode replaces the one-shot trial batch;
+                    // invalid instances still fall through so they
+                    // classify as "generates invalid code" either way.
+                    Some(ecfg) if prepared.invalid.is_none() => {
+                        let (diff, buckets) = run_evolved(prepared, ecfg, &vcfg, sink, index);
+                        triage = Some(buckets);
+                        diff
+                    }
+                    _ => {
+                        let total = vcfg.trials;
+                        let chunk = (total / 4).max(1);
+                        let progress = |done: usize| {
+                            if done.is_multiple_of(chunk) || done == total {
+                                sink.on_event(&Event::TrialProgress {
+                                    index,
+                                    trials_done: done,
+                                    trials_total: total,
+                                });
+                            }
+                        };
+                        run_prepared(prepared, &vcfg, pool, Some(&progress))
+                    }
+                };
+                report.label = diff.verdict.label().to_string();
+                report.trials_run = diff.trials_run;
+                report.trials_to_detection = diff.trials_to_detection;
+                report.cutout_nodes = prepared.cutout.stats.nodes;
+                report.program_nodes = prepared.program_nodes;
+                report.mincut_reduction = prepared.mincut.as_ref().map(|m| m.reduction());
+                report.system_state = prepared.cutout.system_state.clone();
+                report.input_config = prepared.cutout.input_config.clone();
+                report.fault = FaultRecord::from_verdict(diff.verdict);
+                if let Some(fault) = &report.fault {
+                    sink.on_event(&Event::FaultFound {
+                        index,
+                        label: fault.label.clone(),
+                        trial: fault.trial,
+                        detail: fault.detail.clone(),
+                    });
+                }
+            }
+        }
+        sink.on_event(&Event::InstanceFinished {
+            index,
+            label: report.label.clone(),
+            is_fault: report.is_fault(),
+            trials_run: report.trials_run,
+            cached,
+        });
+        (report, triage)
+    }
 }
 
 /// Runs one prepared instance in evolution mode: a coverage-guided
@@ -499,17 +561,18 @@ fn prepared_entry(
 /// campaign's evolve+verify seeds and its work-list index, and the loop
 /// itself is sequential and deterministic — so reports stay
 /// byte-identical for every thread count, exactly like the one-shot
-/// path. Arenas come from the instance's stash on cached sessions (warm
-/// evolution runs construct zero fresh arenas), and the streamed
-/// [`EvoEvent`]s are re-emitted as session [`Event`]s tagged with the
-/// instance index.
+/// path. Arenas come from the instance's stash (warm evolution runs
+/// construct zero fresh arenas), and the streamed [`EvoEvent`]s are
+/// re-emitted as session [`Event`]s tagged with the instance index.
+/// The earliest fault is the instance verdict; the triage buckets carry
+/// the rest.
 fn run_evolved(
     prepared: &PreparedInstance,
     ecfg: &EvolveConfig,
     vcfg: &VerifyConfig,
-    exec: &Exec<'_>,
+    sink: &dyn EventSink,
     index: usize,
-) -> (VerificationReport, EvolutionSummary) {
+) -> (DiffReport, TriageReport) {
     let (orig, trans) = prepared
         .programs
         .as_ref()
@@ -524,12 +587,12 @@ fn run_evolved(
     };
     let seed_bindings = vcfg.concretization.clone().unwrap_or_default();
     let mut observe = |e: &EvoEvent| match e {
-        EvoEvent::Novelty { trial, edges_seen } => exec.sink.on_event(&Event::Novelty {
+        EvoEvent::Novelty { trial, edges_seen } => sink.on_event(&Event::Novelty {
             index,
             trial: *trial,
             edges_seen: *edges_seen,
         }),
-        EvoEvent::CorpusGrowth { trial, corpus_size } => exec.sink.on_event(&Event::CorpusGrowth {
+        EvoEvent::CorpusGrowth { trial, corpus_size } => sink.on_event(&Event::CorpusGrowth {
             index,
             trial: *trial,
             corpus_size: *corpus_size,
@@ -539,7 +602,7 @@ fn run_evolved(
             kind,
             container,
             duplicates,
-        } => exec.sink.on_event(&Event::FaultBucket {
+        } => sink.on_event(&Event::FaultBucket {
             index,
             culprit: culprit.clone(),
             kind: kind.clone(),
@@ -550,231 +613,48 @@ fn run_evolved(
     };
     let out = fuzzer.evolve(
         &prepared.cutout,
-        orig.as_ref(),
-        trans.as_ref(),
+        orig,
+        trans,
         &prepared.constraints,
         &seed_bindings,
-        exec.cache.is_some().then_some(&prepared.arenas),
+        Some(&prepared.arenas),
         &mut observe,
     );
 
-    // Project the evolution outcome onto the one-shot verdict classes,
-    // with the first (earliest-trial) fault as the instance verdict —
-    // the triage buckets carry the rest.
-    let name = &prepared.cutout.sdfg.name;
-    let verdict = if out.seed_rejected {
-        Verdict::Inconclusive {
+    let verdict = match &out.first_fault {
+        _ if out.seed_rejected => Verdict::Inconclusive {
             reason: "original cutout rejected the seed input".to_string(),
-        }
-    } else if let Some(f) = &out.first_fault {
-        let case = TestCase::capture(name, &fuzzyflow_evo::failure_text(&f.outcome), &f.state);
-        match &f.outcome {
-            CaseOutcome::Hang(e) => Verdict::Hang {
-                trial: f.trial,
-                error: e.to_string(),
-                case,
-            },
-            CaseOutcome::Crash(e) => Verdict::Crash {
-                trial: f.trial,
-                error: e.to_string(),
-                case,
-            },
-            CaseOutcome::Invalid(e) => Verdict::InvalidCode {
-                errors: vec![e.to_string()],
-            },
-            CaseOutcome::SymbolChange {
-                symbol,
-                original,
-                transformed,
-            } => Verdict::SemanticChange {
-                trial: f.trial,
-                mismatch: format!("symbol '{symbol}' differs: {original:?} vs {transformed:?}"),
-                case,
-            },
-            CaseOutcome::SemanticChange(m) => Verdict::SemanticChange {
-                trial: f.trial,
-                mismatch: m.to_string(),
-                case,
-            },
-            CaseOutcome::OriginalFailed(_) | CaseOutcome::Pass => {
-                unreachable!("collected faults are faults")
-            }
-        }
-    } else {
-        Verdict::Equivalent {
-            trials: out.trials_run,
-        }
-    };
-
-    let report = VerificationReport {
-        transformation: prepared.transformation.clone(),
-        match_description: prepared.match_description.clone(),
-        verdict,
-        cutout_stats: prepared.cutout.stats.clone(),
-        program_nodes: prepared.program_nodes,
-        mincut: prepared.mincut.clone(),
-        trials_run: out.trials_run,
-        trials_to_detection: out.first_fault.as_ref().map(|f| f.trial),
-        system_state: prepared.cutout.system_state.clone(),
-        input_config: prepared.cutout.input_config.clone(),
-    };
-    let summary = EvolutionSummary {
-        corpus_size: out.corpus_size,
-        edges_seen: out.edges_seen,
-        faults_found: out.faults_found,
-        buckets: out.buckets,
-    };
-    (report, summary)
-}
-
-/// The one execution path of the verification stack: runs `specs` under
-/// `exec` with deterministic-prefix scheduling, streaming events, and
-/// returns `(completed results, stop reason, trials spent)`.
-pub(crate) fn run_specs(
-    specs: &[Spec<'_>],
-    exec: &Exec<'_>,
-) -> (Vec<InstanceResult>, StopReason, u64) {
-    let n = specs.len();
-    exec.sink.on_event(&Event::SessionStarted { instances: n });
-    let width = resolve_threads(exec.threads);
-    let outcome = fuzzyflow_session::drive(exec.pool, n, width, exec.budget, exec.cancel, |i| {
-        let spec = &specs[i];
-        exec.sink.on_event(&Event::InstanceStarted {
-            index: i,
-            workload: spec.workload.to_string(),
-            transformation: spec.t.name().to_string(),
-            match_description: spec.m.description.clone(),
-        });
-
-        let mut vcfg = exec.verify.clone();
-        if vcfg.concretization.is_none() {
-            if let Some(b) = spec.bindings {
-                vcfg.concretization = Some(b.clone());
-            }
-        }
-
-        let (entry, cached) = prepared_entry(spec, &vcfg, exec, i);
-        let mut evolution = None;
-        let outcome: Result<VerificationReport, VerifyError> = match entry.as_ref() {
-            Err(e) => Err(e.clone()),
-            // Evolution mode replaces the one-shot trial batch; invalid
-            // instances still fall through so they classify as
-            // "generates invalid code" exactly as before.
-            Ok(prepared) if exec.evolve.is_some() && prepared.invalid.is_none() => {
-                let ecfg = exec.evolve.expect("checked above");
-                let (report, summary) = run_evolved(prepared, ecfg, &vcfg, exec, i);
-                evolution = Some(summary);
-                Ok(report)
-            }
-            Ok(prepared) => {
-                let total = vcfg.trials;
-                let chunk = (total / 4).max(1);
-                let progress = |done: usize| {
-                    if done.is_multiple_of(chunk) || done == total {
-                        exec.sink.on_event(&Event::TrialProgress {
-                            index: i,
-                            trials_done: done,
-                            trials_total: total,
-                        });
-                    }
-                };
-                Ok(run_prepared(
-                    prepared,
-                    &vcfg,
-                    exec.pool,
-                    exec.cache.is_some(),
-                    Some(&progress),
-                ))
-            }
-        };
-
-        let result = match outcome {
-            Ok(report) => {
-                if let Some(fault) = FaultRecord::from_verdict(&report.verdict) {
-                    exec.sink.on_event(&Event::FaultFound {
-                        index: i,
-                        label: fault.label,
-                        trial: fault.trial,
-                        detail: fault.detail,
-                    });
-                }
-                InstanceResult {
-                    index: i,
-                    workload: spec.workload.to_string(),
-                    transformation: spec.t.name().to_string(),
-                    match_description: spec.m.description.clone(),
-                    report: Some(report),
-                    error: None,
-                    evolution,
-                }
-            }
-            Err(error) => {
-                exec.sink.on_event(&Event::PipelineError {
-                    index: i,
-                    error: error.clone(),
-                });
-                InstanceResult {
-                    index: i,
-                    workload: spec.workload.to_string(),
-                    transformation: spec.t.name().to_string(),
-                    match_description: spec.m.description.clone(),
-                    report: None,
-                    error: Some(error),
-                    evolution: None,
-                }
-            }
-        };
-        let trials_run = result.report.as_ref().map_or(0, |r| r.trials_run);
-        exec.sink.on_event(&Event::InstanceFinished {
-            index: i,
-            label: result.label().to_string(),
-            is_fault: result.is_fault(),
-            trials_run,
-            cached,
-        });
-        (result, trials_run as u64)
-    });
-    exec.sink.on_event(&Event::SessionFinished {
-        completed: outcome.results.len(),
-        total: n,
-        stop: outcome.stop,
-    });
-    (outcome.results, outcome.stop, outcome.cost_spent)
-}
-
-/// A single-instance, single-shot session — the engine under
-/// [`crate::verify_instance`].
-pub(crate) fn verify_single_shot(
-    program: &Sdfg,
-    t: &dyn Transformation,
-    m: &TransformationMatch,
-    cfg: &VerifyConfig,
-) -> Result<VerificationReport, VerifyError> {
-    let spec = Spec {
-        workload: "",
-        sdfg: program,
-        bindings: None,
-        t,
-        m,
-    };
-    let (mut results, _, _) = run_specs(
-        std::slice::from_ref(&spec),
-        &Exec {
-            pool: WorkerPool::global(),
-            verify: cfg,
-            threads: 1,
-            budget: &SessionBudget::unlimited(),
-            cancel: None,
-            sink: &NullSink,
-            cache: None,
-            prepares: None,
-            evolve: None,
         },
-    );
-    let result = results.pop().expect("single instance completes");
-    match (result.report, result.error) {
-        (Some(report), _) => Ok(report),
-        (None, Some(error)) => Err(error),
-        (None, None) => unreachable!("every instance yields a report or an error"),
-    }
+        Some(f) => f
+            .outcome
+            .fault_verdict(&prepared.cutout.sdfg.name, f.trial, &f.state)
+            .expect("collected faults are faults"),
+        None => Verdict::Equivalent {
+            trials: out.trials_run,
+        },
+    };
+    let diff = DiffReport {
+        verdict,
+        trials_run: out.trials_run,
+        resamples: 0,
+        trials_to_detection: out.first_fault.as_ref().map(|f| f.trial),
+    };
+    let triage = TriageReport {
+        faults_found: out.faults_found,
+        buckets: out
+            .buckets
+            .into_iter()
+            .map(|b| BucketRecord {
+                instance: index,
+                culprit: b.culprit,
+                kind: b.kind,
+                container: b.container,
+                label: b.label,
+                trial: b.trial,
+                duplicates: b.duplicates,
+                representative: b.representative,
+            })
+            .collect(),
+    };
+    (diff, triage)
 }

@@ -14,7 +14,6 @@
 //! raw bit patterns (see [`TestCase::to_json`]), so a replayed fault
 //! reproduces the identical verdict.
 
-use crate::sweep::InstanceResult;
 use crate::verify::VerifyConfig;
 use fuzzyflow_fuzz::json::{quote, Json};
 use fuzzyflow_fuzz::{TestCase, Verdict};
@@ -51,24 +50,29 @@ impl FaultRecord {
     /// both [`InstanceReport`]s and `Event::FaultFound` derive their
     /// label/trial/detail from here, so the streamed event and the
     /// serialized record can never diverge for the same fault.
-    pub(crate) fn from_verdict(verdict: &Verdict) -> Option<FaultRecord> {
+    pub(crate) fn from_verdict(verdict: Verdict) -> Option<FaultRecord> {
+        let label = verdict.label().to_string();
         let (trial, detail, case) = match verdict {
             Verdict::SemanticChange {
                 trial,
-                mismatch,
+                mismatch: detail,
                 case,
-            } => (Some(*trial), mismatch.clone(), Some(case.clone())),
-            Verdict::Crash { trial, error, case } => {
-                (Some(*trial), error.clone(), Some(case.clone()))
             }
-            Verdict::Hang { trial, error, case } => {
-                (Some(*trial), error.clone(), Some(case.clone()))
+            | Verdict::Crash {
+                trial,
+                error: detail,
+                case,
             }
+            | Verdict::Hang {
+                trial,
+                error: detail,
+                case,
+            } => (Some(trial), detail, Some(case)),
             Verdict::InvalidCode { errors } => (None, errors.join("; "), None),
             Verdict::Equivalent { .. } | Verdict::Inconclusive { .. } => return None,
         };
         Some(FaultRecord {
-            label: verdict.label().to_string(),
+            label,
             trial,
             detail,
             case,
@@ -104,41 +108,6 @@ impl InstanceReport {
     /// True when the instance was proven faulty.
     pub fn is_fault(&self) -> bool {
         self.fault.is_some()
-    }
-
-    /// Projects a session's rich per-instance result into the
-    /// serializable record.
-    pub(crate) fn from_result(r: &InstanceResult) -> InstanceReport {
-        let mut out = InstanceReport {
-            index: r.index,
-            workload: r.workload.clone(),
-            transformation: r.transformation.clone(),
-            match_description: r.match_description.clone(),
-            label: r.label().to_string(),
-            trials_run: 0,
-            trials_to_detection: None,
-            cutout_nodes: 0,
-            program_nodes: 0,
-            mincut_reduction: None,
-            system_state: Vec::new(),
-            input_config: Vec::new(),
-            error: r.error.as_ref().map(|e| ErrorRecord {
-                kind: e.kind().to_string(),
-                message: e.detail(),
-            }),
-            fault: None,
-        };
-        if let Some(rep) = &r.report {
-            out.trials_run = rep.trials_run;
-            out.trials_to_detection = rep.trials_to_detection;
-            out.cutout_nodes = rep.cutout_stats.nodes;
-            out.program_nodes = rep.program_nodes;
-            out.mincut_reduction = rep.mincut.as_ref().map(|m| m.reduction());
-            out.system_state = rep.system_state.clone();
-            out.input_config = rep.input_config.clone();
-            out.fault = FaultRecord::from_verdict(&rep.verdict);
-        }
-        out
     }
 }
 
@@ -302,6 +271,21 @@ pub struct CampaignReport {
     pub instances: Vec<InstanceReport>,
 }
 
+/// Per-transformation summary row of a report (Table 2 shape).
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct TableRow {
+    pub transformation: String,
+    pub instances: usize,
+    pub passed: usize,
+    pub faults: usize,
+    /// Pipeline errors and inconclusive instances.
+    pub errors: usize,
+    /// Faults by verdict class ("semantic change", "crash", …).
+    pub by_class: std::collections::BTreeMap<String, usize>,
+    /// Mean 1-based trial index at which faults surfaced.
+    pub mean_trials_to_detect: f64,
+}
+
 /// Report parse errors.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ReportParseError(pub String);
@@ -346,6 +330,73 @@ impl CampaignReport {
     /// Number of completed instances (the deterministic-prefix length).
     pub fn completed(&self) -> usize {
         self.instances.len()
+    }
+
+    /// Aggregates the completed instances into one row per
+    /// transformation, in name order — the paper's Table 2.
+    pub fn table_rows(&self) -> Vec<TableRow> {
+        // Per row: the row, plus (sum, count) of its faults' detection trials.
+        let mut rows: std::collections::BTreeMap<&str, (TableRow, usize, usize)> =
+            Default::default();
+        for inst in &self.instances {
+            let (row, detect_sum, detected) = rows.entry(&inst.transformation).or_default();
+            row.instances += 1;
+            match inst.label.as_str() {
+                "ok" => row.passed += 1,
+                "inconclusive" | "pipeline error" => row.errors += 1,
+                class => {
+                    row.faults += 1;
+                    *row.by_class.entry(class.to_string()).or_default() += 1;
+                    if let Some(trial) = inst.trials_to_detection {
+                        *detect_sum += trial;
+                        *detected += 1;
+                    }
+                }
+            }
+        }
+        rows.into_iter()
+            .map(|(name, (mut row, detect_sum, detected))| {
+                row.transformation = name.to_string();
+                row.mean_trials_to_detect = detect_sum as f64 / detected.max(1) as f64;
+                row
+            })
+            .collect()
+    }
+
+    /// Formats [`CampaignReport::table_rows`] as a Table-2 style text
+    /// table.
+    pub fn format_table(&self) -> String {
+        let mut out = String::new();
+        out.push_str(&format!(
+            "{:<26} {:>9} {:>7} {:>7} {:>7}  {:<30} {:>10}\n",
+            "Transformation",
+            "instances",
+            "pass",
+            "fault",
+            "error",
+            "failure classes",
+            "avg trials"
+        ));
+        out.push_str(&"-".repeat(104));
+        out.push('\n');
+        for r in self.table_rows() {
+            let classes: Vec<String> = r.by_class.iter().map(|(k, v)| format!("{k}×{v}")).collect();
+            out.push_str(&format!(
+                "{:<26} {:>9} {:>7} {:>7} {:>7}  {:<30} {:>10}\n",
+                r.transformation,
+                r.instances,
+                r.passed,
+                r.faults,
+                r.errors,
+                classes.join(", "),
+                if r.faults > 0 {
+                    format!("{:.1}", r.mean_trials_to_detect)
+                } else {
+                    "-".to_string()
+                }
+            ));
+        }
+        out
     }
 
     /// Serializes the report as JSON (canonical: parsing and

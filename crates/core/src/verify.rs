@@ -4,7 +4,9 @@ use fuzzyflow_cutout::{
     extract_cutout, minimize_input_configuration, refind_match, Cutout, CutoutStats, MinCutOutcome,
     SideEffectContext,
 };
-use fuzzyflow_fuzz::{derive_constraints, ArenaStash, Constraints, DiffTester, Verdict};
+use fuzzyflow_fuzz::{
+    derive_constraints, ArenaStash, Constraints, DiffReport, DiffTester, Verdict,
+};
 use fuzzyflow_interp::{compile_shared, Program};
 use fuzzyflow_ir::{validate, Bindings, Sdfg};
 use fuzzyflow_pool::WorkerPool;
@@ -16,20 +18,20 @@ use std::sync::Arc;
 ///
 /// # Thread knobs and the shared worker pool
 ///
-/// All parallelism in the verification stack — sweep instances
-/// ([`crate::SweepConfig::threads`]), differential trial batches
-/// ([`VerifyConfig::trial_threads`]), coverage campaigns and distributed
-/// rank gangs — executes on one process-wide
-/// [`WorkerPool`] with a fixed worker per
-/// core. The knobs therefore no longer size independent thread sets that
-/// could oversubscribe each other; each knob only caps how many pool
-/// participants that layer may occupy at once:
+/// All parallelism in the verification stack — campaign instances
+/// ([`Campaign::with_threads`](crate::session::Campaign::with_threads)),
+/// differential trial batches ([`VerifyConfig::trial_threads`]) and
+/// distributed rank gangs — executes on one process-wide [`WorkerPool`]
+/// with a fixed worker per core. The knobs therefore do not size
+/// independent thread sets that could oversubscribe each other; each
+/// knob only caps how many pool participants that layer may occupy at
+/// once:
 ///
 /// * `trial_threads = 0` (default): trial batches may use every pool
-///   worker. Inside a sweep this is safe — instances and trials share the
-///   same workers, so an instance's trials simply soak up whatever
-///   capacity other instances leave idle (there is no nested spawning and
-///   no oversubscription, unlike the pre-pool architecture).
+///   worker. Inside a campaign this is safe — instances and trials share
+///   the same workers, so an instance's trials simply soak up whatever
+///   capacity other instances leave idle (there is no nested spawning
+///   and no oversubscription).
 /// * `trial_threads = 1`: trials run sequentially on whichever thread
 ///   verifies the instance.
 /// * any other value: at most that many concurrent participants.
@@ -61,7 +63,7 @@ pub struct VerifyConfig {
     /// (`0` = no cap beyond the pool size, `1` = sequential). Verdicts
     /// are identical for every setting; see [`DiffTester::threads`] and
     /// the struct-level docs on how this shares the worker pool with the
-    /// sweep driver.
+    /// campaign driver.
     pub trial_threads: usize,
 }
 
@@ -207,20 +209,31 @@ pub struct VerificationReport {
     pub input_config: Vec<String>,
 }
 
-/// Verifies a single transformation instance end to end.
-///
-/// This is a thin wrapper over a single-shot
-/// [`session`](crate::session): the same prepare-then-fuzz path that
-/// executes campaigns, sweeps and coverage batches, so the report is
-/// byte-identical whether an instance is verified standalone or as part
-/// of a [`Campaign`](crate::session::Campaign).
+/// Verifies a single transformation instance end to end: the prepare
+/// pipeline (steps 1–4 + compile), then the differential trials — the
+/// same two functions a [`Campaign`](crate::session::Campaign) runs per
+/// instance, so the verdict here is the campaign's row for that
+/// instance, with the rich [`Verdict`] attached.
 pub fn verify_instance(
     program: &Sdfg,
     t: &dyn Transformation,
     m: &TransformationMatch,
     cfg: &VerifyConfig,
 ) -> Result<VerificationReport, VerifyError> {
-    crate::session::verify_single_shot(program, t, m, cfg)
+    let prepared = prepare_instance(program, t, m, cfg)?;
+    let diff = run_prepared(&prepared, cfg, WorkerPool::global(), None);
+    Ok(VerificationReport {
+        transformation: t.name().to_string(),
+        match_description: m.description.clone(),
+        verdict: diff.verdict,
+        cutout_stats: prepared.cutout.stats,
+        program_nodes: prepared.program_nodes,
+        mincut: prepared.mincut,
+        trials_run: diff.trials_run,
+        trials_to_detection: diff.trials_to_detection,
+        system_state: prepared.cutout.system_state,
+        input_config: prepared.cutout.input_config,
+    })
 }
 
 /// The compiled artifacts of one verification instance — everything the
@@ -231,8 +244,6 @@ pub fn verify_instance(
 /// so re-verifying an unchanged campaign skips steps 1–4 entirely and
 /// constructs zero fresh executor arenas.
 pub(crate) struct PreparedInstance {
-    pub transformation: String,
-    pub match_description: String,
     pub cutout: Cutout,
     pub constraints: Constraints,
     /// Validation errors of the transformed cutout; `Some` short-circuits
@@ -245,13 +256,14 @@ pub(crate) struct PreparedInstance {
     pub programs: Option<(Arc<Program>, Arc<Program>)>,
     pub mincut: Option<MinCutOutcome>,
     pub program_nodes: usize,
-    /// Per-instance executor-arena pool (used on cached session paths).
+    /// Per-instance executor-arena pool: trials check arenas out of it
+    /// and park them back, so a warm re-run constructs none.
     pub arenas: ArenaStash,
 }
 
 /// Pipeline steps 1–4 plus compilation: everything up to (but excluding)
-/// the fuzzing trials. Shared by [`verify_instance`], sweeps and
-/// campaign sessions — the single prepare path of the stack.
+/// the fuzzing trials. Shared by [`verify_instance`] and campaign
+/// sessions — the single prepare path of the stack.
 pub(crate) fn prepare_instance(
     program: &Sdfg,
     t: &dyn Transformation,
@@ -314,8 +326,6 @@ pub(crate) fn prepare_instance(
         .sum();
 
     Ok(PreparedInstance {
-        transformation: t.name().to_string(),
-        match_description: m.description.clone(),
         cutout,
         constraints,
         invalid,
@@ -327,19 +337,22 @@ pub(crate) fn prepare_instance(
 }
 
 /// Pipeline step 5 over prepared artifacts: the differential fuzzing
-/// trials. Byte-identical to running `DiffTester::test` on the same
-/// cutout pair (the compile and validate halves were hoisted into
-/// [`prepare_instance`]). When `use_stash` is set (cached session runs),
-/// executor arenas come from the instance's own stash — a warm re-run
-/// then constructs zero fresh arenas; otherwise the per-worker cache
-/// serves them exactly as before.
+/// trials (or the "generates invalid code" report decided at prepare
+/// time). Executor arenas come from the instance's own stash, so a warm
+/// re-run constructs zero fresh arenas.
 pub(crate) fn run_prepared(
     prepared: &PreparedInstance,
     cfg: &VerifyConfig,
     pool: &WorkerPool,
-    use_stash: bool,
     progress: Option<&(dyn Fn(usize) + Sync)>,
-) -> VerificationReport {
+) -> DiffReport {
+    if let Some(errors) = &prepared.invalid {
+        return DiffTester::invalid_code_report(errors.clone());
+    }
+    let (orig, trans) = prepared
+        .programs
+        .as_ref()
+        .expect("valid instances always compile");
     let tester = DiffTester {
         trials: cfg.trials,
         tolerance: cfg.tolerance,
@@ -351,32 +364,15 @@ pub(crate) fn run_prepared(
         threads: cfg.trial_threads,
         ..Default::default()
     };
-    let diff = match (&prepared.invalid, &prepared.programs) {
-        (Some(errors), _) => DiffTester::invalid_code_report(errors.clone()),
-        (None, Some((orig, trans))) => tester.test_compiled(
-            pool,
-            &prepared.cutout,
-            orig.as_ref(),
-            trans.as_ref(),
-            &prepared.constraints,
-            use_stash.then_some(&prepared.arenas),
-            progress,
-        ),
-        (None, None) => unreachable!("valid instances always compile"),
-    };
-
-    VerificationReport {
-        transformation: prepared.transformation.clone(),
-        match_description: prepared.match_description.clone(),
-        verdict: diff.verdict,
-        cutout_stats: prepared.cutout.stats.clone(),
-        program_nodes: prepared.program_nodes,
-        mincut: prepared.mincut.clone(),
-        trials_run: diff.trials_run,
-        trials_to_detection: diff.trials_to_detection,
-        system_state: prepared.cutout.system_state.clone(),
-        input_config: prepared.cutout.input_config.clone(),
-    }
+    tester.test_compiled(
+        pool,
+        &prepared.cutout,
+        orig,
+        trans,
+        &prepared.constraints,
+        &prepared.arenas,
+        progress,
+    )
 }
 
 #[cfg(test)]

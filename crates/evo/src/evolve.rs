@@ -4,18 +4,9 @@ use crate::corpus::Corpus;
 use crate::mutate::{symbol_bounds, MutOp, Mutator};
 use crate::triage::{triage, FaultBucket};
 use fuzzyflow_cutout::Cutout;
-use fuzzyflow_fuzz::{ArenaStash, CaseOutcome, Constraints, DiffTester, Xoshiro256};
+use fuzzyflow_fuzz::{judge, ArenaStash, CaseOutcome, Constraints, DiffTester, Xoshiro256};
 use fuzzyflow_interp::{ArrayValue, CoverageMap, ExecOptions, ExecState, ExecutorArena, Program};
 use fuzzyflow_ir::{Bindings, Scalar};
-
-/// Splitmix64-style mixing of a seed with a stream/instance index —
-/// derives independent deterministic sub-seeds.
-pub fn rng_split(seed: u64, index: u64) -> u64 {
-    let mut x = seed ^ index.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
 
 /// Campaign-facing evolution knobs (the session layer merges these with
 /// its `VerifyConfig` — tolerance, size ceiling — into an
@@ -131,7 +122,8 @@ pub struct EvolutionFuzzer {
     /// Fault-collection cap (the loop keeps fuzzing after a fault so
     /// triage has duplicates to collapse, up to this many).
     pub max_faults: usize,
-    /// Instance seed (derive with [`rng_split`] for campaigns).
+    /// Instance seed (derive with [`rng_split`](crate::rng_split) for
+    /// campaigns).
     pub seed: u64,
     /// Numerical comparison threshold.
     pub tolerance: f64,
@@ -283,38 +275,16 @@ impl EvolutionFuzzer {
                 continue;
             }
 
-            // Transformed run on the same input, then the differential
-            // comparison sequence (hang/crash/invalid, symbol state,
-            // system state) — structured, for triage.
-            let outcome = match trans_exec.execute(&state, &opts, None, None) {
-                Err(e) if e.is_hang() => CaseOutcome::Hang(e),
-                Err(e) if e.is_crash() => CaseOutcome::Crash(e),
-                Err(e) => CaseOutcome::Invalid(e),
-                Ok(()) => {
-                    let mut sym_change = None;
-                    for s in &cutout.symbol_state {
-                        if orig_exec.symbol(s) != trans_exec.symbol(s) {
-                            sym_change = Some(CaseOutcome::SymbolChange {
-                                symbol: s.clone(),
-                                original: orig_exec.symbol(s),
-                                transformed: trans_exec.symbol(s),
-                            });
-                            break;
-                        }
-                    }
-                    match sym_change {
-                        Some(c) => c,
-                        None => match orig_exec.compare_on(
-                            &trans_exec,
-                            &cutout.system_state,
-                            self.tolerance,
-                        ) {
-                            Some(m) => CaseOutcome::SemanticChange(m),
-                            None => CaseOutcome::Pass,
-                        },
-                    }
-                }
-            };
+            // Transformed run on the same input, classified by the
+            // shared differential oracle — structured, for triage.
+            let outcome = judge(
+                cutout,
+                &state,
+                &opts,
+                self.tolerance,
+                &orig_exec,
+                &mut trans_exec,
+            );
 
             if outcome.is_fault() {
                 faults.push(EvoFault {

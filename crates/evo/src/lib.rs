@@ -34,9 +34,10 @@ pub mod mutate;
 pub mod triage;
 
 pub use corpus::{Corpus, CorpusEntry};
-pub use evolve::{rng_split, EvoEvent, EvoFault, EvoOutcome, EvolutionFuzzer, EvolveConfig};
+pub use evolve::{EvoEvent, EvoFault, EvoOutcome, EvolutionFuzzer, EvolveConfig};
+pub use fuzzyflow_fuzz::rng_split;
 pub use mutate::{scalar_bits, scalar_from_bits, symbol_bounds, MutOp, Mutator};
-pub use triage::{bisect, failure_text, materialize, triage, FaultBucket};
+pub use triage::{bisect, materialize, triage, FaultBucket};
 
 #[cfg(test)]
 mod tests {
@@ -233,7 +234,12 @@ mod tests {
             // Round-trip the representative through its serialized forms
             // first — replay must work from a parsed report.
             let parsed = fuzzyflow_fuzz::TestCase::from_text(&b.representative.to_text()).unwrap();
-            let replay = tester.replay_case(&c, &orig, &trans, &parsed.state, None);
+            let replay = tester.replay_on(
+                &c,
+                &parsed.state,
+                &mut orig.executor(),
+                &mut trans.executor(),
+            );
             assert_eq!(replay.kind(), b.kind, "bucket {b:?} replayed as {replay:?}");
             assert_eq!(replay.label(), b.label);
         }

@@ -13,7 +13,7 @@
 use crate::evolve::EvoFault;
 use crate::mutate::MutOp;
 use fuzzyflow_cutout::Cutout;
-use fuzzyflow_fuzz::{CaseOutcome, DiffTester, TestCase};
+use fuzzyflow_fuzz::{failure_text, CaseOutcome, DiffTester, TestCase};
 use fuzzyflow_interp::{ExecState, Executor};
 use std::collections::BTreeMap;
 
@@ -120,18 +120,4 @@ pub fn triage(
         }
     }
     buckets.into_values().collect()
-}
-
-/// Human-readable failure line for a representative test case, matching
-/// the phrasing the trial loop captures.
-pub fn failure_text(outcome: &CaseOutcome) -> String {
-    match outcome {
-        CaseOutcome::Hang(e)
-        | CaseOutcome::Crash(e)
-        | CaseOutcome::Invalid(e)
-        | CaseOutcome::OriginalFailed(e) => e.to_string(),
-        CaseOutcome::SymbolChange { symbol, .. } => format!("symbol state change: '{symbol}'"),
-        CaseOutcome::SemanticChange(m) => format!("semantic change: {m}"),
-        CaseOutcome::Pass => "pass".to_string(),
-    }
 }

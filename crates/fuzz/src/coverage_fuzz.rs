@@ -16,16 +16,14 @@
 //! why the paper measures ~157 trials for AFL++ vs ~1 for gray-box
 //! sampling on the size-dependent vectorization bug.
 
-use crate::diff::{exec_arena_cache, pair_key};
+use crate::diff::judge;
 use crate::rng::Xoshiro256;
-use crate::testcase::TestCase;
 use crate::Verdict;
 use fuzzyflow_cutout::Cutout;
 use fuzzyflow_interp::coverage::MAP_SIZE;
 use fuzzyflow_interp::ArrayValue;
-use fuzzyflow_interp::{CoverageMap, ExecOptions, ExecState, Executor, ExecutorArena, Program};
+use fuzzyflow_interp::{CoverageMap, ExecOptions, ExecState, Executor, Program};
 use fuzzyflow_ir::{validate, Bindings, Sdfg};
-use fuzzyflow_pool::{resolve_threads, WorkerPool};
 
 /// Report of a coverage-guided fuzzing campaign.
 #[derive(Clone, Debug)]
@@ -239,20 +237,15 @@ impl CoverageFuzzer {
             };
         }
 
-        // Compile both sides once; the campaign loop only executes, on an
-        // executor pair whose allocations recycle through the per-worker
-        // arena cache (the programs are fresh, so the key never hits —
-        // the win is the reused buffers).
+        // Compile both sides once; the campaign loop only executes.
         let orig_prog = Program::compile(&cutout.sdfg);
         let trans_prog = Program::compile(transformed);
-        let key = pair_key(&orig_prog, &trans_prog);
-        let (oa, ta) =
-            exec_arena_cache().checkout_or(key, || (ExecutorArena::new(), ExecutorArena::new()));
-        let mut orig_exec = orig_prog.executor_with(oa);
-        let mut trans_exec = trans_prog.executor_with(ta);
-        let report = self.campaign(cutout, seed_bindings, &mut orig_exec, &mut trans_exec);
-        exec_arena_cache().store(key, (orig_exec.into_arena(), trans_exec.into_arena()));
-        report
+        self.campaign(
+            cutout,
+            seed_bindings,
+            &mut orig_prog.executor(),
+            &mut trans_prog.executor(),
+        )
     }
 
     /// The campaign loop of [`CoverageFuzzer::run`], over a prepared
@@ -348,66 +341,25 @@ impl CoverageFuzzer {
                 continue;
             }
 
-            // Transformed run on the same input.
-            match trans_exec.execute(&sample, &opts, None, None) {
-                Err(e) if e.is_hang() => {
-                    return self.report(
-                        Verdict::Hang {
-                            trial,
-                            error: e.to_string(),
-                            case: TestCase::capture(&cutout.sdfg.name, &e.to_string(), &sample),
-                        },
-                        trial,
-                        corpus.len(),
-                        edges_seen,
-                        &hits,
-                    );
-                }
-                Err(e) if e.is_crash() => {
-                    return self.report(
-                        Verdict::Crash {
-                            trial,
-                            error: e.to_string(),
-                            case: TestCase::capture(&cutout.sdfg.name, &e.to_string(), &sample),
-                        },
-                        trial,
-                        corpus.len(),
-                        edges_seen,
-                        &hits,
-                    );
-                }
-                Err(e) => {
-                    return self.report(
-                        Verdict::InvalidCode {
-                            errors: vec![e.to_string()],
-                        },
-                        trial,
-                        corpus.len(),
-                        edges_seen,
-                        &hits,
-                    );
-                }
-                Ok(()) => {}
-            }
-
-            if let Some(mismatch) =
-                orig_exec.compare_on(trans_exec, &cutout.system_state, self.tolerance)
-            {
-                return self.report(
-                    Verdict::SemanticChange {
-                        trial,
-                        mismatch: mismatch.to_string(),
-                        case: TestCase::capture(
-                            &cutout.sdfg.name,
-                            &format!("semantic change: {mismatch}"),
-                            &sample,
-                        ),
-                    },
-                    trial,
-                    corpus.len(),
+            // Transformed run on the same input, through the shared
+            // differential oracle.
+            let outcome = judge(
+                cutout,
+                &sample,
+                &opts,
+                self.tolerance,
+                orig_exec,
+                trans_exec,
+            );
+            if let Some(verdict) = outcome.fault_verdict(&cutout.sdfg.name, trial, &sample) {
+                return CoverageReport {
+                    verdict,
+                    trials_run: trial,
+                    trials_to_detection: Some(trial),
+                    corpus_size: corpus.len(),
                     edges_seen,
-                    &hits,
-                );
+                    edge_hits: compress_hits(&hits),
+                };
             }
 
             // Coverage feedback.
@@ -426,61 +378,6 @@ impl CoverageFuzzer {
             corpus_size: corpus.len(),
             edges_seen,
             edge_hits: compress_hits(&hits),
-        }
-    }
-
-    /// Runs several independent campaigns in parallel on the shared
-    /// [`WorkerPool`] — one `(cutout, transformed, seed sizes)` triple
-    /// per campaign, e.g. every instance of a transformation across a
-    /// workload suite. Each campaign is fully self-contained (its own
-    /// corpus, virgin map and PRNG derived from [`CoverageFuzzer::seed`]),
-    /// so the returned reports are index-ordered and byte-identical to
-    /// calling [`CoverageFuzzer::run`] in a loop, for any `threads`
-    /// setting (`0` = one participant per core).
-    ///
-    /// This is a thin wrapper over a single-shot, unbudgeted
-    /// [`fuzzyflow_session::drive`] session — the same entry path that
-    /// runs verification campaigns (`fuzzyflow::session`), which is what
-    /// makes coverage campaigns budgetable and cancellable at the
-    /// session layer without a second scheduler.
-    pub fn run_many(
-        &self,
-        campaigns: &[(&Cutout, &Sdfg, &Bindings)],
-        threads: usize,
-    ) -> Vec<CoverageReport> {
-        // One resolution per campaign set, threaded through to the pool.
-        let width = resolve_threads(threads);
-        fuzzyflow_session::drive(
-            WorkerPool::global(),
-            campaigns.len(),
-            width,
-            &fuzzyflow_session::SessionBudget::unlimited(),
-            None,
-            |i| {
-                let (cutout, transformed, seed_bindings) = campaigns[i];
-                let report = self.run(cutout, transformed, seed_bindings);
-                let cost = report.trials_run as u64;
-                (report, cost)
-            },
-        )
-        .results
-    }
-
-    fn report(
-        &self,
-        verdict: Verdict,
-        trial: usize,
-        corpus_size: usize,
-        edges_seen: usize,
-        hits: &[u64],
-    ) -> CoverageReport {
-        CoverageReport {
-            verdict,
-            trials_run: trial,
-            trials_to_detection: Some(trial),
-            corpus_size,
-            edges_seen,
-            edge_hits: compress_hits(hits),
         }
     }
 }
@@ -572,61 +469,6 @@ mod tests {
         );
         let t = report.trials_to_detection.unwrap();
         assert!(t > 1, "seed input is divisible; detection needs mutation");
-    }
-
-    #[test]
-    fn run_many_matches_sequential_campaigns() {
-        let (c, transformed) = vectorized_pair();
-        let seed = Bindings::from_pairs([("N", 16)]);
-        let fuzzer = CoverageFuzzer {
-            max_trials: 400,
-            seed: 99,
-            ..Default::default()
-        };
-        let campaigns = [
-            (&c, &transformed, &seed),
-            (&c, &transformed, &seed),
-            (&c, &transformed, &seed),
-        ];
-        let sequential: Vec<String> = campaigns
-            .iter()
-            .map(|(c, t, b)| format!("{:?}", fuzzer.run(c, t, b)))
-            .collect();
-        for threads in [1, 2, 4] {
-            let pooled: Vec<String> = fuzzer
-                .run_many(&campaigns, threads)
-                .iter()
-                .map(|r| format!("{r:?}"))
-                .collect();
-            assert_eq!(pooled, sequential, "threads = {threads}");
-        }
-    }
-
-    /// Regression for resolve-once threading plus arena recycling:
-    /// repeated `run_many` invocations must report byte-identically.
-    #[test]
-    fn run_many_reports_are_stable_across_repeats() {
-        let (c, transformed) = vectorized_pair();
-        let seed = Bindings::from_pairs([("N", 16)]);
-        let fuzzer = CoverageFuzzer {
-            max_trials: 150,
-            seed: 7,
-            ..Default::default()
-        };
-        let campaigns = [(&c, &transformed, &seed), (&c, &transformed, &seed)];
-        let first: Vec<String> = fuzzer
-            .run_many(&campaigns, 2)
-            .iter()
-            .map(|r| format!("{r:?}"))
-            .collect();
-        for _ in 0..3 {
-            let again: Vec<String> = fuzzer
-                .run_many(&campaigns, 2)
-                .iter()
-                .map(|r| format!("{r:?}"))
-                .collect();
-            assert_eq!(first, again);
-        }
     }
 
     #[test]

@@ -1,52 +1,23 @@
-//! Gray-box differential testing (paper Sec. 5.1).
+//! Gray-box differential testing (paper Sec. 5.1) and the one
+//! differential oracle ([`judge`]) every fuzzing loop and replay shares.
 
 use crate::constraints::Constraints;
-use crate::rng::Xoshiro256;
+use crate::rng::{rng_split, Xoshiro256};
 use crate::sampler::{sample_state, ValueProfile};
 use crate::testcase::TestCase;
 use fuzzyflow_cutout::Cutout;
-use fuzzyflow_interp::{ExecOptions, ExecState, ExecutorArena, Program, ResetPolicy};
-use fuzzyflow_ir::{validate, Sdfg};
-use fuzzyflow_pool::{resolve_threads, WorkerCache, WorkerPool};
+use fuzzyflow_interp::{ExecOptions, ExecState, Executor, ExecutorArena, Program, ResetPolicy};
+use fuzzyflow_pool::{resolve_threads, WorkerPool};
 use std::sync::Mutex;
 
-/// Per-worker cache of executor-arena pairs, keyed by the compiled
-/// `(original, transformed)` program identities. `DiffTester::test` and
-/// `CoverageFuzzer::run` compile fresh programs per call, so their
-/// checkouts land on the *recycled* path: a worker moving to the next
-/// instance (or re-testing one) reuses the previous pair's allocations
-/// instead of constructing executors from scratch — the fig6-sweep
-/// profile shows no per-trial (and almost no per-instance) arena
-/// construction. Exact-key hits serve callers that hold a compiled
-/// [`Program`] across calls, like the distributed runtime.
-pub(crate) fn exec_arena_cache() -> &'static WorkerCache<(ExecutorArena, ExecutorArena)> {
-    static CACHE: std::sync::OnceLock<WorkerCache<(ExecutorArena, ExecutorArena)>> =
-        std::sync::OnceLock::new();
-    let cache = CACHE.get_or_init(|| WorkerCache::new(ARENA_CACHE_BASE));
-    // Obey the same process-wide capacity knob as the program/code
-    // caches (while never growing past the small per-worker base bound).
-    cache.set_capacity(ARENA_CACHE_BASE.min(fuzzyflow_interp::cache_capacity()));
-    cache
-}
-
-/// Per-worker arena pairs kept without an explicit capacity override.
-const ARENA_CACHE_BASE: usize = 4;
-
-/// Cache key of a compiled program pair.
-pub(crate) fn pair_key(orig: &Program, trans: &Program) -> u64 {
-    orig.id().rotate_left(32) ^ trans.id()
-}
-
-/// A caller-owned pool of executor-arena pairs — the artifact-cache
-/// counterpart of the per-worker [`WorkerCache`].
+/// A caller-owned pool of executor-arena pairs — the one place
+/// verification arenas are parked between calls.
 ///
-/// Where the worker cache keeps arenas in thread-local stashes (warm for
-/// whichever instance that *worker* ran last), a stash travels with an
-/// *instance*: a campaign session stores one stash per prepared
-/// instance, so re-verifying the instance checks the very same arenas
-/// back out regardless of which workers run the trials. When
-/// [`DiffTester::test_compiled`] is given a non-empty stash it caps the
-/// trial-batch width at the stash size, so a warm re-run constructs
+/// A stash travels with an *instance*: a campaign session stores one
+/// stash per prepared instance, so re-verifying the instance checks the
+/// very same arenas back out regardless of which workers run the trials.
+/// When [`DiffTester::test_compiled`] is given a non-empty stash it caps
+/// the trial-batch width at the stash size, so a warm re-run constructs
 /// **zero** fresh arenas — guaranteed, not just amortized. (Reports are
 /// byte-identical for every width; see the pool determinism contract.)
 #[derive(Debug, Default)]
@@ -73,6 +44,12 @@ impl ArenaStash {
     /// Checks a parked arena pair out of the stash, if any.
     pub fn take(&self) -> Option<(ExecutorArena, ExecutorArena)> {
         self.pairs.lock().expect("arena stash poisoned").pop()
+    }
+
+    /// A parked pair, or a freshly constructed one on a cold stash.
+    fn take_or_new(&self) -> (ExecutorArena, ExecutorArena) {
+        self.take()
+            .unwrap_or_else(|| (ExecutorArena::new(), ExecutorArena::new()))
     }
 
     /// Parks an arena pair back into the stash (bounded by the
@@ -149,8 +126,8 @@ impl Verdict {
     }
 }
 
-/// Outcome of replaying one concrete input through a compiled cutout
-/// pair ([`DiffTester::replay_case`]).
+/// Outcome of running one concrete input through a compiled cutout pair
+/// ([`judge`], [`DiffTester::replay_on`]).
 ///
 /// Unlike [`Verdict`], whose fault variants carry rendered strings for
 /// reporting, these carry the *structured* [`ExecError`](fuzzyflow_interp::ExecError) /
@@ -223,6 +200,96 @@ impl CaseOutcome {
             CaseOutcome::SemanticChange(m) => Some(&m.data),
         }
     }
+
+    /// The single outcome-to-verdict projection: the [`Verdict`] of a
+    /// fault observed at 1-based `trial` on input `state` of the cutout
+    /// named `program`, or `None` when the outcome is not a fault. The
+    /// captured [`TestCase`] carries [`failure_text`] as its failure line.
+    pub fn fault_verdict(&self, program: &str, trial: usize, state: &ExecState) -> Option<Verdict> {
+        let case = || TestCase::capture(program, &failure_text(self), state);
+        Some(match self {
+            CaseOutcome::Pass | CaseOutcome::OriginalFailed(_) => return None,
+            CaseOutcome::Hang(e) => Verdict::Hang {
+                trial,
+                error: e.to_string(),
+                case: case(),
+            },
+            CaseOutcome::Crash(e) => Verdict::Crash {
+                trial,
+                error: e.to_string(),
+                case: case(),
+            },
+            CaseOutcome::Invalid(e) => Verdict::InvalidCode {
+                errors: vec![e.to_string()],
+            },
+            CaseOutcome::SymbolChange {
+                symbol,
+                original,
+                transformed,
+            } => Verdict::SemanticChange {
+                trial,
+                mismatch: format!("symbol '{symbol}' differs: {original:?} vs {transformed:?}"),
+                case: case(),
+            },
+            CaseOutcome::SemanticChange(m) => Verdict::SemanticChange {
+                trial,
+                mismatch: m.to_string(),
+                case: case(),
+            },
+        })
+    }
+}
+
+/// Human-readable failure line of an outcome — what a captured
+/// [`TestCase`] records as its `failure`.
+pub fn failure_text(outcome: &CaseOutcome) -> String {
+    match outcome {
+        CaseOutcome::Hang(e)
+        | CaseOutcome::Crash(e)
+        | CaseOutcome::Invalid(e)
+        | CaseOutcome::OriginalFailed(e) => e.to_string(),
+        CaseOutcome::SymbolChange { symbol, .. } => format!("symbol state change: '{symbol}'"),
+        CaseOutcome::SemanticChange(m) => format!("semantic change: {m}"),
+        CaseOutcome::Pass => "pass".to_string(),
+    }
+}
+
+/// The differential oracle (paper Sec. 5): given that `orig_exec` has
+/// just executed `state` successfully, runs the transformed cutout on
+/// the same input and classifies the pair — transformed hang / crash /
+/// structural failure, then scalar side-effect symbols
+/// (`cutout.symbol_state`), then system-state contents under
+/// `tolerance`. Every trial loop and replay path judges through here, so
+/// a fault found live replays to the same class. Never returns
+/// [`CaseOutcome::OriginalFailed`]; the passing path allocates nothing.
+pub fn judge(
+    cutout: &Cutout,
+    state: &ExecState,
+    opts: &ExecOptions,
+    tolerance: f64,
+    orig_exec: &Executor<'_>,
+    trans_exec: &mut Executor<'_>,
+) -> CaseOutcome {
+    match trans_exec.execute(state, opts, None, None) {
+        Err(e) if e.is_hang() => return CaseOutcome::Hang(e),
+        Err(e) if e.is_crash() => return CaseOutcome::Crash(e),
+        Err(e) => return CaseOutcome::Invalid(e),
+        Ok(()) => {}
+    }
+    for s in &cutout.symbol_state {
+        let (original, transformed) = (orig_exec.symbol(s), trans_exec.symbol(s));
+        if original != transformed {
+            return CaseOutcome::SymbolChange {
+                symbol: s.clone(),
+                original,
+                transformed,
+            };
+        }
+    }
+    match orig_exec.compare_on(trans_exec, &cutout.system_state, tolerance) {
+        Some(mismatch) => CaseOutcome::SemanticChange(mismatch),
+        None => CaseOutcome::Pass,
+    }
 }
 
 /// A full differential-testing report.
@@ -289,121 +356,11 @@ impl Default for DiffTester {
     }
 }
 
-/// Deterministic per-trial PRNG seed (splitmix64 finalizer over the base
-/// seed and trial index).
-fn trial_seed(seed: u64, trial: u64) -> u64 {
-    let mut x = seed ^ trial.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
-/// Outcome of one independent trial, before order-dependent bookkeeping.
-enum TrialOutcome {
-    Passed {
-        resamples: usize,
-    },
-    /// Sampling never produced an input the original cutout accepts.
-    NoSample {
-        resamples: usize,
-    },
-    Hang {
-        error: String,
-        case: TestCase,
-        resamples: usize,
-    },
-    Crash {
-        error: String,
-        case: TestCase,
-        resamples: usize,
-    },
-    /// Structural failure at runtime: invalid code.
-    Invalid {
-        error: String,
-        resamples: usize,
-    },
-    SemanticChange {
-        mismatch: String,
-        case: TestCase,
-        resamples: usize,
-    },
-}
-
-impl TrialOutcome {
-    fn resamples(&self) -> usize {
-        match self {
-            TrialOutcome::Passed { resamples }
-            | TrialOutcome::NoSample { resamples }
-            | TrialOutcome::Hang { resamples, .. }
-            | TrialOutcome::Crash { resamples, .. }
-            | TrialOutcome::Invalid { resamples, .. }
-            | TrialOutcome::SemanticChange { resamples, .. } => *resamples,
-        }
-    }
-
-    fn is_terminal(&self) -> bool {
-        !matches!(self, TrialOutcome::Passed { .. })
-    }
-}
-
 impl DiffTester {
-    /// Tester with a given trial budget and seed.
-    pub fn new(trials: usize, seed: u64) -> Self {
-        DiffTester {
-            trials,
-            seed,
-            ..Default::default()
-        }
-    }
-
-    /// Runs differential testing of the cutout against its transformed
-    /// counterpart on the process-wide [`WorkerPool`].
-    ///
-    /// Both SDFGs are compiled exactly once; the N trials then run against
-    /// the two compiled [`Program`]s with per-trial deterministic seeds,
-    /// in parallel on the shared pool when [`DiffTester::threads`] allows.
-    /// The report is the one a sequential scan of trials 1..=N would
-    /// produce, byte for byte, regardless of thread count or schedule.
-    pub fn test(
-        &self,
-        cutout: &Cutout,
-        transformed: &Sdfg,
-        constraints: &Constraints,
-    ) -> DiffReport {
-        self.test_on(WorkerPool::global(), cutout, transformed, constraints)
-    }
-
-    /// [`DiffTester::test`] against an explicit pool — used by benchmarks
-    /// to compare the persistent pool against per-instance spawned ones.
-    pub fn test_on(
-        &self,
-        pool: &WorkerPool,
-        cutout: &Cutout,
-        transformed: &Sdfg,
-        constraints: &Constraints,
-    ) -> DiffReport {
-        // "Generates invalid code" is decided before any execution.
-        if let Err(errors) = validate(transformed) {
-            return Self::invalid_code_report(errors.iter().map(|e| e.to_string()).collect());
-        }
-
-        // Compile once per instance; trials only execute.
-        let orig_prog = Program::compile(&cutout.sdfg);
-        let trans_prog = Program::compile(transformed);
-        self.test_compiled(
-            pool,
-            cutout,
-            &orig_prog,
-            &trans_prog,
-            constraints,
-            None,
-            None,
-        )
-    }
-
-    /// The [`DiffReport`] produced for a transformed SDFG that fails
-    /// validation — exposed so callers that cache validation outcomes
-    /// (campaign sessions) reproduce [`DiffTester::test`] byte for byte.
+    /// The [`DiffReport`] of a transformed SDFG that fails validation —
+    /// "generates invalid code" is decided before any execution, so
+    /// callers that validate up front (campaign sessions cache the
+    /// outcome) report it through here.
     pub fn invalid_code_report(errors: Vec<String>) -> DiffReport {
         DiffReport {
             verdict: Verdict::InvalidCode { errors },
@@ -413,17 +370,26 @@ impl DiffTester {
         }
     }
 
-    /// The trial loop of [`DiffTester::test`], over programs the caller
-    /// compiled (and whose transformed SDFG already passed `validate` —
-    /// use [`DiffTester::invalid_code_report`] otherwise). This is the
-    /// single execution path under `verify_instance`, sweeps and
-    /// campaign sessions; the report is byte-identical to
-    /// [`DiffTester::test`] on the same cutout pair.
+    fn exec_options(&self) -> ExecOptions {
+        ExecOptions {
+            max_steps: self.max_steps,
+            reset: self.reset,
+            oob_slop: self.oob_slop,
+            ..ExecOptions::default()
+        }
+    }
+
+    /// Differentially tests a compiled cutout pair: N trials with
+    /// per-trial deterministic seeds, in parallel on `pool` when
+    /// [`DiffTester::threads`] allows. The transformed SDFG must already
+    /// have passed `validate` (use [`DiffTester::invalid_code_report`]
+    /// otherwise). The report is the one a sequential scan of trials
+    /// 1..=N would produce, byte for byte, regardless of thread count or
+    /// schedule.
     ///
-    /// Executor arenas come from `stash` when given (the session's
-    /// per-instance artifact cache; a non-empty stash caps the batch
-    /// width at the stash size so warm re-runs construct zero fresh
-    /// arenas) and from the per-worker cache otherwise. `progress`, when
+    /// Executor arenas are checked out of `stash` and parked back on
+    /// return (a non-empty stash caps the batch width at the stash size,
+    /// so warm re-runs construct zero fresh arenas). `progress`, when
     /// given, is invoked after every completed trial with the number of
     /// trials finished so far. Calls arrive concurrently from worker
     /// threads: the counter itself is monotonic, but two threads may
@@ -439,43 +405,32 @@ impl DiffTester {
         orig_prog: &Program,
         trans_prog: &Program,
         constraints: &Constraints,
-        stash: Option<&ArenaStash>,
+        stash: &ArenaStash,
         progress: Option<&(dyn Fn(usize) + Sync)>,
     ) -> DiffReport {
         let mut width = resolve_threads(self.threads).min(self.trials.max(1));
-        if let Some(stash) = stash {
-            let parked = stash.len();
-            if parked > 0 {
-                // Warm instance: never outgrow the parked arenas — this
-                // is what makes "0 fresh arenas on a warm re-run" a
-                // guarantee instead of an expectation. Reports are
-                // byte-identical for every width.
-                width = width.min(parked);
-            }
+        let parked = stash.len();
+        if parked > 0 {
+            // Warm instance: never outgrow the parked arenas — this is
+            // what makes "0 fresh arenas on a warm re-run" a guarantee
+            // instead of an expectation.
+            width = width.min(parked);
         }
 
         // All trials at or below the first terminal trial are guaranteed
         // to complete; `stop_at` only prunes work beyond a known terminal.
         let stop_at = std::sync::atomic::AtomicUsize::new(usize::MAX);
         let done = std::sync::atomic::AtomicUsize::new(0);
-        let parts: Mutex<Vec<Vec<(usize, TrialOutcome)>>> = Mutex::new(Vec::new());
-        let key = pair_key(orig_prog, trans_prog);
+        let parts: Mutex<Vec<Vec<(usize, TrialResult)>>> = Mutex::new(Vec::new());
+        let opts = self.exec_options();
         pool.parallel_for(
             self.trials,
             width,
             // One reusable executor pair per pool participant, retained
-            // across every trial that participant steals — and across
-            // *calls*: the arenas come from (and return to) the instance
-            // stash or the worker's cache, so repeat tests and sweep
-            // successors reuse them.
+            // across every trial that participant steals — and, through
+            // the stash, across calls.
             || {
-                let (oa, ta) = match stash {
-                    Some(stash) => stash
-                        .take()
-                        .unwrap_or_else(|| (ExecutorArena::new(), ExecutorArena::new())),
-                    None => exec_arena_cache()
-                        .checkout_or(key, || (ExecutorArena::new(), ExecutorArena::new())),
-                };
+                let (oa, ta) = stash.take_or_new();
                 (
                     orig_prog.executor_with(oa),
                     trans_prog.executor_with(ta),
@@ -487,283 +442,106 @@ impl DiffTester {
                 if trial > stop_at.load(std::sync::atomic::Ordering::Relaxed) {
                     return;
                 }
-                let outcome = self.run_trial(cutout, constraints, trial, orig_exec, trans_exec);
-                if outcome.is_terminal() {
+                let result =
+                    self.run_trial(cutout, constraints, &opts, trial, orig_exec, trans_exec);
+                if result.1.is_some() {
                     stop_at.fetch_min(trial, std::sync::atomic::Ordering::Relaxed);
                 }
-                local.push((trial, outcome));
+                local.push((trial, result));
                 if let Some(progress) = progress {
                     progress(done.fetch_add(1, std::sync::atomic::Ordering::Relaxed) + 1);
                 }
             },
             |(orig_exec, trans_exec, local)| {
-                let pair = (orig_exec.into_arena(), trans_exec.into_arena());
-                match stash {
-                    Some(stash) => stash.put(pair),
-                    None => exec_arena_cache().store(key, pair),
-                }
+                stash.put((orig_exec.into_arena(), trans_exec.into_arena()));
                 parts.lock().expect("trial buffers poisoned").push(local);
             },
         );
 
-        let mut outcomes: Vec<Option<TrialOutcome>> = Vec::with_capacity(self.trials);
-        outcomes.resize_with(self.trials, || None);
+        let mut results: Vec<Option<TrialResult>> = Vec::with_capacity(self.trials);
+        results.resize_with(self.trials, || None);
         for batch in parts.into_inner().expect("trial buffers poisoned") {
-            for (trial, outcome) in batch {
-                outcomes[trial - 1] = Some(outcome);
+            for (trial, result) in batch {
+                results[trial - 1] = Some(result);
             }
         }
-        self.finalize(outcomes)
+        self.finalize(results)
     }
 
     /// One independent trial: sample until the original cutout accepts an
-    /// input, then run the transformed program on the same input and
-    /// compare the system states.
+    /// input, then [`judge`] the transformed cutout on that same input.
     fn run_trial(
         &self,
         cutout: &Cutout,
         constraints: &Constraints,
+        opts: &ExecOptions,
         trial: usize,
-        orig_exec: &mut fuzzyflow_interp::Executor<'_>,
-        trans_exec: &mut fuzzyflow_interp::Executor<'_>,
-    ) -> TrialOutcome {
-        let opts = ExecOptions {
-            max_steps: self.max_steps,
-            reset: self.reset,
-            oob_slop: self.oob_slop,
-            ..ExecOptions::default()
-        };
-        let mut rng = Xoshiro256::seed_from(trial_seed(self.seed, trial as u64));
+        orig_exec: &mut Executor<'_>,
+        trans_exec: &mut Executor<'_>,
+    ) -> TrialResult {
+        let mut rng = Xoshiro256::seed_from(rng_split(self.seed, trial as u64));
         let mut resamples = 0usize;
-
-        // Sample an input the ORIGINAL cutout accepts.
-        let mut sample: Option<ExecState> = None;
         for _ in 0..=self.max_resamples {
-            let Some(candidate) = sample_state(cutout, constraints, &self.profile, &mut rng) else {
+            let Some(sample) = sample_state(cutout, constraints, &self.profile, &mut rng) else {
                 resamples += 1;
                 continue;
             };
-            match orig_exec.execute(&candidate, &opts, None, None) {
-                Ok(()) => {
-                    sample = Some(candidate);
-                    break;
-                }
-                Err(_) => {
-                    // Uninteresting crash: both sides would fail.
-                    resamples += 1;
-                }
+            if orig_exec.execute(&sample, opts, None, None).is_err() {
+                // Uninteresting crash: both sides would fail.
+                resamples += 1;
+                continue;
             }
-        }
-        let Some(sample) = sample else {
-            return TrialOutcome::NoSample { resamples };
-        };
-
-        // Run the transformed cutout on the exact same input.
-        match trans_exec.execute(&sample, &opts, None, None) {
-            Err(e) if e.is_hang() => {
-                return TrialOutcome::Hang {
-                    error: e.to_string(),
-                    case: TestCase::capture(&cutout.sdfg.name, &e.to_string(), &sample),
-                    resamples,
-                };
-            }
-            Err(e) if e.is_crash() => {
-                return TrialOutcome::Crash {
-                    error: e.to_string(),
-                    case: TestCase::capture(&cutout.sdfg.name, &e.to_string(), &sample),
-                    resamples,
-                };
-            }
-            Err(e) => {
-                return TrialOutcome::Invalid {
-                    error: e.to_string(),
-                    resamples,
-                };
-            }
-            Ok(()) => {}
-        }
-
-        // Compare symbol side effects (scalar program state read by the
-        // rest of the program).
-        for s in &cutout.symbol_state {
-            if orig_exec.symbol(s) != trans_exec.symbol(s) {
-                return TrialOutcome::SemanticChange {
-                    mismatch: format!(
-                        "symbol '{s}' differs: {:?} vs {:?}",
-                        orig_exec.symbol(s),
-                        trans_exec.symbol(s)
-                    ),
-                    case: TestCase::capture(
-                        &cutout.sdfg.name,
-                        &format!("symbol state change: '{s}'"),
-                        &sample,
-                    ),
-                    resamples,
-                };
-            }
-        }
-
-        // Compare system states.
-        if let Some(mismatch) =
-            orig_exec.compare_on(trans_exec, &cutout.system_state, self.tolerance)
-        {
-            return TrialOutcome::SemanticChange {
-                mismatch: mismatch.to_string(),
-                case: TestCase::capture(
-                    &cutout.sdfg.name,
-                    &format!("semantic change: {mismatch}"),
-                    &sample,
-                ),
+            let outcome = judge(cutout, &sample, opts, self.tolerance, orig_exec, trans_exec);
+            return (
                 resamples,
-            };
+                outcome.fault_verdict(&cutout.sdfg.name, trial, &sample),
+            );
         }
-        TrialOutcome::Passed { resamples }
+        let reason = format!(
+            "could not sample an accepted input after {} attempts",
+            self.max_resamples
+        );
+        (resamples, Some(Verdict::Inconclusive { reason }))
     }
 
-    /// Replays one concrete input through a compiled cutout pair and
-    /// classifies the outcome — the single-case entry behind test-case
-    /// replay and triage bisection probes. Reuses the caller's compiled
-    /// [`Program`]s and parks its executor arenas back into `stash` (or
-    /// the per-worker cache), so a bisection running dozens of probes
-    /// compiles nothing and constructs no fresh arenas after the first.
-    ///
-    /// The comparison sequence is exactly [`DiffTester::test`]'s per-trial
-    /// one — transformed hang/crash/structural failure, then scalar
-    /// side-effect symbols, then system state under
-    /// [`DiffTester::tolerance`] — so a fault case captured by a trial
-    /// replays to the same class here.
-    pub fn replay_case(
-        &self,
-        cutout: &Cutout,
-        orig_prog: &Program,
-        trans_prog: &Program,
-        state: &ExecState,
-        stash: Option<&ArenaStash>,
-    ) -> CaseOutcome {
-        let key = pair_key(orig_prog, trans_prog);
-        let (oa, ta) = match stash {
-            Some(stash) => stash
-                .take()
-                .unwrap_or_else(|| (ExecutorArena::new(), ExecutorArena::new())),
-            None => {
-                exec_arena_cache().checkout_or(key, || (ExecutorArena::new(), ExecutorArena::new()))
-            }
-        };
-        let mut orig_exec = orig_prog.executor_with(oa);
-        let mut trans_exec = trans_prog.executor_with(ta);
-        let outcome = self.replay_on(cutout, state, &mut orig_exec, &mut trans_exec);
-        let pair = (orig_exec.into_arena(), trans_exec.into_arena());
-        match stash {
-            Some(stash) => stash.put(pair),
-            None => exec_arena_cache().store(key, pair),
-        }
-        outcome
-    }
-
-    /// [`DiffTester::replay_case`] on executors the caller already holds
-    /// — the inner comparison sequence, arena-management-free.
+    /// Classifies one concrete input on executors the caller holds: the
+    /// original run (a rejection is [`CaseOutcome::OriginalFailed`]),
+    /// then [`judge`] — the entry behind test-case replay and triage
+    /// bisection probes, which therefore agree with the live trial that
+    /// captured the case.
     pub fn replay_on(
         &self,
         cutout: &Cutout,
         state: &ExecState,
-        orig_exec: &mut fuzzyflow_interp::Executor<'_>,
-        trans_exec: &mut fuzzyflow_interp::Executor<'_>,
+        orig_exec: &mut Executor<'_>,
+        trans_exec: &mut Executor<'_>,
     ) -> CaseOutcome {
-        let opts = ExecOptions {
-            max_steps: self.max_steps,
-            reset: self.reset,
-            oob_slop: self.oob_slop,
-            ..ExecOptions::default()
-        };
+        let opts = self.exec_options();
         if let Err(e) = orig_exec.execute(state, &opts, None, None) {
             return CaseOutcome::OriginalFailed(e);
         }
-        match trans_exec.execute(state, &opts, None, None) {
-            Err(e) if e.is_hang() => return CaseOutcome::Hang(e),
-            Err(e) if e.is_crash() => return CaseOutcome::Crash(e),
-            Err(e) => return CaseOutcome::Invalid(e),
-            Ok(()) => {}
-        }
-        for s in &cutout.symbol_state {
-            if orig_exec.symbol(s) != trans_exec.symbol(s) {
-                return CaseOutcome::SymbolChange {
-                    symbol: s.clone(),
-                    original: orig_exec.symbol(s),
-                    transformed: trans_exec.symbol(s),
-                };
-            }
-        }
-        if let Some(mismatch) =
-            orig_exec.compare_on(trans_exec, &cutout.system_state, self.tolerance)
-        {
-            return CaseOutcome::SemanticChange(mismatch);
-        }
-        CaseOutcome::Pass
+        judge(cutout, state, &opts, self.tolerance, orig_exec, trans_exec)
     }
 
-    /// Scans trial outcomes in order and reproduces the sequential
+    /// Scans trial results in order and reproduces the sequential
     /// tester's report: the first terminal trial decides the verdict, and
     /// resample counts accumulate over all trials up to it.
-    fn finalize(&self, mut outcomes: Vec<Option<TrialOutcome>>) -> DiffReport {
+    fn finalize(&self, mut results: Vec<Option<TrialResult>>) -> DiffReport {
         let mut resamples = 0usize;
         for trial in 1..=self.trials {
-            let outcome = outcomes[trial - 1]
+            let (trial_resamples, terminal) = results[trial - 1]
                 .take()
                 .expect("all trials up to the first terminal one complete");
-            resamples += outcome.resamples();
-            match outcome {
-                TrialOutcome::Passed { .. } => {}
-                TrialOutcome::NoSample { .. } => {
-                    return DiffReport {
-                        verdict: Verdict::Inconclusive {
-                            reason: format!(
-                                "could not sample an accepted input after {} attempts",
-                                self.max_resamples
-                            ),
-                        },
-                        trials_run: trial - 1,
-                        resamples,
-                        trials_to_detection: None,
-                    };
-                }
-                TrialOutcome::Hang { error, case, .. } => {
-                    return DiffReport {
-                        verdict: Verdict::Hang { trial, error, case },
-                        trials_run: trial,
-                        resamples,
-                        trials_to_detection: Some(trial),
-                    };
-                }
-                TrialOutcome::Crash { error, case, .. } => {
-                    return DiffReport {
-                        verdict: Verdict::Crash { trial, error, case },
-                        trials_run: trial,
-                        resamples,
-                        trials_to_detection: Some(trial),
-                    };
-                }
-                TrialOutcome::Invalid { error, .. } => {
-                    return DiffReport {
-                        verdict: Verdict::InvalidCode {
-                            errors: vec![error],
-                        },
-                        trials_run: trial,
-                        resamples,
-                        trials_to_detection: Some(trial),
-                    };
-                }
-                TrialOutcome::SemanticChange { mismatch, case, .. } => {
-                    return DiffReport {
-                        verdict: Verdict::SemanticChange {
-                            trial,
-                            mismatch,
-                            case,
-                        },
-                        trials_run: trial,
-                        resamples,
-                        trials_to_detection: Some(trial),
-                    };
-                }
+            resamples += trial_resamples;
+            if let Some(verdict) = terminal {
+                // An unsampleable trial never ran the pair; a fault did.
+                let detected = verdict.is_fault();
+                return DiffReport {
+                    verdict,
+                    trials_run: if detected { trial } else { trial - 1 },
+                    resamples,
+                    trials_to_detection: detected.then_some(trial),
+                };
             }
         }
         DiffReport {
@@ -776,6 +554,10 @@ impl DiffTester {
         }
     }
 }
+
+/// One independent trial, before order-dependent bookkeeping: samples
+/// rejected, and the terminal verdict (`None` = the trial passed).
+type TrialResult = (usize, Option<Verdict>);
 
 #[cfg(test)]
 mod tests {
@@ -833,7 +615,31 @@ mod tests {
         (p, st, mid.unwrap())
     }
 
-    fn verify(t: &dyn Transformation, trials: usize) -> Verdict {
+    fn tester(trials: usize, seed: u64) -> DiffTester {
+        DiffTester {
+            trials,
+            seed,
+            ..Default::default()
+        }
+    }
+
+    /// Validate, compile once, run the trial loop on the global pool.
+    fn test(
+        tester: &DiffTester,
+        c: &Cutout,
+        transformed: &fuzzyflow_ir::Sdfg,
+        cons: &Constraints,
+    ) -> DiffReport {
+        if let Err(errors) = fuzzyflow_ir::validate(transformed) {
+            return DiffTester::invalid_code_report(errors.iter().map(|e| e.to_string()).collect());
+        }
+        let (orig, trans) = (Program::compile(&c.sdfg), Program::compile(transformed));
+        let pool = WorkerPool::global();
+        tester.test_compiled(pool, c, &orig, &trans, cons, &ArenaStash::new(), None)
+    }
+
+    /// The accumulation program's cutout pair under `t`.
+    fn pair(t: &dyn Transformation) -> (Cutout, fuzzyflow_ir::Sdfg, Constraints) {
         let (p, _, _) = acc_program();
         let m = &t.find_matches(&p)[0];
         let (_, changes) = apply_to_clone(&p, t, m).unwrap();
@@ -843,8 +649,12 @@ mod tests {
         let mut transformed = c.sdfg.clone();
         t.apply(&mut transformed, &translated).unwrap();
         let cons = derive_constraints(&c, &p);
-        let tester = DiffTester::new(trials, 12345);
-        tester.test(&c, &transformed, &cons).verdict
+        (c, transformed, cons)
+    }
+
+    fn verify(t: &dyn Transformation, trials: usize) -> Verdict {
+        let (c, transformed, cons) = pair(t);
+        test(&tester(trials, 12345), &c, &transformed, &cons).verdict
     }
 
     #[test]
@@ -867,17 +677,8 @@ mod tests {
 
     #[test]
     fn failing_case_replays() {
-        let (p, _, _) = acc_program();
-        let t = MapTilingOffByOne::new(4);
-        let m = &t.find_matches(&p)[0];
-        let (_, changes) = apply_to_clone(&p, &t, m).unwrap();
-        let ctx = SideEffectContext::with_size_symbols(&["N".to_string()], 64);
-        let c = extract_cutout(&p, &changes, &ctx).unwrap();
-        let translated = fuzzyflow_cutout::translate_match(&c, m).unwrap();
-        let mut transformed = c.sdfg.clone();
-        t.apply(&mut transformed, &translated).unwrap();
-        let cons = derive_constraints(&c, &p);
-        let report = DiffTester::new(50, 777).test(&c, &transformed, &cons);
+        let (c, transformed, cons) = pair(&MapTilingOffByOne::new(4));
+        let report = test(&tester(50, 777), &c, &transformed, &cons);
         let Verdict::SemanticChange { case, .. } = &report.verdict else {
             panic!("expected semantic change, got {:?}", report.verdict);
         };
@@ -896,30 +697,19 @@ mod tests {
     /// execution, for faulting and clean instances alike.
     #[test]
     fn parallel_batches_match_sequential() {
-        let (p, _, _) = acc_program();
         for t in [
             Box::new(MapTiling::new(4)) as Box<dyn Transformation>,
             Box::new(MapTilingOffByOne::new(4)),
             Box::new(MapTilingNoRemainder::new(4)),
         ] {
-            let m = &t.find_matches(&p)[0];
-            let (_, changes) = apply_to_clone(&p, t.as_ref(), m).unwrap();
-            let ctx = SideEffectContext::with_size_symbols(&["N".to_string()], 64);
-            let c = extract_cutout(&p, &changes, &ctx).unwrap();
-            let translated = fuzzyflow_cutout::translate_match(&c, m).unwrap();
-            let mut transformed = c.sdfg.clone();
-            t.apply(&mut transformed, &translated).unwrap();
-            let cons = derive_constraints(&c, &p);
-            let sequential = DiffTester {
-                threads: 1,
-                ..DiffTester::new(40, 4242)
-            }
-            .test(&c, &transformed, &cons);
-            let parallel = DiffTester {
-                threads: 4,
-                ..DiffTester::new(40, 4242)
-            }
-            .test(&c, &transformed, &cons);
+            let (c, transformed, cons) = pair(t.as_ref());
+            let [sequential, parallel] = [1, 4].map(|threads| {
+                let tester = DiffTester {
+                    threads,
+                    ..tester(40, 4242)
+                };
+                test(&tester, &c, &transformed, &cons)
+            });
             assert_eq!(
                 format!("{sequential:?}"),
                 format!("{parallel:?}"),
@@ -929,67 +719,29 @@ mod tests {
         }
     }
 
-    /// Regression for the per-worker executor-arena cache: repeated
-    /// `test` calls (cache hits) and sequential/parallel widths must all
-    /// produce byte-identical reports — recycled arenas may never leak
-    /// state between campaigns.
-    #[test]
-    fn cached_arenas_do_not_change_reports() {
-        let (p, _, _) = acc_program();
-        let t = MapTilingOffByOne::new(4);
-        let m = &t.find_matches(&p)[0];
-        let (_, changes) = apply_to_clone(&p, &t, m).unwrap();
-        let ctx = SideEffectContext::with_size_symbols(&["N".to_string()], 64);
-        let c = extract_cutout(&p, &changes, &ctx).unwrap();
-        let translated = fuzzyflow_cutout::translate_match(&c, m).unwrap();
-        let mut transformed = c.sdfg.clone();
-        t.apply(&mut transformed, &translated).unwrap();
-        let cons = derive_constraints(&c, &p);
-        let tester = DiffTester {
-            threads: 1,
-            ..DiffTester::new(40, 999)
-        };
-        let first = format!("{:?}", tester.test(&c, &transformed, &cons));
-        for _ in 0..3 {
-            assert_eq!(first, format!("{:?}", tester.test(&c, &transformed, &cons)));
-        }
-    }
-
-    /// The session artifact-cache path: trials over a caller-held stash
-    /// must report byte-identically to `test`, a cold run must park its
-    /// arena pairs in the stash, and a warm run must construct zero
-    /// fresh arenas (width is capped at the stash size).
+    /// The session artifact-cache path: a cold run parks its arena pairs
+    /// in the stash, warm runs over it report byte-identically and
+    /// construct zero fresh arenas (width is capped at the stash size).
     #[test]
     fn stash_arenas_match_reports_and_construct_nothing_when_warm() {
-        let (p, _, _) = acc_program();
-        let t = MapTilingOffByOne::new(4);
-        let m = &t.find_matches(&p)[0];
-        let (_, changes) = apply_to_clone(&p, &t, m).unwrap();
-        let ctx = SideEffectContext::with_size_symbols(&["N".to_string()], 64);
-        let c = extract_cutout(&p, &changes, &ctx).unwrap();
-        let translated = fuzzyflow_cutout::translate_match(&c, m).unwrap();
-        let mut transformed = c.sdfg.clone();
-        t.apply(&mut transformed, &translated).unwrap();
-        let cons = derive_constraints(&c, &p);
+        let (c, transformed, cons) = pair(&MapTilingOffByOne::new(4));
         let tester = DiffTester {
             threads: 4,
-            ..DiffTester::new(40, 4242)
+            ..tester(40, 4242)
         };
-        let reference = format!("{:?}", tester.test(&c, &transformed, &cons));
+        let reference = format!("{:?}", test(&tester, &c, &transformed, &cons));
 
         let orig_prog = Program::compile(&c.sdfg);
         let trans_prog = Program::compile(&transformed);
         let stash = ArenaStash::new();
         let pool = WorkerPool::global();
-        let cold =
-            tester.test_compiled(pool, &c, &orig_prog, &trans_prog, &cons, Some(&stash), None);
+        let cold = tester.test_compiled(pool, &c, &orig_prog, &trans_prog, &cons, &stash, None);
         assert_eq!(format!("{cold:?}"), reference, "stash path diverged");
         let parked = stash.len();
         assert!(parked >= 1, "cold run parked its arenas");
 
         for _ in 0..3 {
-            let warm =
-                tester.test_compiled(pool, &c, &orig_prog, &trans_prog, &cons, Some(&stash), None);
+            let warm = tester.test_compiled(pool, &c, &orig_prog, &trans_prog, &cons, &stash, None);
             assert_eq!(format!("{warm:?}"), reference, "warm stash run diverged");
         }
         // Warm runs cap their width at the stash size and every finish
@@ -1014,30 +766,21 @@ mod tests {
 
     #[test]
     fn progress_callback_counts_every_completed_trial() {
-        let (p, _, _) = acc_program();
-        let t = MapTiling::new(4);
-        let m = &t.find_matches(&p)[0];
-        let (_, changes) = apply_to_clone(&p, &t, m).unwrap();
-        let ctx = SideEffectContext::with_size_symbols(&["N".to_string()], 64);
-        let c = extract_cutout(&p, &changes, &ctx).unwrap();
-        let translated = fuzzyflow_cutout::translate_match(&c, m).unwrap();
-        let mut transformed = c.sdfg.clone();
-        t.apply(&mut transformed, &translated).unwrap();
-        let cons = derive_constraints(&c, &p);
+        let (c, transformed, cons) = pair(&MapTiling::new(4));
         let tester = DiffTester {
             threads: 2,
-            ..DiffTester::new(20, 7)
+            ..tester(20, 7)
         };
         let orig_prog = Program::compile(&c.sdfg);
         let trans_prog = Program::compile(&transformed);
         let seen = std::sync::atomic::AtomicUsize::new(0);
         let report = tester.test_compiled(
-            pool_ref(),
+            WorkerPool::global(),
             &c,
             &orig_prog,
             &trans_prog,
             &cons,
-            None,
+            &ArenaStash::new(),
             Some(&|done| {
                 seen.fetch_max(done, std::sync::atomic::Ordering::Relaxed);
             }),
@@ -1047,10 +790,6 @@ mod tests {
             report.trials_run,
             "progress must reach the number of executed trials"
         );
-    }
-
-    fn pool_ref() -> &'static WorkerPool {
-        WorkerPool::global()
     }
 
     /// `B[i + off] = A[i]`: `off = 0` is the correct program, `off = 1`
@@ -1118,9 +857,9 @@ mod tests {
 
         let slop = DiffTester {
             oob_slop: true,
-            ..DiffTester::new(20, 31337)
+            ..tester(20, 31337)
         };
-        let report = slop.test(&c, &bad, &cons);
+        let report = test(&slop, &c, &bad, &cons);
         let Verdict::Crash { error, .. } = &report.verdict else {
             panic!("expected a crash verdict, got {:?}", report.verdict);
         };
@@ -1134,7 +873,7 @@ mod tests {
         );
 
         // Default trap mode flags the same instance as a plain OOB crash.
-        let trap = DiffTester::new(20, 31337).test(&c, &bad, &cons);
+        let trap = test(&tester(20, 31337), &c, &bad, &cons);
         let Verdict::Crash { error, .. } = &trap.verdict else {
             panic!("expected a crash verdict, got {:?}", trap.verdict);
         };
@@ -1146,29 +885,21 @@ mod tests {
     /// instances alike produce byte-identical reports.
     #[test]
     fn dirty_and_full_resets_report_identically_across_threads() {
-        let (p, _, _) = acc_program();
         for t in [
             Box::new(MapTiling::new(4)) as Box<dyn Transformation>,
             Box::new(MapTilingOffByOne::new(4)),
             Box::new(MapTilingNoRemainder::new(4)),
         ] {
-            let m = &t.find_matches(&p)[0];
-            let (_, changes) = apply_to_clone(&p, t.as_ref(), m).unwrap();
-            let ctx = SideEffectContext::with_size_symbols(&["N".to_string()], 64);
-            let c = extract_cutout(&p, &changes, &ctx).unwrap();
-            let translated = fuzzyflow_cutout::translate_match(&c, m).unwrap();
-            let mut transformed = c.sdfg.clone();
-            t.apply(&mut transformed, &translated).unwrap();
-            let cons = derive_constraints(&c, &p);
+            let (c, transformed, cons) = pair(t.as_ref());
             let mut reference = None;
             for threads in [1usize, 2, 8] {
                 for reset in [ResetPolicy::Dirty, ResetPolicy::Full] {
                     let tester = DiffTester {
                         threads,
                         reset,
-                        ..DiffTester::new(40, 2024)
+                        ..tester(40, 2024)
                     };
-                    let got = format!("{:?}", tester.test(&c, &transformed, &cons));
+                    let got = format!("{:?}", test(&tester, &c, &transformed, &cons));
                     match &reference {
                         None => reference = Some(got),
                         Some(want) => assert_eq!(

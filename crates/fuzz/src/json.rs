@@ -52,6 +52,7 @@ impl Json {
     /// else after the value).
     pub fn parse(text: &str) -> Result<Json, JsonParseError> {
         let mut p = Parser {
+            text,
             bytes: text.as_bytes(),
             pos: 0,
             depth: 0,
@@ -137,6 +138,8 @@ impl Json {
 const MAX_DEPTH: usize = 128;
 
 struct Parser<'a> {
+    text: &'a str,
+    /// `text.as_bytes()`; `pos` always sits on a char boundary of `text`.
     bytes: &'a [u8],
     pos: usize,
     depth: usize,
@@ -301,12 +304,17 @@ impl Parser<'_> {
                 }
                 Some(b) if b < 0x20 => return Err(self.err("control character in string")),
                 Some(_) => {
-                    // Consume one full UTF-8 character.
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = s.chars().next().expect("non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the run of plain characters up to the next
+                    // quote, escape or control byte. Those delimiters are
+                    // ASCII, so the run ends on a char boundary.
+                    let start = self.pos;
+                    while self
+                        .peek()
+                        .is_some_and(|b| b >= 0x20 && b != b'"' && b != b'\\')
+                    {
+                        self.pos += 1;
+                    }
+                    out.push_str(&self.text[start..self.pos]);
                 }
             }
         }
@@ -436,6 +444,35 @@ mod tests {
         ] {
             assert!(Json::parse(bad).is_err(), "{bad:?} parsed");
         }
+    }
+
+    /// Regression: the string reader used to re-validate the whole rest
+    /// of the document for every character (quadratic — seconds per
+    /// 100 KB). A multi-megabyte document of strings must parse in time
+    /// linear in its size and round-trip.
+    #[test]
+    fn large_string_documents_parse_in_linear_time() {
+        let item =
+            "plain ascii, \"quoted\" \\ back\\slash \n newline, é 中 \u{1F600} control \u{0001}";
+        let items: Vec<String> = (0..30_000).map(|i| format!("{i} {item}")).collect();
+        let quoted: Vec<String> = items.iter().map(|s| quote(s)).collect();
+        let doc = format!("[{}]", quoted.join(", "));
+        assert!(doc.len() >= 2 << 20, "document is only {} bytes", doc.len());
+        let start = std::time::Instant::now();
+        let parsed = Json::parse(&doc).unwrap();
+        let elapsed = start.elapsed();
+        let back: Vec<&str> = parsed
+            .as_arr()
+            .unwrap()
+            .iter()
+            .map(|v| v.as_str().unwrap())
+            .collect();
+        assert_eq!(back, items);
+        assert!(
+            elapsed < std::time::Duration::from_secs(10),
+            "parsing {} bytes took {elapsed:?}",
+            doc.len()
+        );
     }
 
     #[test]

@@ -30,8 +30,8 @@ pub mod testcase;
 
 pub use constraints::{derive_constraints, Constraints, SymbolRole};
 pub use coverage_fuzz::{CoverageFuzzer, CoverageReport};
-pub use diff::{ArenaStash, CaseOutcome, DiffReport, DiffTester, Verdict};
+pub use diff::{failure_text, judge, ArenaStash, CaseOutcome, DiffReport, DiffTester, Verdict};
 pub use json::Json;
-pub use rng::Xoshiro256;
+pub use rng::{rng_split, Xoshiro256};
 pub use sampler::{sample_state, ValueProfile};
 pub use testcase::{TestCase, TestCaseParseError};

@@ -16,6 +16,15 @@ fn splitmix64(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// Splitmix64-style mixing of a seed with a stream index (trial number,
+/// instance index, …) — derives independent deterministic sub-seeds.
+pub fn rng_split(seed: u64, index: u64) -> u64 {
+    let mut x = seed ^ index.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    x ^ (x >> 31)
+}
+
 impl Xoshiro256 {
     /// Seeds the generator deterministically from a single value.
     pub fn seed_from(seed: u64) -> Self {

@@ -10,6 +10,12 @@
 /// Size of the coverage map (64 KiB, as in AFL).
 pub const MAP_SIZE: usize = 1 << 16;
 
+/// Counters tested for "all zero" at once when a scan looks for touched
+/// edges. An execution touches a few dozen of the 65 536 counters, so a
+/// scan is all skipping: one vectorized OR-reduction per block instead
+/// of a branch per byte (whose speed swung by 25 % with code placement).
+const SCAN_BLOCK: usize = 64;
+
 /// A coverage map for one execution.
 #[derive(Clone)]
 pub struct CoverageMap {
@@ -55,7 +61,7 @@ impl CoverageMap {
 
     /// Number of distinct edges hit.
     pub fn edges_hit(&self) -> usize {
-        self.map.iter().filter(|&&b| b > 0).count()
+        self.hits().count()
     }
 
     /// The raw per-edge hit counters (saturating `u8`, indexed by edge
@@ -70,10 +76,16 @@ impl CoverageMap {
     /// execution touched, in edge-id order.
     pub fn hits(&self) -> impl Iterator<Item = (usize, u8)> + '_ {
         self.map
-            .iter()
+            .chunks_exact(SCAN_BLOCK)
             .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(i, &c)| (i, c))
+            .filter(|(_, block)| block.iter().fold(0, |acc, &c| acc | c) != 0)
+            .flat_map(|(b, block)| {
+                block
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, &c)| c > 0)
+                    .map(move |(i, &c)| (b * SCAN_BLOCK + i, c))
+            })
     }
 
     /// AFL-style bucketing of a raw hit count into a power-of-two class.
@@ -96,10 +108,7 @@ impl CoverageMap {
     /// "interesting input" signal for the fuzzer queue.
     pub fn merge_into(&self, virgin: &mut [u8; MAP_SIZE]) -> bool {
         let mut new_coverage = false;
-        for (i, &c) in self.map.iter().enumerate() {
-            if c == 0 {
-                continue;
-            }
+        for (i, c) in self.hits() {
             let b = Self::bucket(c);
             if virgin[i] & b == 0 {
                 virgin[i] |= b;
@@ -179,6 +188,18 @@ mod tests {
             c2.record(8);
         }
         assert!(c2.merge_into(&mut virgin));
+    }
+
+    #[test]
+    fn hits_are_in_edge_order_across_scan_blocks() {
+        let mut c = CoverageMap::new();
+        let touched = [0, SCAN_BLOCK - 1, SCAN_BLOCK, 1000, 1001, MAP_SIZE - 1];
+        for (n, &i) in touched.iter().enumerate() {
+            c.map[i] = n as u8 + 1;
+        }
+        let want: Vec<_> = touched.iter().zip(1u8..).map(|(&i, n)| (i, n)).collect();
+        assert_eq!(c.hits().collect::<Vec<_>>(), want);
+        assert_eq!(c.edges_hit(), touched.len());
     }
 
     #[test]

@@ -787,7 +787,7 @@ struct EdgePlan {
 pub struct Program {
     name: String,
     /// Process-unique identity of this compilation (clones share it), the
-    /// key of the per-worker executor-arena cache.
+    /// key of identity-keyed caches of per-program execution state.
     id: u64,
     data: Interner,
     syms: Interner,
@@ -1026,8 +1026,8 @@ impl Program {
     }
 
     /// Process-unique compilation identity (clones share it). Stable key
-    /// for caches of per-program execution state, e.g. the per-worker
-    /// executor-arena cache in the differential tester.
+    /// for caches of per-program execution state, e.g. the distributed
+    /// runtime's per-worker executor cache.
     pub fn id(&self) -> u64 {
         self.id
     }
@@ -2505,8 +2505,8 @@ impl DirtySet {
 }
 
 /// Counts freshly constructed [`ExecutorArena`]s process-wide — the
-/// observable the per-worker arena cache exists to minimize (benches
-/// assert sweeps construct far fewer arenas than they run trials).
+/// observable arena parking exists to minimize (benches assert warm
+/// campaign re-runs construct none).
 static FRESH_ARENAS: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
 
 /// Number of [`ExecutorArena`]s constructed from scratch so far in this
@@ -2518,10 +2518,9 @@ pub fn fresh_arena_count() -> u64 {
 /// The owned storage of an [`Executor`], detached from any program: all
 /// the id-indexed state and scratch buffers, but no borrow. Detaching
 /// ([`Executor::into_arena`]) and re-attaching ([`Program::executor_with`])
-/// lets long-lived workers keep warm buffers across programs — the
-/// differential tester's per-worker cache stores arenas keyed by program
-/// identity, so repeat tests reuse them outright and sweeps recycle them
-/// across instances instead of reallocating.
+/// lets callers keep warm buffers across calls — the differential
+/// tester parks arena pairs in a per-instance stash, so re-verifying an
+/// instance reuses them outright instead of reallocating.
 #[derive(Debug, Default)]
 pub struct ExecutorArena {
     syms: Vec<Option<i64>>,

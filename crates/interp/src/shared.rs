@@ -32,8 +32,8 @@
 //!
 //! Shared `Arc<Program>`s also make the downstream identity-keyed caches
 //! effective across campaigns: [`Program`] clones share their id, so
-//! per-worker executor caches and per-instance arena stashes keyed by
-//! program identity hit whenever the cache does.
+//! per-worker executor caches keyed by program identity hit whenever
+//! the cache does.
 
 use crate::program::{CompileOptions, Program};
 use fuzzyflow_ir::Sdfg;
@@ -76,7 +76,7 @@ static EVICTIONS: AtomicU64 = AtomicU64::new(0);
 
 /// The shared capacity knob of every process-wide stash: the program
 /// cache here, the native-code cache ([`crate::jit`]), the fuzzing
-/// layer's per-worker executor caches and arena stashes. Entries, not
+/// layer's per-instance arena stashes. Entries, not
 /// bytes; defaults to [`DEFAULT_CACHE_CAPACITY`].
 pub fn cache_capacity() -> usize {
     CAPACITY.load(Ordering::Relaxed)

@@ -3,12 +3,11 @@
 //! A [`WorkerCache`] stores values in thread-local storage — one stash
 //! per worker thread, no locks, no cross-thread sharing. Because the
 //! [`WorkerPool`](crate::WorkerPool) keeps its workers alive for the
-//! whole process, a worker's stash survives across jobs: the
-//! differential tester parks its executor arenas here between `test`
-//! calls and recycles their allocations across sweep instances
-//! ([`Checkout::Recycled`]), while callers that hold one compiled
-//! program across calls — the distributed runtime — get their warm
-//! arena back outright ([`Checkout::Hit`]).
+//! whole process, a worker's stash survives across jobs: a caller that
+//! holds one compiled program across calls — the distributed runtime —
+//! gets its warm arena back outright ([`Checkout::Hit`]), and one that
+//! moved on to another program recycles the previous allocations
+//! ([`Checkout::Recycled`]).
 //!
 //! Values are type-erased (`Box<dyn Any>`) so one thread-local store can
 //! serve caches of different value types; each [`WorkerCache`] instance

@@ -2,10 +2,10 @@
 //! stack.
 //!
 //! Before this crate, every layer of the system spawned its own threads:
-//! the sweep driver started a scoped poller set per `sweep()` call, the
+//! the campaign driver started a scoped poller set per call, the
 //! differential tester spawned a fresh scoped thread set per *instance*,
 //! and the distributed runtime spawned one thread per rank per run. Under
-//! a sweep those layers nest, so the process oversubscribed the machine
+//! a campaign those layers nest, so the process oversubscribed the machine
 //! and paid thread-spawn latency once per transformation instance — in a
 //! workload whose entire point is running *many* short trial batches over
 //! *many* instances (the paper's NPBench sweep runs hundreds of instances
@@ -16,7 +16,7 @@
 //!
 //! * **Ownership.** [`WorkerPool::global`] lazily starts one persistent
 //!   worker thread per available core and never tears them down; every
-//!   sweep, trial batch, coverage campaign and rank gang in the process
+//!   campaign, trial batch and rank gang in the process
 //!   shares those workers. Explicit pools ([`WorkerPool::new`]) exist for
 //!   tests and for measuring spawn cost; dropping one joins its workers.
 //! * **Work stealing.** A job is a range of indices plus a shared atomic
@@ -61,11 +61,11 @@ use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::thread::JoinHandle;
 
 /// Resolves a user-facing thread-count knob: `0` means one thread per
-/// available core (the convention of `SweepConfig::threads`,
+/// available core (the convention of `Campaign::with_threads`,
 /// `VerifyConfig::trial_threads` and `DiffTester::threads`), any other
 /// value is taken literally. The core count is probed once per process
-/// and memoized — callers in per-instance loops (a sweep resolves once
-/// per `DiffTester::test` call) never re-enter the OS query, and every
+/// and memoized — callers in per-instance loops (a campaign resolves
+/// once per trial batch) never re-enter the OS query, and every
 /// resolution of `0` in a campaign is guaranteed to be the same number.
 pub fn resolve_threads(requested: usize) -> usize {
     if requested == 0 {
@@ -281,8 +281,8 @@ impl WorkerPool {
 
     /// The process-wide pool: one worker per available core, started on
     /// first use, never torn down. This is the single scheduling
-    /// substrate behind sweeps, differential trial batches, coverage
-    /// campaigns and distributed rank gangs.
+    /// substrate behind campaigns, differential trial batches and
+    /// distributed rank gangs.
     pub fn global() -> &'static WorkerPool {
         static POOL: OnceLock<WorkerPool> = OnceLock::new();
         POOL.get_or_init(|| WorkerPool::new(resolve_threads(0)))

@@ -3,10 +3,10 @@
 //!
 //! The paper's workflow is a *campaign*: thousands of transformation
 //! instances × fuzzing trials over whole benchmark suites. This crate is
-//! the generic substrate under `fuzzyflow::session` (and under
-//! `CoverageFuzzer::run_many`): it schedules an indexed work list onto
-//! the shared [`WorkerPool`] while honoring item/cost/time budgets and a
-//! cooperative [`CancelToken`], and it upholds one central contract:
+//! the generic substrate under `fuzzyflow::session`: it schedules an
+//! indexed work list onto the shared [`WorkerPool`] while honoring
+//! item/cost/time budgets and a cooperative [`CancelToken`], and it
+//! upholds one central contract:
 //!
 //! > **Deterministic prefix.** Whatever stops the session — budget
 //! > exhaustion, cancellation, or plain completion — the set of

@@ -178,12 +178,11 @@ fn bucket_representatives_replay_from_serialized_report() {
     let triage = parsed.triage.as_ref().expect("evolution ran");
     let mut replayed = 0;
     for b in triage.buckets.iter().filter(|b| b.instance == 0) {
-        let outcome = tester.replay_case(
+        let outcome = tester.replay_on(
             &cutout,
-            orig.as_ref(),
-            trans.as_ref(),
             &b.representative.state,
-            None,
+            &mut orig.executor(),
+            &mut trans.executor(),
         );
         assert_eq!(outcome.kind(), b.kind, "{b:?}");
         assert_eq!(outcome.label(), b.label, "{b:?}");
@@ -324,3 +323,63 @@ fn one_shot_reports_have_no_triage_and_stay_byte_compatible() {
     assert!(parsed.triage.is_none());
     assert_eq!(parsed.to_json(), json);
 }
+
+/// Cross-commit byte identity in evolution mode: the report (verdicts,
+/// triage buckets, representatives) of a small campaign with sound,
+/// crashing, semantic-change and invalid-code rows hashes to the value
+/// computed at the commit before the verification paths were unified.
+/// FNV-1a over the JSON minus the live `"caches"` line; the `fusion`
+/// line is host-specific, so the constant is pinned for x86_64 unix.
+#[test]
+fn pinned_evolve_report_fingerprint() {
+    let report = Campaign::new("pinned-evolve")
+        .with_workload(
+            "matmul_chain",
+            fuzzyflow::workloads::matmul_chain(),
+            fuzzyflow::workloads::matmul_chain::default_bindings(),
+        )
+        .with_workload(
+            "cloudsc_like",
+            fuzzyflow::workloads::cloudsc_like(),
+            fuzzyflow::workloads::cloudsc::default_bindings(),
+        )
+        .with_transformations(vec![
+            Box::new(MapTiling::new(4)),
+            Box::new(MapTilingOffByOne::new(4)),
+            Box::new(MapTilingNoRemainder::new(4)),
+            Box::new(GpuKernelExtraction),
+            Box::new(fuzzyflow::transforms::StateAssignElimination),
+        ])
+        .with_verify(VerifyConfig::new().with_size_max(8).with_seed(0xF1A9))
+        .with_evolve(
+            EvolveConfig::new()
+                .with_trials(24)
+                .with_max_faults(4)
+                .with_seed(7),
+        )
+        .with_threads(1)
+        .session()
+        .run(&NullSink);
+    let mut labels: Vec<&str> = report.instances.iter().map(|i| i.label.as_str()).collect();
+    labels.sort_unstable();
+    labels.dedup();
+    for class in ["ok", "crash", "semantic change", "invalid code"] {
+        assert!(labels.contains(&class), "campaign has no '{class}' row");
+    }
+    assert!(report.triage.as_ref().is_some_and(|t| t.bucket_count() > 0));
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for line in report
+        .to_json()
+        .lines()
+        .filter(|l| !l.starts_with("  \"caches\":"))
+    {
+        for b in line.bytes().chain([b'\n']) {
+            h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    if cfg!(all(unix, target_arch = "x86_64")) {
+        assert_eq!(h, PINNED_EVOLVE_FINGERPRINT);
+    }
+}
+
+const PINNED_EVOLVE_FINGERPRINT: u64 = 0x26b4_9f5b_8ff3_46f3;

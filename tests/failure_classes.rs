@@ -151,10 +151,19 @@ fn hang_class_detected_via_step_limit() {
     let constraints = fuzzyflow_fuzz::derive_constraints(&cutout, &p);
     let tester = DiffTester {
         trials: 5,
+        seed: 1,
         max_steps: 50_000,
-        ..DiffTester::new(5, 1)
+        ..Default::default()
     };
-    let report = tester.test(&cutout, &broken, &constraints);
+    let report = tester.test_compiled(
+        fuzzyflow::pool::WorkerPool::global(),
+        &cutout,
+        &Program::compile(&cutout.sdfg),
+        &Program::compile(&broken),
+        &constraints,
+        &fuzzyflow_fuzz::ArenaStash::new(),
+        None,
+    );
     assert!(
         matches!(report.verdict, Verdict::Hang { .. }),
         "{:?}",
@@ -174,4 +183,149 @@ fn failing_cases_replay_bit_exactly() {
     let text = case.to_text();
     let reparsed = TestCase::from_text(&text).unwrap();
     assert_eq!(reparsed.state, case.state, "bit-exact round trip");
+}
+
+/// `B[i + off] = A[i]` over `i < N`, then `k = N - 1 + k_off` on the edge
+/// into an empty state, then a later state reading `A[k]` — so `k` is a
+/// symbol side effect of the first two states.
+fn copy_then_assign(off: i64, k_off: i64) -> (fuzzyflow::ir::Sdfg, Vec<fuzzyflow::ir::StateId>) {
+    use fuzzyflow::ir::{
+        sym, InterstateEdge, Memlet, ScalarExpr, Schedule, Subset, SymExpr, SymRange, Tasklet,
+    };
+    let copy = |df: &mut fuzzyflow::ir::DataflowBuilder, src: SymExpr, dst: (&str, SymExpr)| {
+        let (a, o) = (df.access("A"), df.access(dst.0));
+        let t = df.tasklet(Tasklet::simple("cp", vec!["x"], "y", ScalarExpr::r("x")));
+        df.read(a, t, Memlet::new("A", Subset::at(vec![src])).to_conn("x"));
+        df.write(
+            t,
+            o,
+            Memlet::new(dst.0, Subset::at(vec![dst.1])).from_conn("y"),
+        );
+    };
+    let mut b = SdfgBuilder::new("copy_then_assign");
+    b.symbol("N");
+    b.array("A", DType::F64, &["N"]);
+    b.array("B", DType::F64, &["N"]);
+    b.array("C", DType::F64, &["1"]);
+    let start = b.start();
+    b.in_state(start, |df| {
+        let (a, o) = (df.access("A"), df.access("B"));
+        let m = df.map(
+            &["i"],
+            vec![SymRange::full(sym("N"))],
+            Schedule::Parallel,
+            |body| copy(body, sym("i"), ("B", sym("i") + SymExpr::Int(off))),
+        );
+        df.auto_wire(m, &[a], &[o]);
+    });
+    let mid = b.add_state("mid");
+    let k = sym("N") + SymExpr::Int(k_off - 1);
+    b.edge(start, mid, InterstateEdge::always().assign("k", k));
+    let last = b.add_state_after(mid, "last");
+    b.in_state(last, |df| copy(df, sym("k"), ("C", SymExpr::Int(0))));
+    (b.build(), vec![start, mid])
+}
+
+/// One oracle: on a pair whose only divergence is an inter-state symbol
+/// assignment, and on an out-of-bounds crash pair, the one-shot trial
+/// loop, `replay_on` of every captured input, the evolutionary loop's
+/// first fault and the coverage-guided baseline all classify alike —
+/// same label, error kind, container and failure text.
+#[test]
+fn all_fuzzing_loops_agree_on_symbol_state_and_crash_faults() {
+    use fuzzyflow::evo::EvolutionFuzzer;
+    use fuzzyflow_fuzz::{derive_constraints, failure_text, ArenaStash, CaseOutcome};
+    use fuzzyflow_transforms::ChangeSet;
+
+    let (program, region) = copy_then_assign(0, 0);
+    let ctx = SideEffectContext::with_size_symbols(&program.free_symbols(), 16);
+    let cutout = extract_cutout(&program, &ChangeSet::of_states(region.clone()), &ctx).unwrap();
+    assert_eq!(cutout.symbol_state, ["k"], "k is read downstream");
+    let constraints = derive_constraints(&cutout, &program);
+    let orig = Program::compile(&cutout.sdfg);
+    let seed = Bindings::from_pairs([("N", 4)]);
+
+    // (transformed variant, label, kind, container, failure text if it
+    // does not depend on the input)
+    let cases = [
+        (
+            copy_then_assign(0, 1),
+            ("semantic change", "symbol-change", "k"),
+            Some("symbol state change: 'k'"),
+        ),
+        (
+            copy_then_assign(1, 0),
+            ("crash", "out-of-bounds", "B"),
+            None,
+        ),
+    ];
+    for ((variant, _), expected, text) in cases {
+        let transformed = extract_cutout(&variant, &ChangeSet::of_states(region.clone()), &ctx)
+            .unwrap()
+            .sdfg;
+        let trans = Program::compile(&transformed);
+        let tester = DiffTester {
+            trials: 10,
+            ..Default::default()
+        };
+        let (mut oe, mut te) = (orig.executor(), trans.executor());
+        // Replays a reported fault and checks the report against it.
+        let mut check = |who: &str, label: &str, case: &TestCase| {
+            let replay = tester.replay_on(&cutout, &case.state, &mut oe, &mut te);
+            assert_eq!(label, replay.label(), "{who}: label");
+            assert_eq!(case.failure, failure_text(&replay), "{who}: failure text");
+            assert_eq!(
+                (replay.label(), replay.kind(), replay.container()),
+                (expected.0, expected.1, Some(expected.2)),
+                "{who}: {replay:?}"
+            );
+            if let Some(text) = text {
+                assert_eq!(case.failure, text, "{who}");
+            }
+        };
+        let case_of = |v: &Verdict| match v {
+            Verdict::SemanticChange { case, .. } | Verdict::Crash { case, .. } => case.clone(),
+            other => panic!("expected a fault with a captured case, got {other:?}"),
+        };
+
+        let one_shot = tester
+            .test_compiled(
+                fuzzyflow::pool::WorkerPool::global(),
+                &cutout,
+                &orig,
+                &trans,
+                &constraints,
+                &ArenaStash::new(),
+                None,
+            )
+            .verdict;
+        check("trial loop", one_shot.label(), &case_of(&one_shot));
+
+        let evolved = EvolutionFuzzer {
+            trials: 20,
+            max_faults: 1,
+            ..Default::default()
+        }
+        .evolve(
+            &cutout,
+            &orig,
+            &trans,
+            &constraints,
+            &seed,
+            None,
+            &mut |_| {},
+        );
+        let first = evolved.first_fault.expect("evolution finds the fault");
+        assert!(!matches!(first.outcome, CaseOutcome::Pass));
+        let case = TestCase::capture("evolve", &failure_text(&first.outcome), &first.state);
+        check("evolve", first.outcome.label(), &case);
+
+        let covered = CoverageFuzzer {
+            max_trials: 50,
+            ..Default::default()
+        }
+        .run(&cutout, &transformed, &seed)
+        .verdict;
+        check("coverage fuzzer", covered.label(), &case_of(&covered));
+    }
 }

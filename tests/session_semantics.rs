@@ -4,7 +4,6 @@
 
 use fuzzyflow::prelude::*;
 use fuzzyflow::session::{Campaign, CollectingSink, NullSink};
-use fuzzyflow::{sweep, SweepConfig};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 fn base_campaign() -> Campaign {
@@ -32,6 +31,19 @@ fn sans_caches(report: &CampaignReport) -> CampaignReport {
     let mut r = report.clone();
     r.caches = Default::default();
     r
+}
+
+/// The `caches` tallies are deltas of process-wide counters, so a test
+/// asserting "this warm run compiled nothing" races any other test that
+/// compiles *new* programs meanwhile. Tests that assert on the tallies,
+/// and tests that compile programs no other test shares (`cloudsc_like`),
+/// hold this lock; the remaining tests only ever compile the
+/// `matmul_chain` tilings, which the asserting tests have already
+/// compiled by the time their warm window opens.
+static PROCESS_COUNTERS: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+fn counters_lock() -> std::sync::MutexGuard<'static, ()> {
+    PROCESS_COUNTERS.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 fn reference_report() -> CampaignReport {
@@ -146,6 +158,7 @@ fn trial_budget_stops_with_a_deterministic_prefix() {
 /// byte-identical and performs zero fresh pipeline preparations.
 #[test]
 fn warm_rerun_is_byte_identical_and_prepares_nothing() {
+    let _counters = counters_lock();
     let session = base_campaign().with_threads(2).session();
     assert_eq!(session.instance_count(), INSTANCES);
     assert_eq!(session.prepared_instances(), 0);
@@ -187,6 +200,7 @@ fn warm_rerun_is_byte_identical_and_prepares_nothing() {
 /// every call still returns the byte-identical report.
 #[test]
 fn concurrent_runs_serialize_and_stay_warm() {
+    let _counters = counters_lock();
     let session = std::sync::Arc::new(base_campaign().with_threads(2).session());
     let cold = format!("{:?}", sans_caches(&session.run(&NullSink)));
     let handles: Vec<_> = (0..4)
@@ -210,70 +224,80 @@ fn concurrent_runs_serialize_and_stay_warm() {
     );
 }
 
-/// The single-shot wrappers ride the same path: a campaign's results are
-/// byte-identical to `sweep` and to per-instance `verify_instance` calls.
+/// Both entry points ride the same path: a per-instance
+/// `verify_instance` call yields exactly the campaign's row for that
+/// instance — classification, trial accounting, cutout shape and the
+/// bit-exact failing case.
 #[test]
-fn campaign_sweep_and_verify_instance_agree() {
-    let workloads = vec![(
-        "matmul_chain".to_string(),
-        fuzzyflow::workloads::matmul_chain(),
-        fuzzyflow::workloads::matmul_chain::default_bindings(),
-    )];
+fn campaign_and_verify_instance_agree() {
+    let program = fuzzyflow::workloads::matmul_chain();
+    let bindings = fuzzyflow::workloads::matmul_chain::default_bindings();
     let transformations: Vec<Box<dyn Transformation>> = vec![
         Box::new(MapTiling::new(4)),
         Box::new(MapTilingOffByOne::new(4)),
     ];
     let verify = VerifyConfig::new().with_trials(20).with_size_max(8);
-    let cfg = SweepConfig::new()
-        .with_verify(verify.clone())
-        .with_threads(2);
-    let (sweep_results, _) = sweep(&workloads, &transformations, &cfg);
 
-    let session = Campaign::new("agree")
-        .with_workload(
-            "matmul_chain",
-            fuzzyflow::workloads::matmul_chain(),
-            fuzzyflow::workloads::matmul_chain::default_bindings(),
-        )
-        .with_transformations(vec![
-            Box::new(MapTiling::new(4)),
-            Box::new(MapTilingOffByOne::new(4)),
-        ])
-        .with_verify(verify.clone())
-        .with_threads(2)
-        .session();
-    let report = session.run(&NullSink);
-    assert_eq!(report.completed(), sweep_results.len());
-    for (inst, res) in report.instances.iter().zip(&sweep_results) {
-        assert_eq!(inst.label, res.label());
-        assert_eq!(
-            inst.trials_run,
-            res.report.as_ref().map_or(0, |r| r.trials_run)
-        );
-    }
-
-    // Per-instance wrapper: byte-identical reports (concretization is
-    // defaulted per workload exactly like the sweep does).
-    let program = &workloads[0].1;
-    let per_instance_cfg = verify.with_concretization(workloads[0].2.clone());
-    let mut flat = Vec::new();
+    // Concretization is defaulted per workload exactly like the
+    // campaign does.
+    let per_instance_cfg = verify.clone().with_concretization(bindings.clone());
+    let mut standalone = Vec::new();
     for t in &transformations {
-        for m in t.find_matches(program) {
-            flat.push(format!(
-                "{:?}",
-                verify_instance(program, t.as_ref(), &m, &per_instance_cfg)
-            ));
+        for m in t.find_matches(&program) {
+            standalone.push(verify_instance(&program, t.as_ref(), &m, &per_instance_cfg).unwrap());
         }
     }
-    let from_sweep: Vec<String> = sweep_results
-        .iter()
-        .map(|r| match (&r.report, &r.error) {
-            (Some(rep), _) => format!("{:?}", Ok::<_, fuzzyflow::VerifyError>(rep.clone())),
-            (None, Some(e)) => format!("{:?}", Err::<VerificationReport, _>(e.clone())),
-            _ => unreachable!(),
-        })
-        .collect();
-    assert_eq!(flat, from_sweep);
+
+    let report = Campaign::new("agree")
+        .with_workload("matmul_chain", program, bindings)
+        .with_transformations(transformations)
+        .with_verify(verify)
+        .with_threads(2)
+        .session()
+        .run(&NullSink);
+    assert_eq!(report.completed(), standalone.len());
+    for (inst, alone) in report.instances.iter().zip(&standalone) {
+        assert_eq!(inst.transformation, alone.transformation);
+        assert_eq!(inst.match_description, alone.match_description);
+        assert_eq!(inst.label, alone.verdict.label());
+        assert_eq!(inst.trials_run, alone.trials_run);
+        assert_eq!(inst.trials_to_detection, alone.trials_to_detection);
+        assert_eq!(inst.cutout_nodes, alone.cutout_stats.nodes);
+        assert_eq!(inst.program_nodes, alone.program_nodes);
+        assert_eq!(
+            inst.mincut_reduction,
+            alone.mincut.as_ref().map(|m| m.reduction())
+        );
+        assert_eq!(inst.system_state, alone.system_state);
+        assert_eq!(inst.input_config, alone.input_config);
+        assert!(inst.error.is_none());
+        match (&inst.fault, &alone.verdict) {
+            (None, Verdict::Equivalent { trials }) => assert_eq!(*trials, inst.trials_run),
+            (
+                Some(fault),
+                Verdict::SemanticChange {
+                    trial,
+                    mismatch,
+                    case,
+                },
+            ) => {
+                assert_eq!(fault.trial, Some(*trial));
+                assert_eq!(&fault.detail, mismatch);
+                assert_eq!(fault.case.as_ref(), Some(case));
+            }
+            other => panic!("campaign row and standalone verdict disagree: {other:?}"),
+        }
+    }
+    // The Table-2 aggregation sees the same classification.
+    let rows = report.table_rows();
+    assert_eq!(rows.len(), 2);
+    assert_eq!(
+        (rows[0].transformation.as_str(), rows[0].passed),
+        ("MapTiling", 3)
+    );
+    assert_eq!(rows[1].faults, 3, "{:?}", rows[1]);
+    assert_eq!(rows[1].by_class.get("semantic change"), Some(&3));
+    assert!(report.format_table().contains("MapTilingOffByOne"));
 }
 
 /// The event stream has the documented shape: session start/finish
@@ -443,6 +467,7 @@ fn replayed_fault_from_serialized_report_reproduces_the_verdict() {
 /// live cache/jit tallies with zero native recompilation.
 #[test]
 fn vectorized_minmax_campaign_runs_packed_native() {
+    let _counters = counters_lock();
     let session = Campaign::new("packed_minmax")
         .with_workload(
             "cloudsc_like",
@@ -470,3 +495,67 @@ fn vectorized_minmax_campaign_runs_packed_native() {
     assert_eq!(warm.caches.code_compiles, 0, "{:?}", warm.caches);
     assert_eq!(warm.caches.code_bytes, 0, "{:?}", warm.caches);
 }
+
+/// FNV-1a over the report JSON minus the `"caches"` line (live counter
+/// deltas, outside the byte-identity contract).
+fn report_fingerprint(report: &CampaignReport) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for line in report
+        .to_json()
+        .lines()
+        .filter(|l| !l.starts_with("  \"caches\":"))
+    {
+        for b in line.bytes().chain([b'\n']) {
+            h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    h
+}
+
+/// Cross-commit byte identity: the one-shot report of a small campaign
+/// with sound, crashing, semantic-change and invalid-code rows hashes to
+/// the value computed at the commit before the verification paths were
+/// unified. (The `fusion` line tallies JIT eligibility, which is
+/// host-specific, so the constant is pinned for x86_64 unix hosts.)
+#[test]
+fn pinned_one_shot_report_fingerprint() {
+    let _counters = counters_lock();
+    let report = Campaign::new("pinned")
+        .with_workload(
+            "matmul_chain",
+            fuzzyflow::workloads::matmul_chain(),
+            fuzzyflow::workloads::matmul_chain::default_bindings(),
+        )
+        .with_workload(
+            "cloudsc_like",
+            fuzzyflow::workloads::cloudsc_like(),
+            fuzzyflow::workloads::cloudsc::default_bindings(),
+        )
+        .with_transformations(vec![
+            Box::new(MapTiling::new(4)),
+            Box::new(MapTilingOffByOne::new(4)),
+            Box::new(MapTilingNoRemainder::new(4)),
+            Box::new(GpuKernelExtraction),
+            Box::new(fuzzyflow::transforms::StateAssignElimination),
+        ])
+        .with_verify(
+            VerifyConfig::new()
+                .with_trials(12)
+                .with_size_max(8)
+                .with_seed(0xF1A9),
+        )
+        .with_threads(1)
+        .session()
+        .run(&NullSink);
+    let mut labels: Vec<&str> = report.instances.iter().map(|i| i.label.as_str()).collect();
+    labels.sort_unstable();
+    labels.dedup();
+    for class in ["ok", "crash", "semantic change", "invalid code"] {
+        assert!(labels.contains(&class), "campaign has no '{class}' row");
+    }
+    if cfg!(all(unix, target_arch = "x86_64")) {
+        assert_eq!(report_fingerprint(&report), PINNED_ONE_SHOT_FINGERPRINT);
+    }
+}
+
+const PINNED_ONE_SHOT_FINGERPRINT: u64 = 0xb44f_e7f0_a8f5_3fec;
