@@ -19,6 +19,16 @@
 //!   cached per instance across [`Session::run`] calls, so re-verifying
 //!   an unchanged campaign skips pipeline steps 1–4 and constructs
 //!   **zero** fresh executor arenas;
+//! * a cold run prepares once per program and extracts once per change
+//!   set: every instance of a workload reads one
+//!   [`ProgramAnalysis`] (built inside
+//!   the run by the first instance that needs it), and instances whose
+//!   transformations report the same ΔT share one extracted, minimized
+//!   cutout with its constraints and compiled original
+//!   ([`Session::extracted_cutouts`]); applying, replaying, validating
+//!   and compiling the transformed side, and the arenas, stay per
+//!   instance, and [`Session::prepared_instances`] still counts one
+//!   preparation per instance;
 //! * each run yields a serializable [`CampaignReport`] with structured
 //!   errors and bit-exact, replayable test cases.
 //!
@@ -73,7 +83,10 @@ pub use report::{
     InstanceReport, ReportConfig, ReportParseError, TableRow, TriageReport,
 };
 
-use crate::verify::{prepare_instance, run_prepared, PreparedInstance, VerifyConfig, VerifyError};
+use crate::verify::{
+    prepare_instance, run_prepared, CutoutMemo, PreparedInstance, VerifyConfig, VerifyError,
+};
+use fuzzyflow_cutout::ProgramAnalysis;
 use fuzzyflow_evo::{EvoEvent, EvolutionFuzzer};
 use fuzzyflow_fuzz::{rng_split, DiffReport, Verdict};
 use fuzzyflow_ir::{Bindings, Sdfg};
@@ -81,7 +94,7 @@ use fuzzyflow_pool::{resolve_threads, WorkerPool};
 use fuzzyflow_transforms::{Transformation, TransformationMatch};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Duration;
 
 /// Identity of one enumerated instance, handed to campaign filters.
@@ -234,9 +247,27 @@ impl Campaign {
                 }
             }
         }
+        // Each workload's bindings concretize its min-cut capacities
+        // unless the campaign's configuration names its own.
+        let verify = self
+            .workloads
+            .iter()
+            .map(|(_, _, bindings)| {
+                let mut vcfg = self.verify.clone();
+                vcfg.concretization.get_or_insert_with(|| bindings.clone());
+                vcfg
+            })
+            .collect();
+        let cutouts = self
+            .workloads
+            .iter()
+            .map(|_| CutoutMemo::default())
+            .collect();
         Session {
             campaign: self,
             specs,
+            verify,
+            cutouts,
             cache: Mutex::new(HashMap::new()),
             prepares: AtomicUsize::new(0),
             run_lock: Mutex::new(()),
@@ -266,6 +297,11 @@ type SessionCache = Mutex<HashMap<usize, PreparedEntry>>;
 pub struct Session {
     campaign: Campaign,
     specs: Vec<Spec>,
+    /// The campaign's [`VerifyConfig`] resolved per workload.
+    verify: Vec<VerifyConfig>,
+    /// Per workload: change set → the cutout every instance with that
+    /// change set shares (pipeline steps 2–3, extracted once).
+    cutouts: Vec<CutoutMemo>,
     cache: SessionCache,
     prepares: AtomicUsize,
     /// Serializes whole runs: two concurrent `run` calls on one session
@@ -293,6 +329,14 @@ impl Session {
         self.prepares.load(Ordering::Relaxed)
     }
 
+    /// Cumulative count of cutouts this session extracted (pipeline
+    /// steps 2–3): one per distinct `(workload, change set)`, however
+    /// many instances share it — three tiling passes over three GEMMs
+    /// prepare nine instances from three cutouts.
+    pub fn extracted_cutouts(&self) -> usize {
+        self.cutouts.iter().map(CutoutMemo::extractions).sum()
+    }
+
     /// Number of instances whose compiled artifacts are currently cached.
     pub fn cached_instances(&self) -> usize {
         self.cache.lock().expect("session cache poisoned").len()
@@ -301,6 +345,7 @@ impl Session {
     /// Drops every cached artifact (the next run is cold again).
     pub fn clear_cache(&self) {
         self.cache.lock().expect("session cache poisoned").clear();
+        self.cutouts.iter().for_each(CutoutMemo::clear);
     }
 
     /// Runs the campaign on the process-wide pool, streaming events into
@@ -336,6 +381,16 @@ impl Session {
         let code0 = fuzzyflow_interp::code_cache_stats();
         let jit0 = fuzzyflow_interp::jit_native_runs_split();
 
+        // One dataflow analysis per workload, built by the first of its
+        // instances that has to prepare (a warm run builds none) and
+        // read by all the others.
+        let analyses: Vec<OnceLock<ProgramAnalysis<'_>>> = self
+            .campaign
+            .workloads
+            .iter()
+            .map(|_| OnceLock::new())
+            .collect();
+
         let n = self.specs.len();
         sink.on_event(&Event::SessionStarted { instances: n });
         let outcome = fuzzyflow_session::drive(
@@ -345,7 +400,7 @@ impl Session {
             &self.campaign.budget,
             cancel,
             |i| {
-                let result = self.run_instance(pool, sink, i);
+                let result = self.run_instance(pool, sink, &analyses, i);
                 let cost = result.0.trials_run as u64;
                 (result, cost)
             },
@@ -421,12 +476,9 @@ impl Session {
 
     /// Fetches (or computes and caches) the prepared artifacts of
     /// instance `index`; the flag says whether they came from the cache.
-    fn prepared_entry(
-        &self,
-        sdfg: &Sdfg,
-        t: &dyn Transformation,
-        m: &TransformationMatch,
-        vcfg: &VerifyConfig,
+    fn prepared_entry<'s>(
+        &'s self,
+        analyses: &[OnceLock<ProgramAnalysis<'s>>],
         index: usize,
     ) -> (PreparedEntry, bool) {
         if let Some(entry) = self
@@ -438,7 +490,19 @@ impl Session {
             return (Arc::clone(entry), true);
         }
         self.prepares.fetch_add(1, Ordering::Relaxed);
-        let entry = Arc::new(prepare_instance(sdfg, t, m, vcfg));
+        let spec = &self.specs[index];
+        let vcfg = &self.verify[spec.workload];
+        let analysis = analyses[spec.workload].get_or_init(|| {
+            let (_, sdfg, _) = &self.campaign.workloads[spec.workload];
+            ProgramAnalysis::new(sdfg, vcfg.size_max.max(1))
+        });
+        let entry = Arc::new(prepare_instance(
+            analysis,
+            self.campaign.transformations[spec.transformation].as_ref(),
+            &spec.m,
+            vcfg,
+            &self.cutouts[spec.workload],
+        ));
         self.cache
             .lock()
             .expect("session cache poisoned")
@@ -450,15 +514,17 @@ impl Session {
     /// then one-shot trials or the evolutionary loop — streaming its
     /// lifecycle events, and returns its report record plus, in
     /// evolution mode, its triage buckets.
-    fn run_instance(
-        &self,
+    fn run_instance<'s>(
+        &'s self,
         pool: &WorkerPool,
         sink: &dyn EventSink,
+        analyses: &[OnceLock<ProgramAnalysis<'s>>],
         index: usize,
     ) -> (InstanceReport, Option<TriageReport>) {
         let spec = &self.specs[index];
-        let (workload, sdfg, bindings) = &self.campaign.workloads[spec.workload];
+        let (workload, _, _) = &self.campaign.workloads[spec.workload];
         let t = self.campaign.transformations[spec.transformation].as_ref();
+        let vcfg = &self.verify[spec.workload];
         sink.on_event(&Event::InstanceStarted {
             index,
             workload: workload.clone(),
@@ -466,12 +532,7 @@ impl Session {
             match_description: spec.m.description.clone(),
         });
 
-        let mut vcfg = self.campaign.verify.clone();
-        if vcfg.concretization.is_none() {
-            vcfg.concretization = Some(bindings.clone());
-        }
-
-        let (entry, cached) = self.prepared_entry(sdfg, t, &spec.m, &vcfg, index);
+        let (entry, cached) = self.prepared_entry(analyses, index);
         let mut report = InstanceReport {
             index,
             workload: workload.clone(),
@@ -506,7 +567,7 @@ impl Session {
                     // invalid instances still fall through so they
                     // classify as "generates invalid code" either way.
                     Some(ecfg) if prepared.invalid.is_none() => {
-                        let (diff, buckets) = run_evolved(prepared, ecfg, &vcfg, sink, index);
+                        let (diff, buckets) = run_evolved(prepared, ecfg, vcfg, sink, index);
                         triage = Some(buckets);
                         diff
                     }
@@ -522,17 +583,18 @@ impl Session {
                                 });
                             }
                         };
-                        run_prepared(prepared, &vcfg, pool, Some(&progress))
+                        run_prepared(prepared, vcfg, pool, Some(&progress))
                     }
                 };
                 report.label = diff.verdict.label().to_string();
                 report.trials_run = diff.trials_run;
                 report.trials_to_detection = diff.trials_to_detection;
-                report.cutout_nodes = prepared.cutout.stats.nodes;
+                let shared = &prepared.shared;
+                report.cutout_nodes = shared.cutout.stats.nodes;
                 report.program_nodes = prepared.program_nodes;
-                report.mincut_reduction = prepared.mincut.as_ref().map(|m| m.reduction());
-                report.system_state = prepared.cutout.system_state.clone();
-                report.input_config = prepared.cutout.input_config.clone();
+                report.mincut_reduction = shared.mincut.as_ref().map(|m| m.reduction());
+                report.system_state = shared.cutout.system_state.clone();
+                report.input_config = shared.cutout.input_config.clone();
                 report.fault = FaultRecord::from_verdict(diff.verdict);
                 if let Some(fault) = &report.fault {
                     sink.on_event(&Event::FaultFound {
@@ -585,7 +647,8 @@ fn run_evolved(
         size_max: vcfg.size_max,
         ..EvolutionFuzzer::default()
     };
-    let seed_bindings = vcfg.concretization.clone().unwrap_or_default();
+    let no_bindings = Bindings::default();
+    let seed_bindings = vcfg.concretization.as_ref().unwrap_or(&no_bindings);
     let mut observe = |e: &EvoEvent| match e {
         EvoEvent::Novelty { trial, edges_seen } => sink.on_event(&Event::Novelty {
             index,
@@ -612,11 +675,11 @@ fn run_evolved(
         _ => {}
     };
     let out = fuzzer.evolve(
-        &prepared.cutout,
+        &prepared.shared.cutout,
         orig,
         trans,
-        &prepared.constraints,
-        &seed_bindings,
+        &prepared.shared.constraints,
+        seed_bindings,
         Some(&prepared.arenas),
         &mut observe,
     );
@@ -627,7 +690,7 @@ fn run_evolved(
         },
         Some(f) => f
             .outcome
-            .fault_verdict(&prepared.cutout.sdfg.name, f.trial, &f.state)
+            .fault_verdict(&prepared.shared.cutout.sdfg.name, f.trial, &f.state)
             .expect("collected faults are faults"),
         None => Verdict::Equivalent {
             trials: out.trials_run,

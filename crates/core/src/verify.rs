@@ -1,18 +1,19 @@
 //! The end-to-end verification pipeline (paper Fig. 1).
 
-use fuzzyflow_cutout::{
-    extract_cutout, minimize_input_configuration, refind_match, Cutout, CutoutStats, MinCutOutcome,
-    SideEffectContext,
-};
+use fuzzyflow_cutout::{refind_match, Cutout, CutoutStats, MinCutOutcome, ProgramAnalysis};
 use fuzzyflow_fuzz::{
-    derive_constraints, ArenaStash, Constraints, DiffReport, DiffTester, Verdict,
+    derive_constraints_with_loops, ArenaStash, Constraints, DiffReport, DiffTester, Verdict,
 };
 use fuzzyflow_interp::{compile_shared, Program};
 use fuzzyflow_ir::{validate, Bindings, Sdfg};
 use fuzzyflow_pool::WorkerPool;
-use fuzzyflow_transforms::{apply_to_clone, TransformError, Transformation, TransformationMatch};
+use fuzzyflow_transforms::{
+    apply_to_clone, ChangeSet, TransformError, Transformation, TransformationMatch,
+};
+use std::collections::HashMap;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// Configuration for one verification run.
 ///
@@ -220,32 +221,89 @@ pub fn verify_instance(
     m: &TransformationMatch,
     cfg: &VerifyConfig,
 ) -> Result<VerificationReport, VerifyError> {
-    let prepared = prepare_instance(program, t, m, cfg)?;
+    let analysis = ProgramAnalysis::new(program, cfg.size_max.max(1));
+    let prepared = prepare_instance(&analysis, t, m, cfg, &CutoutMemo::default())?;
     let diff = run_prepared(&prepared, cfg, WorkerPool::global(), None);
+    let shared = &prepared.shared;
     Ok(VerificationReport {
         transformation: t.name().to_string(),
         match_description: m.description.clone(),
         verdict: diff.verdict,
-        cutout_stats: prepared.cutout.stats,
+        cutout_stats: shared.cutout.stats.clone(),
         program_nodes: prepared.program_nodes,
-        mincut: prepared.mincut,
+        mincut: shared.mincut.clone(),
         trials_run: diff.trials_run,
         trials_to_detection: diff.trials_to_detection,
-        system_state: prepared.cutout.system_state,
-        input_config: prepared.cutout.input_config,
+        system_state: shared.cutout.system_state.clone(),
+        input_config: shared.cutout.input_config.clone(),
     })
 }
 
+/// What pipeline steps 2–3 and the static half of step 5 produce for one
+/// change set: the extracted (and optionally minimized) cutout, the
+/// min-cut outcome, the sampling constraints and the compiled original
+/// cutout. None of it depends on which transformation reported the
+/// change set, so every instance of a program with the same ΔT — the
+/// tiling variants and the vectorization of one map, say — shares one.
+pub(crate) struct CutoutArtifacts {
+    pub cutout: Cutout,
+    pub mincut: Option<MinCutOutcome>,
+    pub constraints: Constraints,
+    /// Compiled by the first instance whose transformed side validates.
+    original: OnceLock<Arc<Program>>,
+}
+
+type Extracted = Result<Arc<CutoutArtifacts>, VerifyError>;
+
+/// Change set → [`CutoutArtifacts`], for the cutouts of one program under
+/// one configuration. Each key owns a fill-once slot: concurrent
+/// instances with the same change set wait for one extraction instead of
+/// racing or repeating it, and the map lock is never held while
+/// extracting. The key is the exact, order-preserving change set, so the
+/// shared cutout is the one each instance would have extracted itself.
+#[derive(Default)]
+pub(crate) struct CutoutMemo {
+    slots: Mutex<HashMap<ChangeSet, Arc<OnceLock<Extracted>>>>,
+    extractions: AtomicUsize,
+}
+
+impl CutoutMemo {
+    fn get_or_extract(
+        &self,
+        changes: &ChangeSet,
+        extract: impl FnOnce() -> Extracted,
+    ) -> Extracted {
+        let slot = {
+            let mut slots = self.slots.lock().expect("cutout memo poisoned");
+            Arc::clone(slots.entry(changes.clone()).or_default())
+        };
+        slot.get_or_init(|| {
+            self.extractions.fetch_add(1, Ordering::Relaxed);
+            extract()
+        })
+        .clone()
+    }
+
+    /// Cumulative count of extractions performed (one per distinct key).
+    pub fn extractions(&self) -> usize {
+        self.extractions.load(Ordering::Relaxed)
+    }
+
+    /// Forgets every cutout; instances that hold one keep it alive.
+    pub fn clear(&self) {
+        self.slots.lock().expect("cutout memo poisoned").clear();
+    }
+}
+
 /// The compiled artifacts of one verification instance — everything the
-/// pipeline produces *before* fuzzing trials run: the (optionally
-/// minimized) cutout, its transformed counterpart's compiled programs,
-/// derived constraints, and the executor-arena stash trials draw from.
-/// Campaign sessions cache these across runs keyed by instance identity,
-/// so re-verifying an unchanged campaign skips steps 1–4 entirely and
+/// pipeline produces *before* fuzzing trials run: its change set's
+/// shared [`CutoutArtifacts`], the transformed counterpart's compiled
+/// program, and the executor-arena stash trials draw from. Campaign
+/// sessions cache these across runs keyed by instance identity, so
+/// re-verifying an unchanged campaign skips steps 1–4 entirely and
 /// constructs zero fresh executor arenas.
 pub(crate) struct PreparedInstance {
-    pub cutout: Cutout,
-    pub constraints: Constraints,
+    pub shared: Arc<CutoutArtifacts>,
     /// Validation errors of the transformed cutout; `Some` short-circuits
     /// trials into the "generates invalid code" verdict.
     pub invalid: Option<Vec<String>>,
@@ -254,58 +312,79 @@ pub(crate) struct PreparedInstance {
     /// concurrent sessions and warm re-runs preparing the same cutout
     /// pair receive the same `Arc`s and compile nothing.
     pub programs: Option<(Arc<Program>, Arc<Program>)>,
-    pub mincut: Option<MinCutOutcome>,
     pub program_nodes: usize,
     /// Per-instance executor-arena pool: trials check arenas out of it
     /// and park them back, so a warm re-run constructs none.
     pub arenas: ArenaStash,
 }
 
-/// Pipeline steps 1–4 plus compilation: everything up to (but excluding)
-/// the fuzzing trials. Shared by [`verify_instance`] and campaign
-/// sessions — the single prepare path of the stack.
-pub(crate) fn prepare_instance(
-    program: &Sdfg,
-    t: &dyn Transformation,
-    m: &TransformationMatch,
+/// Pipeline steps 2–3 plus constraint derivation for one change set —
+/// the part of prepare every instance with that change set shares.
+fn extract_artifacts(
+    analysis: &ProgramAnalysis<'_>,
+    changes: &ChangeSet,
     cfg: &VerifyConfig,
-) -> Result<PreparedInstance, VerifyError> {
-    // 1. Apply to a clone; learn the change set.
-    let (_, changes) = apply_to_clone(program, t, m).map_err(VerifyError::Apply)?;
-
+) -> Extracted {
     // 2. Extract the cutout.
-    let size_syms: Vec<String> = program.free_symbols();
-    let ctx = SideEffectContext::with_size_symbols(&size_syms, cfg.size_max.max(1));
-    let mut cutout =
-        extract_cutout(program, &changes, &ctx).map_err(|e| VerifyError::Extract(e.to_string()))?;
+    let mut cutout = analysis
+        .extract_cutout(changes)
+        .map_err(|e| VerifyError::Extract(e.to_string()))?;
 
     // 3. Minimize the input configuration (Sec. 4).
     let mut mincut = None;
     if cfg.minimize {
-        let bindings = cfg.concretization.clone().unwrap_or_else(|| {
-            Bindings::from_pairs(
-                cutout
-                    .input_symbols
-                    .iter()
-                    .map(|s| (s.clone(), cfg.size_max.max(1))),
-            )
-        });
-        let (min_c, outcome) = minimize_input_configuration(program, cutout, &ctx, &bindings);
+        let fallback;
+        let bindings = match &cfg.concretization {
+            Some(bindings) => bindings,
+            None => {
+                let size = cfg.size_max.max(1);
+                fallback =
+                    Bindings::from_pairs(cutout.input_symbols.iter().map(|s| (s.clone(), size)));
+                &fallback
+            }
+        };
+        let (min_c, outcome) = analysis.minimize_input_configuration(cutout, bindings);
         cutout = min_c;
         mincut = Some(outcome);
     }
 
-    // 4. Replay the transformation on the cutout to obtain T(c).
-    let translated = refind_match(&cutout, t, m).map_err(VerifyError::Replay)?;
-    let mut transformed = cutout.sdfg.clone();
-    t.apply(&mut transformed, &translated)
-        .map_err(VerifyError::Replay)?;
-
     // Constraints for gray-box sampling (step 5's static half).
-    let mut constraints = derive_constraints(&cutout, program);
+    let mut constraints = derive_constraints_with_loops(&cutout, analysis.loops());
     for (s, lo, hi) in &cfg.custom_constraints {
         constraints.constrain(s.clone(), *lo, *hi);
     }
+
+    Ok(Arc::new(CutoutArtifacts {
+        cutout,
+        mincut,
+        constraints,
+        original: OnceLock::new(),
+    }))
+}
+
+/// Pipeline steps 1–4 plus compilation: everything up to (but excluding)
+/// the fuzzing trials. Shared by [`verify_instance`] and campaign
+/// sessions — the single prepare path of the stack. `analysis` and
+/// `cutouts` belong to the instance's program; a session passes the same
+/// pair for every instance of a workload, [`verify_instance`] a fresh one.
+pub(crate) fn prepare_instance(
+    analysis: &ProgramAnalysis<'_>,
+    t: &dyn Transformation,
+    m: &TransformationMatch,
+    cfg: &VerifyConfig,
+    cutouts: &CutoutMemo,
+) -> Result<PreparedInstance, VerifyError> {
+    // 1. Apply to a clone; learn the change set.
+    let (_, changes) = apply_to_clone(analysis.sdfg(), t, m).map_err(VerifyError::Apply)?;
+
+    // 2–3. The change set's cutout: extracted by its first instance.
+    let shared = cutouts.get_or_extract(&changes, || extract_artifacts(analysis, &changes, cfg))?;
+
+    // 4. Replay the transformation on the cutout to obtain T(c).
+    let translated = refind_match(&shared.cutout, t, m).map_err(VerifyError::Replay)?;
+    let mut transformed = shared.cutout.sdfg.clone();
+    t.apply(&mut transformed, &translated)
+        .map_err(VerifyError::Replay)?;
 
     // "Generates invalid code" is decided before any execution; valid
     // pairs compile once and the programs are reused for every trial —
@@ -313,25 +392,18 @@ pub(crate) fn prepare_instance(
     let invalid = validate(&transformed)
         .err()
         .map(|errors| errors.iter().map(|e| e.to_string()).collect::<Vec<_>>());
-    let programs = if invalid.is_none() {
-        Some((compile_shared(&cutout.sdfg), compile_shared(&transformed)))
-    } else {
-        None
-    };
-
-    let program_nodes = program
-        .states
-        .node_ids()
-        .map(|s| program.state(s).df.deep_node_count())
-        .sum();
+    let programs = invalid.is_none().then(|| {
+        let original = shared
+            .original
+            .get_or_init(|| compile_shared(&shared.cutout.sdfg));
+        (Arc::clone(original), compile_shared(&transformed))
+    });
 
     Ok(PreparedInstance {
-        cutout,
-        constraints,
+        program_nodes: analysis.program_nodes(),
+        shared,
         invalid,
         programs,
-        mincut,
-        program_nodes,
         arenas: ArenaStash::new(),
     })
 }
@@ -366,10 +438,10 @@ pub(crate) fn run_prepared(
     };
     tester.test_compiled(
         pool,
-        &prepared.cutout,
+        &prepared.shared.cutout,
         orig,
         trans,
-        &prepared.constraints,
+        &prepared.shared.constraints,
         &prepared.arenas,
         progress,
     )

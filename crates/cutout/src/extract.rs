@@ -1,8 +1,9 @@
 //! Cutout extraction (paper Sec. 3, steps 2–3).
 
-use crate::side_effects::{input_configuration, system_state, CutoutLocation, SideEffectContext};
+use crate::analysis::ProgramAnalysis;
+use crate::side_effects::{CutoutLocation, SideEffectContext};
 use fuzzyflow_graph::NodeId;
-use fuzzyflow_ir::analysis::{graph_access_sets, node_access_sets, AccessSets};
+use fuzzyflow_ir::analysis::AccessSets;
 use fuzzyflow_ir::{CondExpr, DataDesc, InterstateEdge, Sdfg, State, StateId, Subset, SymExpr};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -125,245 +126,256 @@ pub fn closure_with_access_neighbors(
     Ok(selected)
 }
 
-/// Extracts a cutout for a transformation's change set.
+/// Extracts a cutout for a transformation's change set:
+/// [`ProgramAnalysis::extract_cutout`] over a throwaway analysis.
 pub fn extract_cutout(
     sdfg: &Sdfg,
     changes: &fuzzyflow_transforms::ChangeSet,
     ctx: &SideEffectContext,
 ) -> Result<Cutout, CutoutError> {
-    if changes.nodes.is_empty() && changes.states.is_empty() {
-        return Err(CutoutError::EmptyChangeSet);
-    }
-
-    // Group node references by owning state (nested refs resolve to their
-    // outermost enclosing node).
-    let mut by_state: BTreeMap<StateId, Vec<NodeId>> = BTreeMap::new();
-    for r in &changes.nodes {
-        let e = by_state.entry(r.state).or_default();
-        if !e.contains(&r.top_node()) {
-            e.push(r.top_node());
-        }
-    }
-
-    if !changes.states.is_empty() || by_state.len() > 1 {
-        // State-level cutout.
-        let mut states: Vec<StateId> = changes.states.clone();
-        for s in by_state.keys() {
-            if !states.contains(s) {
-                states.push(*s);
-            }
-        }
-        extract_state_cutout(sdfg, &states, ctx)
-    } else {
-        let (&state, nodes) = by_state.iter().next().expect("non-empty");
-        extract_dataflow_cutout(sdfg, state, nodes, ctx)
-    }
+    ProgramAnalysis::with_context(sdfg, ctx.clone()).extract_cutout(changes)
 }
 
-/// Dataflow-level cutout: the selected nodes plus access neighbors, as a
-/// single-state program.
-pub fn extract_dataflow_cutout(
-    sdfg: &Sdfg,
-    state: StateId,
-    nodes: &[NodeId],
-    ctx: &SideEffectContext,
-) -> Result<Cutout, CutoutError> {
-    let selected = closure_with_access_neighbors(sdfg, state, nodes)?;
-    let st = sdfg.states.node(state);
+impl ProgramAnalysis<'_> {
+    /// Extracts a cutout for a transformation's change set.
+    pub fn extract_cutout(
+        &self,
+        changes: &fuzzyflow_transforms::ChangeSet,
+    ) -> Result<Cutout, CutoutError> {
+        if changes.nodes.is_empty() && changes.states.is_empty() {
+            return Err(CutoutError::EmptyChangeSet);
+        }
 
-    let mut cut = Sdfg::new(format!("{}_cutout", sdfg.name));
-    let main = cut.start;
-    cut.state_mut(main).label = format!("cutout_of_{}", st.label);
+        // Group node references by owning state (nested refs resolve to their
+        // outermost enclosing node).
+        let mut by_state: BTreeMap<StateId, Vec<NodeId>> = BTreeMap::new();
+        for r in &changes.nodes {
+            let e = by_state.entry(r.state).or_default();
+            if !e.contains(&r.top_node()) {
+                e.push(r.top_node());
+            }
+        }
 
-    // Copy nodes and the edges among them.
-    let mut node_map: BTreeMap<NodeId, NodeId> = BTreeMap::new();
-    for &n in &selected {
-        let new = cut
-            .state_mut(main)
-            .df
-            .graph
-            .add_node(st.df.graph.node(n).clone());
-        node_map.insert(n, new);
+        if !changes.states.is_empty() || by_state.len() > 1 {
+            // State-level cutout.
+            let mut states: Vec<StateId> = changes.states.clone();
+            for s in by_state.keys() {
+                if !states.contains(s) {
+                    states.push(*s);
+                }
+            }
+            self.extract_state_cutout(&states)
+        } else {
+            let (&state, nodes) = by_state.iter().next().expect("non-empty");
+            self.extract_dataflow_cutout(state, nodes)
+        }
     }
-    for e in st.df.graph.edge_ids() {
-        let (u, v) = st.df.graph.endpoints(e);
-        if let (Some(&nu), Some(&nv)) = (node_map.get(&u), node_map.get(&v)) {
-            cut.state_mut(main)
+
+    /// Dataflow-level cutout: the selected nodes plus access neighbors, as a
+    /// single-state program.
+    pub fn extract_dataflow_cutout(
+        &self,
+        state: StateId,
+        nodes: &[NodeId],
+    ) -> Result<Cutout, CutoutError> {
+        let sdfg = self.sdfg();
+        let selected = closure_with_access_neighbors(sdfg, state, nodes)?;
+        let st = sdfg.states.node(state);
+
+        let mut cut = Sdfg::new(format!("{}_cutout", sdfg.name));
+        let main = cut.start;
+        cut.state_mut(main).label = format!("cutout_of_{}", st.label);
+
+        // Copy nodes and the edges among them.
+        let mut node_map: BTreeMap<NodeId, NodeId> = BTreeMap::new();
+        for &n in &selected {
+            let new = cut
+                .state_mut(main)
                 .df
                 .graph
-                .add_edge(nu, nv, st.df.graph.edge(e).clone());
+                .add_node(st.df.graph.node(n).clone());
+            node_map.insert(n, new);
         }
-    }
-
-    // Side-effect analyses on the original program.
-    let mut cutout_sets = AccessSets::default();
-    for &n in nodes {
-        cutout_sets.merge(node_access_sets(&st.df, n));
-    }
-    let location = CutoutLocation::Nodes {
-        state,
-        nodes: nodes.to_vec(),
-    };
-    let input_config = input_configuration(sdfg, &cutout_sets, &location, ctx);
-    let sys_state = system_state(sdfg, &cutout_sets, &location, ctx);
-
-    finish_cutout(
-        sdfg,
-        cut,
-        main,
-        node_map,
-        BTreeMap::from([(state, main)]),
-        input_config,
-        sys_state,
-        &cutout_sets,
-        location,
-    )
-}
-
-/// State-level cutout: whole states plus a synthetic entry and exit.
-pub fn extract_state_cutout(
-    sdfg: &Sdfg,
-    states: &[StateId],
-    ctx: &SideEffectContext,
-) -> Result<Cutout, CutoutError> {
-    for &s in states {
-        if sdfg.states.try_node(s).is_none() {
-            return Err(CutoutError::MissingState(s));
+        for e in st.df.graph.edge_ids() {
+            let (u, v) = st.df.graph.endpoints(e);
+            if let (Some(&nu), Some(&nv)) = (node_map.get(&u), node_map.get(&v)) {
+                cut.state_mut(main)
+                    .df
+                    .graph
+                    .add_edge(nu, nv, st.df.graph.edge(e).clone());
+            }
         }
-    }
-    let mut cut = Sdfg::new(format!("{}_cutout", sdfg.name));
-    let entry = cut.start;
-    cut.state_mut(entry).label = "cutout_entry".into();
 
-    let mut state_map: BTreeMap<StateId, StateId> = BTreeMap::new();
-    for &s in states {
-        let new = cut.states.add_node(sdfg.states.node(s).clone());
-        state_map.insert(s, new);
-    }
-    let exit = cut.states.add_node(State::new("cutout_exit"));
+        // Side-effect analyses on the original program.
+        let here = self.state(state);
+        let mut cutout_sets = AccessSets::default();
+        for &n in nodes {
+            if let Some(region) = here.node(n) {
+                cutout_sets.merge(region.sets.clone());
+            }
+        }
+        let location = CutoutLocation::Nodes {
+            state,
+            nodes: nodes.to_vec(),
+        };
+        let input_config = self.input_configuration(&cutout_sets, &location);
+        let sys_state = self.system_state(&cutout_sets, &location);
 
-    // States strictly *downstream* of the cutout region: edges flowing
-    // back from them (loop back edges around the region) are not entry
-    // points — their assignments reference values computed downstream.
-    // The cutout conservatively covers one pass through the region.
-    let downstream: Vec<StateId> = {
-        let mut succ: Vec<StateId> = Vec::new();
+        finish_cutout(
+            sdfg,
+            cut,
+            main,
+            node_map,
+            BTreeMap::from([(state, main)]),
+            input_config,
+            sys_state,
+            &cutout_sets,
+            location,
+        )
+    }
+
+    /// State-level cutout: whole states plus a synthetic entry and exit.
+    pub fn extract_state_cutout(&self, states: &[StateId]) -> Result<Cutout, CutoutError> {
+        let sdfg = self.sdfg();
         for &s in states {
-            for t in sdfg.states.successors(s) {
-                if !states.contains(&t) && !succ.contains(&t) {
-                    succ.push(t);
-                }
+            if sdfg.states.try_node(s).is_none() {
+                return Err(CutoutError::MissingState(s));
             }
         }
-        fuzzyflow_graph::reachable_from(&sdfg.states, &succ)
-    };
+        let mut cut = Sdfg::new(format!("{}_cutout", sdfg.name));
+        let entry = cut.start;
+        cut.state_mut(entry).label = "cutout_entry".into();
 
-    // Internal edges.
-    for e in sdfg.states.edge_ids() {
-        let (u, v) = sdfg.states.endpoints(e);
-        match (state_map.get(&u), state_map.get(&v)) {
-            (Some(&nu), Some(&nv)) => {
-                cut.states.add_edge(nu, nv, sdfg.states.edge(e).clone());
-            }
-            // Boundary in: keep the assignments (they seed loop variables
-            // etc.), drop the condition (context not available).
-            (None, Some(&nv)) => {
-                if downstream.contains(&u) {
-                    continue;
-                }
-                let orig = sdfg.states.edge(e);
-                let mut edge = InterstateEdge::always();
-                edge.assignments = orig.assignments.clone();
-                edge.condition = CondExpr::True;
-                cut.states.add_edge(entry, nv, edge);
-            }
-            // Boundary out: everything after the cutout is irrelevant; the
-            // edge collapses onto a shared empty exit state.
-            (Some(&nu), None) => {
-                cut.states.add_edge(nu, exit, sdfg.states.edge(e).clone());
-            }
-            (None, None) => {}
+        let mut state_map: BTreeMap<StateId, StateId> = BTreeMap::new();
+        for &s in states {
+            let new = cut.states.add_node(sdfg.states.node(s).clone());
+            state_map.insert(s, new);
         }
-    }
+        let exit = cut.states.add_node(State::new("cutout_exit"));
 
-    // Region states without any incoming edge (e.g. the program's start
-    // state) are reached directly from the synthetic entry.
-    for &s in states {
-        let mapped = state_map[&s];
-        if cut.states.in_degree(mapped) == 0 {
-            cut.states.add_edge(entry, mapped, InterstateEdge::always());
-        }
-    }
-
-    let mut cutout_sets = AccessSets::default();
-    for &s in states {
-        cutout_sets.merge(graph_access_sets(&sdfg.state(s).df));
-    }
-    let location = CutoutLocation::States(states.to_vec());
-    let input_config = input_configuration(sdfg, &cutout_sets, &location, ctx);
-    let sys_state = system_state(sdfg, &cutout_sets, &location, ctx);
-
-    // Symbol side effects: symbols assigned on edges inside the region and
-    // referenced anywhere downstream of it.
-    let assigned: Vec<String> = {
-        let mut v = Vec::new();
-        for e in sdfg.states.edge_ids() {
-            let (u, vdst) = sdfg.states.endpoints(e);
-            if states.contains(&u) || states.contains(&vdst) {
-                for (s, _) in &sdfg.states.edge(e).assignments {
-                    if !v.contains(s) {
-                        v.push(s.clone());
+        // States strictly *downstream* of the cutout region: edges flowing
+        // back from them (loop back edges around the region) are not entry
+        // points — their assignments reference values computed downstream.
+        // The cutout conservatively covers one pass through the region.
+        let downstream: Vec<StateId> = {
+            let mut succ: Vec<StateId> = Vec::new();
+            for &s in states {
+                for t in sdfg.states.successors(s) {
+                    if !states.contains(&t) && !succ.contains(&t) {
+                        succ.push(t);
                     }
                 }
             }
-        }
-        v
-    };
-    let mut symbol_state: Vec<String> = Vec::new();
-    for d in &downstream {
-        if states.contains(d) {
-            continue;
-        }
-        // Symbols referenced by the state's dataflow.
-        for e in sdfg.state(*d).df.graph.edge_ids() {
-            for s in sdfg.state(*d).df.graph.edge(e).subset.free_symbols() {
-                if assigned.contains(&s) && !symbol_state.contains(&s) {
-                    symbol_state.push(s.clone());
+            fuzzyflow_graph::reachable_from(&sdfg.states, &succ)
+        };
+
+        // Internal edges.
+        for e in sdfg.states.edge_ids() {
+            let (u, v) = sdfg.states.endpoints(e);
+            match (state_map.get(&u), state_map.get(&v)) {
+                (Some(&nu), Some(&nv)) => {
+                    cut.states.add_edge(nu, nv, sdfg.states.edge(e).clone());
                 }
+                // Boundary in: keep the assignments (they seed loop variables
+                // etc.), drop the condition (context not available).
+                (None, Some(&nv)) => {
+                    if downstream.contains(&u) {
+                        continue;
+                    }
+                    let orig = sdfg.states.edge(e);
+                    let mut edge = InterstateEdge::always();
+                    edge.assignments = orig.assignments.clone();
+                    edge.condition = CondExpr::True;
+                    cut.states.add_edge(entry, nv, edge);
+                }
+                // Boundary out: everything after the cutout is irrelevant; the
+                // edge collapses onto a shared empty exit state.
+                (Some(&nu), None) => {
+                    cut.states.add_edge(nu, exit, sdfg.states.edge(e).clone());
+                }
+                (None, None) => {}
             }
         }
-        // ... and by its outgoing edges' conditions/assignments.
-        for e in sdfg.states.out_edge_ids(*d) {
-            let edge = sdfg.states.edge(*e);
-            for s in edge.condition.free_symbols() {
-                if assigned.contains(&s) && !symbol_state.contains(&s) {
-                    symbol_state.push(s);
+
+        // Region states without any incoming edge (e.g. the program's start
+        // state) are reached directly from the synthetic entry.
+        for &s in states {
+            let mapped = state_map[&s];
+            if cut.states.in_degree(mapped) == 0 {
+                cut.states.add_edge(entry, mapped, InterstateEdge::always());
+            }
+        }
+
+        let mut cutout_sets = AccessSets::default();
+        for &s in states {
+            cutout_sets.merge(self.state(s).all.sets.clone());
+        }
+        let location = CutoutLocation::States(states.to_vec());
+        let input_config = self.input_configuration(&cutout_sets, &location);
+        let sys_state = self.system_state(&cutout_sets, &location);
+
+        // Symbol side effects: symbols assigned on edges inside the region and
+        // referenced anywhere downstream of it.
+        let assigned: Vec<String> = {
+            let mut v = Vec::new();
+            for e in sdfg.states.edge_ids() {
+                let (u, vdst) = sdfg.states.endpoints(e);
+                if states.contains(&u) || states.contains(&vdst) {
+                    for (s, _) in &sdfg.states.edge(e).assignments {
+                        if !v.contains(s) {
+                            v.push(s.clone());
+                        }
+                    }
                 }
             }
-            for (_, value) in &edge.assignments {
-                for s in value.free_symbols() {
+            v
+        };
+        let mut symbol_state: Vec<String> = Vec::new();
+        for d in &downstream {
+            if states.contains(d) {
+                continue;
+            }
+            // Symbols referenced by the state's dataflow.
+            for e in sdfg.state(*d).df.graph.edge_ids() {
+                for s in sdfg.state(*d).df.graph.edge(e).subset.free_symbols() {
+                    if assigned.contains(&s) && !symbol_state.contains(&s) {
+                        symbol_state.push(s.clone());
+                    }
+                }
+            }
+            // ... and by its outgoing edges' conditions/assignments.
+            for e in sdfg.states.out_edge_ids(*d) {
+                let edge = sdfg.states.edge(*e);
+                for s in edge.condition.free_symbols() {
                     if assigned.contains(&s) && !symbol_state.contains(&s) {
                         symbol_state.push(s);
                     }
                 }
+                for (_, value) in &edge.assignments {
+                    for s in value.free_symbols() {
+                        if assigned.contains(&s) && !symbol_state.contains(&s) {
+                            symbol_state.push(s);
+                        }
+                    }
+                }
             }
         }
-    }
 
-    let main = *state_map.values().next().expect("non-empty");
-    let mut cutout = finish_cutout(
-        sdfg,
-        cut,
-        main,
-        BTreeMap::new(),
-        state_map,
-        input_config,
-        sys_state,
-        &cutout_sets,
-        location,
-    )?;
-    cutout.symbol_state = symbol_state;
-    Ok(cutout)
+        let main = *state_map.values().next().expect("non-empty");
+        let mut cutout = finish_cutout(
+            sdfg,
+            cut,
+            main,
+            BTreeMap::new(),
+            state_map,
+            input_config,
+            sys_state,
+            &cutout_sets,
+            location,
+        )?;
+        cutout.symbol_state = symbol_state;
+        Ok(cutout)
+    }
 }
 
 /// Shared tail: declare containers (shrunk to accessed sub-regions where

@@ -18,7 +18,8 @@
 //! side that reaches `T` joins the cutout, trading recomputation for a
 //! smaller input space.
 
-use crate::extract::{extract_dataflow_cutout, Cutout};
+use crate::analysis::ProgramAnalysis;
+use crate::extract::Cutout;
 use crate::side_effects::{CutoutLocation, SideEffectContext};
 use fuzzyflow_graph::{max_flow_min_cut, reachable_from, DiGraph, NodeId};
 use fuzzyflow_ir::{Bindings, Sdfg, StateId};
@@ -177,89 +178,112 @@ fn min_input_flow_cut(
     (added, result.max_flow)
 }
 
-/// Attempts to minimize a cutout's input configuration (paper Sec. 4.2).
-/// Returns the (possibly expanded) cutout and the outcome. "If the input
-/// space cannot be further minimized, the original cutout is used."
+/// Attempts to minimize a cutout's input configuration (paper Sec. 4.2):
+/// [`ProgramAnalysis::minimize_input_configuration`] over a throwaway
+/// analysis.
 pub fn minimize_input_configuration(
     sdfg: &Sdfg,
     cutout: Cutout,
     ctx: &SideEffectContext,
     bindings: &Bindings,
 ) -> (Cutout, MinCutOutcome) {
-    let volume_before = cutout.input_volume_bytes(bindings).unwrap_or(u64::MAX);
-    let (state, delta_nodes) = match &cutout.location {
-        CutoutLocation::Nodes { state, nodes } => (*state, nodes.clone()),
-        // State-level cutouts are not minimized (the flow formulation is
-        // per-dataflow-graph).
-        CutoutLocation::States(_) => {
+    ProgramAnalysis::with_context(sdfg, ctx.clone()).minimize_input_configuration(cutout, bindings)
+}
+
+impl ProgramAnalysis<'_> {
+    /// Attempts to minimize a cutout's input configuration (paper Sec. 4.2).
+    /// Returns the (possibly expanded) cutout and the outcome. "If the input
+    /// space cannot be further minimized, the original cutout is used."
+    pub fn minimize_input_configuration(
+        &self,
+        cutout: Cutout,
+        bindings: &Bindings,
+    ) -> (Cutout, MinCutOutcome) {
+        let sdfg = self.sdfg();
+        let volume_before = cutout.input_volume_bytes(bindings).unwrap_or(u64::MAX);
+        let (state, delta_nodes) = match &cutout.location {
+            CutoutLocation::Nodes { state, nodes } => (*state, nodes.clone()),
+            // State-level cutouts are not minimized (the flow formulation is
+            // per-dataflow-graph).
+            CutoutLocation::States(_) => {
+                let outcome = MinCutOutcome {
+                    added_nodes: Vec::new(),
+                    volume_before,
+                    volume_after: volume_before,
+                    cut_value: 0.0,
+                };
+                return (cutout, outcome);
+            }
+        };
+
+        // The full cutout node set (ΔT + access neighbors) is what collapses
+        // into T.
+        let cutout_node_set: Vec<NodeId> = cutout.node_map.keys().copied().collect();
+        let (added, cut_value) = min_input_flow_cut(
+            sdfg,
+            state,
+            &cutout_node_set,
+            &cutout.input_config,
+            bindings,
+        );
+        // Never absorb communication nodes: cutouts must stay testable on a
+        // single rank (paper Sec. 6.2) — data received through collectives is
+        // exposed as a regular input instead.
+        let df = &sdfg.state(state).df;
+        let adds_comm = added.iter().any(|&n| {
+            fn has_comm(node: &fuzzyflow_ir::DfNode) -> bool {
+                match node {
+                    fuzzyflow_ir::DfNode::Library(l) => l.op.is_comm(),
+                    fuzzyflow_ir::DfNode::Map(m) => m
+                        .body
+                        .graph
+                        .node_ids()
+                        .any(|k| has_comm(m.body.graph.node(k))),
+                    _ => false,
+                }
+            }
+            has_comm(df.graph.node(n))
+        });
+        if added.is_empty() || adds_comm {
             let outcome = MinCutOutcome {
                 added_nodes: Vec::new(),
                 volume_before,
                 volume_after: volume_before,
-                cut_value: 0.0,
+                cut_value,
             };
             return (cutout, outcome);
         }
-    };
 
-    // The full cutout node set (ΔT + access neighbors) is what collapses
-    // into T.
-    let cutout_node_set: Vec<NodeId> = cutout.node_map.keys().copied().collect();
-    let (added, cut_value) = min_input_flow_cut(
-        sdfg,
-        state,
-        &cutout_node_set,
-        &cutout.input_config,
-        bindings,
-    );
-    // Never absorb communication nodes: cutouts must stay testable on a
-    // single rank (paper Sec. 6.2) — data received through collectives is
-    // exposed as a regular input instead.
-    let df = &sdfg.state(state).df;
-    let adds_comm = added.iter().any(|&n| {
-        fn has_comm(node: &fuzzyflow_ir::DfNode) -> bool {
-            match node {
-                fuzzyflow_ir::DfNode::Library(l) => l.op.is_comm(),
-                fuzzyflow_ir::DfNode::Map(m) => m
-                    .body
-                    .graph
-                    .node_ids()
-                    .any(|k| has_comm(m.body.graph.node(k))),
-                _ => false,
+        // Re-extract with the expanded node set (computation nodes only; the
+        // access closure is recomputed).
+        let mut expanded: Vec<NodeId> = delta_nodes;
+        for n in &added {
+            if !expanded.contains(n) && !sdfg.state(state).df.graph.node(*n).is_access() {
+                expanded.push(*n);
             }
         }
-        has_comm(df.graph.node(n))
-    });
-    if added.is_empty() || adds_comm {
-        let outcome = MinCutOutcome {
-            added_nodes: Vec::new(),
-            volume_before,
-            volume_after: volume_before,
-            cut_value,
-        };
-        return (cutout, outcome);
-    }
-
-    // Re-extract with the expanded node set (computation nodes only; the
-    // access closure is recomputed).
-    let mut expanded: Vec<NodeId> = delta_nodes;
-    for n in &added {
-        if !expanded.contains(n) && !sdfg.state(state).df.graph.node(*n).is_access() {
-            expanded.push(*n);
-        }
-    }
-    match extract_dataflow_cutout(sdfg, state, &expanded, ctx) {
-        Ok(bigger) => {
-            let volume_after = bigger.input_volume_bytes(bindings).unwrap_or(u64::MAX);
-            if volume_after < volume_before {
-                let outcome = MinCutOutcome {
-                    added_nodes: added,
-                    volume_before,
-                    volume_after,
-                    cut_value,
-                };
-                (bigger, outcome)
-            } else {
+        match self.extract_dataflow_cutout(state, &expanded) {
+            Ok(bigger) => {
+                let volume_after = bigger.input_volume_bytes(bindings).unwrap_or(u64::MAX);
+                if volume_after < volume_before {
+                    let outcome = MinCutOutcome {
+                        added_nodes: added,
+                        volume_before,
+                        volume_after,
+                        cut_value,
+                    };
+                    (bigger, outcome)
+                } else {
+                    let outcome = MinCutOutcome {
+                        added_nodes: Vec::new(),
+                        volume_before,
+                        volume_after: volume_before,
+                        cut_value,
+                    };
+                    (cutout, outcome)
+                }
+            }
+            Err(_) => {
                 let outcome = MinCutOutcome {
                     added_nodes: Vec::new(),
                     volume_before,
@@ -268,15 +292,6 @@ pub fn minimize_input_configuration(
                 };
                 (cutout, outcome)
             }
-        }
-        Err(_) => {
-            let outcome = MinCutOutcome {
-                added_nodes: Vec::new(),
-                volume_before,
-                volume_after: volume_before,
-                cut_value,
-            };
-            (cutout, outcome)
         }
     }
 }

@@ -11,8 +11,9 @@
 //! the cutout starts. External data analysis (non-transient reads) plus a
 //! reversed BFS checking upstream writes against the cutout's read subsets.
 
+use crate::analysis::{co_reachable_states, reachable_states, ProgramAnalysis, RegionAccess};
 use fuzzyflow_graph::{reachable_from, reverse_reachable_from, NodeId};
-use fuzzyflow_ir::analysis::{graph_access_sets, node_access_sets, AccessSets};
+use fuzzyflow_ir::analysis::AccessSets;
 use fuzzyflow_ir::{Sdfg, StateId, SymBounds};
 
 /// Context for subset-overlap decisions: bounds for size symbols etc.
@@ -44,203 +45,147 @@ pub enum CutoutLocation {
     States(Vec<StateId>),
 }
 
-/// True if `reads` contains a read of `data` overlapping `write_subset`.
-fn any_overlapping_read(
-    sets: &AccessSets,
-    cutout_writes: &AccessSets,
-    ctx: &SideEffectContext,
-) -> Vec<String> {
-    let mut hits = Vec::new();
-    for r in &sets.reads {
-        for w in &cutout_writes.writes {
-            if r.data == w.data
-                && r.subset.overlaps(&w.subset, &ctx.bounds).may()
-                && !hits.contains(&r.data)
-            {
-                hits.push(r.data.clone());
-            }
-        }
-    }
-    hits
+/// Which side of the cutout a flow scan looks at.
+#[derive(Clone, Copy)]
+enum Direction {
+    /// Later reads of what the cutout writes (system state).
+    Downstream,
+    /// Earlier writes of what the cutout reads (input configuration).
+    Upstream,
 }
 
-fn any_overlapping_write(
-    sets: &AccessSets,
-    cutout_reads: &AccessSets,
-    ctx: &SideEffectContext,
-) -> Vec<String> {
-    let mut hits = Vec::new();
-    for w in &sets.writes {
-        for r in &cutout_reads.reads {
-            if w.data == r.data
-                && w.subset.overlaps(&r.subset, &ctx.bounds).may()
-                && !hits.contains(&w.data)
-            {
-                hits.push(w.data.clone());
+impl ProgramAnalysis<'_> {
+    /// Computes the cutout's **system state** (paper Sec. 3.1): the
+    /// containers whose contents after the cutout's execution can
+    /// influence the rest of the program.
+    pub fn system_state(&self, cutout_sets: &AccessSets, location: &CutoutLocation) -> Vec<String> {
+        self.flow_scan(cutout_sets, location, Direction::Downstream)
+    }
+
+    /// Computes the cutout's **input configuration** (paper Sec. 3.2): the
+    /// containers that may already contain data before the cutout executes.
+    pub fn input_configuration(
+        &self,
+        cutout_sets: &AccessSets,
+        location: &CutoutLocation,
+    ) -> Vec<String> {
+        self.flow_scan(cutout_sets, location, Direction::Upstream)
+    }
+
+    /// Both analyses are one scan run in opposite directions: an
+    /// *external data analysis* (non-transient containers the cutout
+    /// touches on its side always count) followed by a *program flow
+    /// analysis* — BFS away from the cutout, checking the other regions'
+    /// opposite accesses against the cutout's subsets. Only containers
+    /// the first step left undecided are scanned for, and only against
+    /// accesses of that same container.
+    fn flow_scan(
+        &self,
+        cutout_sets: &AccessSets,
+        location: &CutoutLocation,
+        dir: Direction,
+    ) -> Vec<String> {
+        let sdfg = self.sdfg();
+        let bounds = &self.context().bounds;
+        let touched = match dir {
+            Direction::Downstream => cutout_sets.written_containers(),
+            Direction::Upstream => cutout_sets.read_containers(),
+        };
+        let (mut found, mut pending): (Vec<String>, Vec<String>) = touched
+            .into_iter()
+            .partition(|c| sdfg.array(c).map(|d| !d.transient).unwrap_or(true));
+
+        let mut scan = |region: &RegionAccess| {
+            pending.retain(|c| {
+                let hit = match dir {
+                    Direction::Downstream => region.reads_of(c).any(|r| {
+                        cutout_sets
+                            .writes_to(c)
+                            .any(|w| r.subset.overlaps(&w.subset, bounds).may())
+                    }),
+                    Direction::Upstream => region.writes_of(c).any(|w| {
+                        cutout_sets
+                            .reads_from(c)
+                            .any(|r| w.subset.overlaps(&r.subset, bounds).may())
+                    }),
+                };
+                if hit {
+                    found.push(c.clone());
+                }
+                !hit
+            });
+        };
+
+        match location {
+            CutoutLocation::Nodes { state, nodes } => {
+                let here = self.state(*state);
+                // Within the state: the nodes the cutout's data flows to
+                // (or comes from).
+                let graph = &sdfg.state(*state).df.graph;
+                let neighbours = match dir {
+                    Direction::Downstream => reachable_from(graph, nodes),
+                    Direction::Upstream => reverse_reachable_from(graph, nodes),
+                };
+                for n in neighbours {
+                    if nodes.contains(&n) {
+                        continue;
+                    }
+                    if let Some(region) = here.node(n) {
+                        scan(region);
+                    }
+                }
+                // Other states — and the own state again if it sits on a
+                // cycle: every access in it may re-execute.
+                let reach = match dir {
+                    Direction::Downstream => &here.after,
+                    Direction::Upstream => &here.before,
+                };
+                for &s in reach {
+                    scan(&self.state(s).all);
+                }
+            }
+            CutoutLocation::States(states) => {
+                let reach = match dir {
+                    Direction::Downstream => reachable_states(sdfg, states),
+                    Direction::Upstream => co_reachable_states(sdfg, states),
+                };
+                for s in reach {
+                    if !states.contains(&s) {
+                        scan(&self.state(s).all);
+                    }
+                }
             }
         }
+
+        found.sort();
+        found
     }
-    hits
 }
 
-/// States reachable from `starts` following inter-state edges (exclusive
-/// of `starts` unless re-reachable through a cycle).
-fn reachable_states(sdfg: &Sdfg, starts: &[StateId]) -> Vec<StateId> {
-    let mut succ: Vec<StateId> = Vec::new();
-    for &s in starts {
-        for t in sdfg.states.successors(s) {
-            if !succ.contains(&t) {
-                succ.push(t);
-            }
-        }
-    }
-    reachable_from(&sdfg.states, &succ)
-}
-
-/// States that can reach `starts` (exclusive unless on a cycle).
-fn co_reachable_states(sdfg: &Sdfg, starts: &[StateId]) -> Vec<StateId> {
-    let mut pred: Vec<StateId> = Vec::new();
-    for &s in starts {
-        for t in sdfg.states.predecessors(s) {
-            if !pred.contains(&t) {
-                pred.push(t);
-            }
-        }
-    }
-    reverse_reachable_from(&sdfg.states, &pred)
-}
-
-/// Computes the cutout's **system state** (paper Sec. 3.1): the containers
-/// whose contents after the cutout's execution can influence the rest of
-/// the program.
+/// [`ProgramAnalysis::system_state`] over a throwaway analysis.
 pub fn system_state(
     sdfg: &Sdfg,
     cutout_sets: &AccessSets,
     location: &CutoutLocation,
     ctx: &SideEffectContext,
 ) -> Vec<String> {
-    let mut state_set: Vec<String> = Vec::new();
-
-    // External data analysis: every write to a non-transient container is
-    // observable after the program exits.
-    for w in cutout_sets.written_containers() {
-        let external = sdfg.array(&w).map(|d| !d.transient).unwrap_or(true);
-        if external && !state_set.contains(&w) {
-            state_set.push(w);
-        }
-    }
-
-    // Program flow analysis: BFS from the cutout looking for overlapping
-    // reads.
-    let mut scan = |sets: &AccessSets| {
-        for hit in any_overlapping_read(sets, cutout_sets, ctx) {
-            if !state_set.contains(&hit) {
-                state_set.push(hit);
-            }
-        }
-    };
-
-    match location {
-        CutoutLocation::Nodes { state, nodes } => {
-            let df = &sdfg.state(*state).df;
-            // Downstream within the state.
-            let downstream = reachable_from(&df.graph, nodes);
-            for n in downstream {
-                if nodes.contains(&n) {
-                    continue;
-                }
-                scan(&node_access_sets(df, n));
-            }
-            // Downstream states (and the own state again, if on a cycle).
-            let reach = reachable_states(sdfg, &[*state]);
-            for s in reach {
-                if s == *state {
-                    // Loop around: every read in the state may re-execute.
-                    scan(&graph_access_sets(df));
-                } else {
-                    scan(&graph_access_sets(&sdfg.state(s).df));
-                }
-            }
-        }
-        CutoutLocation::States(states) => {
-            let reach = reachable_states(sdfg, states);
-            for s in reach {
-                if states.contains(&s) {
-                    continue;
-                }
-                scan(&graph_access_sets(&sdfg.state(s).df));
-            }
-        }
-    }
-
-    state_set.sort();
-    state_set
+    ProgramAnalysis::with_context(sdfg, ctx.clone()).system_state(cutout_sets, location)
 }
 
-/// Computes the cutout's **input configuration** (paper Sec. 3.2): the
-/// containers that may already contain data before the cutout executes.
+/// [`ProgramAnalysis::input_configuration`] over a throwaway analysis.
 pub fn input_configuration(
     sdfg: &Sdfg,
     cutout_sets: &AccessSets,
     location: &CutoutLocation,
     ctx: &SideEffectContext,
 ) -> Vec<String> {
-    let mut inputs: Vec<String> = Vec::new();
-
-    // External data analysis: non-transient containers may carry data from
-    // outside the program.
-    for r in cutout_sets.read_containers() {
-        let external = sdfg.array(&r).map(|d| !d.transient).unwrap_or(true);
-        if external && !inputs.contains(&r) {
-            inputs.push(r);
-        }
-    }
-
-    let mut scan = |sets: &AccessSets| {
-        for hit in any_overlapping_write(sets, cutout_sets, ctx) {
-            if !inputs.contains(&hit) {
-                inputs.push(hit);
-            }
-        }
-    };
-
-    match location {
-        CutoutLocation::Nodes { state, nodes } => {
-            let df = &sdfg.state(*state).df;
-            let upstream = reverse_reachable_from(&df.graph, nodes);
-            for n in upstream {
-                if nodes.contains(&n) {
-                    continue;
-                }
-                scan(&node_access_sets(df, n));
-            }
-            let co = co_reachable_states(sdfg, &[*state]);
-            for s in co {
-                if s == *state {
-                    scan(&graph_access_sets(df));
-                } else {
-                    scan(&graph_access_sets(&sdfg.state(s).df));
-                }
-            }
-        }
-        CutoutLocation::States(states) => {
-            let co = co_reachable_states(sdfg, states);
-            for s in co {
-                if states.contains(&s) {
-                    continue;
-                }
-                scan(&graph_access_sets(&sdfg.state(s).df));
-            }
-        }
-    }
-
-    inputs.sort();
-    inputs
+    ProgramAnalysis::with_context(sdfg, ctx.clone()).input_configuration(cutout_sets, location)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fuzzyflow_ir::analysis::node_access_sets;
     use fuzzyflow_ir::{
         sym, DType, Memlet, ScalarExpr, Schedule, SdfgBuilder, Subset, SymExpr, SymRange, Tasklet,
     };

@@ -14,7 +14,7 @@
 //! Engineers may add custom constraints on top.
 
 use fuzzyflow_cutout::Cutout;
-use fuzzyflow_ir::loops::detect_all_loops;
+use fuzzyflow_ir::loops::{detect_all_loops, LoopInfo};
 use fuzzyflow_ir::{DfNode, Sdfg, SymExpr};
 use std::collections::BTreeMap;
 
@@ -105,6 +105,12 @@ fn index_bounds(
 /// loop context (paper: "of particular interest here are loop iteration
 /// variables that may be constrained to certain loop bounds").
 pub fn derive_constraints(cutout: &Cutout, original: &Sdfg) -> Constraints {
+    derive_constraints_with_loops(cutout, &detect_all_loops(original))
+}
+
+/// [`derive_constraints`] given the original program's loops
+/// (`ProgramAnalysis::loops`), which every cutout of one program shares.
+pub fn derive_constraints_with_loops(cutout: &Cutout, loops: &[LoopInfo]) -> Constraints {
     let mut roles: BTreeMap<String, SymbolRole> = BTreeMap::new();
 
     // Size symbols from the cutout's container shapes.
@@ -116,9 +122,6 @@ pub fn derive_constraints(cutout: &Cutout, original: &Sdfg) -> Constraints {
             }
         }
     }
-
-    // Loop bounds from the original program.
-    let loops = detect_all_loops(original);
 
     // Index bounds from the cutout graphs.
     let mut idx: BTreeMap<String, SymExpr> = BTreeMap::new();

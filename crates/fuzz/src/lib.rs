@@ -28,7 +28,7 @@ pub mod rng;
 pub mod sampler;
 pub mod testcase;
 
-pub use constraints::{derive_constraints, Constraints, SymbolRole};
+pub use constraints::{derive_constraints, derive_constraints_with_loops, Constraints, SymbolRole};
 pub use coverage_fuzz::{CoverageFuzzer, CoverageReport};
 pub use diff::{failure_text, judge, ArenaStash, CaseOutcome, DiffReport, DiffTester, Verdict};
 pub use json::Json;

@@ -1,17 +1,23 @@
 //! Process-wide shared native-code cache.
 //!
-//! Same lock-only-on-insert design as the shared program cache
-//! ([`crate::shared`]): probes load an atomic snapshot of an immutable
-//! map and never lock; the insert mutex is taken only to publish a new
-//! snapshot. Two differences support bounded capacity with real
-//! reclamation:
+//! Probes sit on the per-map-execution path, so they read an immutable
+//! snapshot of the map without locking; the insert mutex is taken to
+//! publish a new snapshot, and by a probing thread once after each
+//! publication to pick the new snapshot up:
 //!
+//! * Every thread keeps the snapshot it last saw, tagged with its
+//!   generation. A probe compares that tag with the published generation
+//!   (one atomic load) and, while they agree, probes its own copy —
+//!   nothing shared is written but the entry's LRU stamp. Only after an
+//!   insert does the next probe of each thread lock, to swap its copy.
+//! * Snapshots are reference-counted, so a superseded one is freed when
+//!   the last thread lets go of it: retained memory is at most one
+//!   snapshot per thread plus the current one, whatever the number of
+//!   inserts.
 //! * Snapshots hold only [`Weak`] references. The strong references
 //!   live in one bounded list guarded by the insert mutex, so evicting
 //!   an entry actually drops it — the pages are unmapped as soon as the
-//!   last executor running that kernel finishes — even though superseded
-//!   snapshots are leaked (each leaked snapshot is at most
-//!   `capacity` weak handles, not code).
+//!   last executor running that kernel finishes.
 //! * Eviction is coarse LRU: every probe hit stamps its entry from a
 //!   global clock, and an insert that exceeds
 //!   [`cache_capacity`](crate::cache_capacity) drops the entry with the
@@ -24,9 +30,10 @@
 
 use super::JitCode;
 use crate::shared::cache_capacity;
+use std::cell::RefCell;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicPtr, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, Weak};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, Weak};
 
 /// Immutable snapshot: kernel `jit_key` → (code, LRU stamp).
 type Shelf = HashMap<u64, (Weak<JitCode>, Arc<AtomicU64>)>;
@@ -34,15 +41,24 @@ type Shelf = HashMap<u64, (Weak<JitCode>, Arc<AtomicU64>)>;
 /// One strong entry: `(key, code, LRU stamp)`.
 type Entry = (u64, Arc<JitCode>, Arc<AtomicU64>);
 
+/// What the insert mutex guards.
 struct CodeCache {
-    /// Current snapshot (null until the first insert); always a leaked,
-    /// immutable `Shelf`.
-    snap: AtomicPtr<Shelf>,
-    /// The bounded strong-reference list; doubles as the insert lock.
-    strong: Mutex<Vec<Entry>>,
+    /// The bounded strong-reference list.
+    strong: Vec<Entry>,
+    /// The snapshot built from `strong` at the last insert.
+    snap: Arc<Shelf>,
 }
 
-static CACHE: OnceLock<CodeCache> = OnceLock::new();
+static CACHE: Mutex<Option<CodeCache>> = Mutex::new(None);
+/// Number of snapshots published so far; written under the insert lock,
+/// after the snapshot it announces is in place.
+static GENERATION: AtomicU64 = AtomicU64::new(0);
+
+thread_local! {
+    /// This thread's snapshot and the generation it belongs to.
+    static LOCAL: RefCell<(u64, Arc<Shelf>)> = RefCell::new((0, Arc::default()));
+}
+
 static CLOCK: AtomicU64 = AtomicU64::new(1);
 static HITS: AtomicU64 = AtomicU64::new(0);
 static MISSES: AtomicU64 = AtomicU64::new(0);
@@ -78,23 +94,25 @@ pub fn code_cache_stats() -> CodeCacheStats {
     }
 }
 
-fn cache() -> &'static CodeCache {
-    CACHE.get_or_init(|| CodeCache {
-        snap: AtomicPtr::new(std::ptr::null_mut()),
-        strong: Mutex::new(Vec::new()),
-    })
+fn lock() -> std::sync::MutexGuard<'static, Option<CodeCache>> {
+    CACHE.lock().expect("code cache poisoned")
 }
 
-fn shelf() -> Option<&'static Shelf> {
-    // SAFETY: `snap` only ever holds null or a `Box::leak`ed pointer,
-    // valid for the process lifetime and immutable after publication.
-    unsafe { cache().snap.load(Ordering::Acquire).as_ref() }
-}
-
-/// Lock-free probe. A hit refreshes the entry's LRU stamp.
+/// Lock-free probe while no insert has happened since this thread's
+/// last one. A hit refreshes the entry's LRU stamp.
 pub(crate) fn lookup(key: u64) -> Option<Arc<JitCode>> {
-    let found = shelf().and_then(|m| m.get(&key)).and_then(|(w, stamp)| {
-        let code = w.upgrade()?;
+    let found = LOCAL.with_borrow_mut(|(generation, shelf)| {
+        // Acquire pairs with the Release store in `insert`: seeing a
+        // generation means its snapshot is in place behind the lock.
+        let published = GENERATION.load(Ordering::Acquire);
+        if *generation != published {
+            if let Some(cache) = lock().as_ref() {
+                *shelf = Arc::clone(&cache.snap);
+            }
+            *generation = published;
+        }
+        let (code, stamp) = shelf.get(&key)?;
+        let code = code.upgrade()?;
         stamp.store(CLOCK.fetch_add(1, Ordering::Relaxed), Ordering::Relaxed);
         Some(code)
     });
@@ -117,8 +135,12 @@ pub(crate) fn count_emission(bytes: usize) {
 /// briefly; evicts the least-recently-probed entries beyond the
 /// configured capacity.
 pub(crate) fn insert(key: u64, code: JitCode) -> Arc<JitCode> {
-    let c = cache();
-    let mut strong = c.strong.lock().expect("code-cache insert lock");
+    let mut guard = lock();
+    let cache = guard.get_or_insert_with(|| CodeCache {
+        strong: Vec::new(),
+        snap: Arc::default(),
+    });
+    let strong = &mut cache.strong;
     if let Some((_, existing, stamp)) = strong.iter().find(|(k, _, _)| *k == key) {
         // A concurrent emitter won the race; keep one copy.
         stamp.store(CLOCK.fetch_add(1, Ordering::Relaxed), Ordering::Relaxed);
@@ -138,13 +160,15 @@ pub(crate) fn insert(key: u64, code: JitCode) -> Arc<JitCode> {
         strong.remove(oldest);
         EVICTIONS.fetch_add(1, Ordering::Relaxed);
     }
-    // Rebuild and publish the snapshot from the (bounded) strong list;
-    // the superseded snapshot stays alive for readers that hold it, but
-    // only as weak handles.
-    let next: Shelf = strong
-        .iter()
-        .map(|(k, a, s)| (*k, (Arc::downgrade(a), Arc::clone(s))))
-        .collect();
-    c.snap.store(Box::leak(Box::new(next)), Ordering::Release);
+    // Rebuild the snapshot from the (bounded) strong list and announce
+    // it; the superseded one lives on only in threads that have not
+    // probed since, as weak handles.
+    cache.snap = Arc::new(
+        strong
+            .iter()
+            .map(|(k, a, s)| (*k, (Arc::downgrade(a), Arc::clone(s))))
+            .collect(),
+    );
+    GENERATION.fetch_add(1, Ordering::Release);
     code
 }

@@ -6,29 +6,25 @@
 //! is pure — same SDFG and options, same [`Program`] — so one process
 //! needs each program exactly once.
 //!
-//! The cache follows the lock-only-on-insert design of native fuzzing
-//! code caches:
+//! The cache is a plain locked map with one fill-once slot per key:
 //!
-//! * **Lookup never locks.** Readers load an atomic snapshot pointer to
-//!   an immutable map and probe it; a hit is an `Arc` clone away.
-//!   Concurrent lookups of *different* keys never contend on anything.
-//! * **Insert locks briefly, compiles unlocked.** A miss takes the
-//!   insert mutex only to publish a new snapshot containing an empty
-//!   per-key slot (copy-on-write of the map — rare, small). The actual
-//!   compilation happens *outside* that mutex through the slot's
+//! * **Probe and insert take one short lock.** The map lock covers a
+//!   hash lookup, an LRU stamp and — on a miss — the insertion of an
+//!   empty slot and the eviction it may force. It is taken once per
+//!   prepared program, never per trial, and **never held while
+//!   compiling**.
+//! * **Compilation happens in the key's slot.** The slot is a
 //!   [`OnceLock`]: the first caller compiles, concurrent callers of the
 //!   same key block on that slot only, and everyone receives the same
 //!   `Arc<Program>`. One worker compiling never stalls workers on other
 //!   keys, and there are no lost wakeups — `OnceLock::get_or_init` wakes
 //!   every waiter exactly once.
-//! * **Capacity is bounded.** Snapshots hold only [`Weak`] slot handles;
-//!   the strong references live in one list guarded by the insert mutex,
-//!   capped at [`cache_capacity`] entries with coarse LRU eviction
-//!   (every hit stamps its entry from a global clock; an insert beyond
-//!   capacity drops the oldest stamp). Eviction genuinely frees the
-//!   program once its last outside user drops it. Superseded snapshots
-//!   are intentionally leaked (readers may still hold them), but each is
-//!   at most `capacity` weak handles — not programs.
+//! * **Capacity is bounded, and so is memory.** At most
+//!   [`cache_capacity`] entries are resident, with coarse LRU eviction
+//!   (every hit stamps its entry from a clock; an insert beyond capacity
+//!   drops the oldest stamp). Eviction drops the entry's key and its
+//!   strong reference, so an evicted program is freed as soon as its
+//!   last outside user lets go of it; nothing outlives the map.
 //!
 //! Shared `Arc<Program>`s also make the downstream identity-keyed caches
 //! effective across campaigns: [`Program`] clones share their id, so
@@ -37,38 +33,27 @@
 
 use crate::program::{CompileOptions, Program};
 use fuzzyflow_ir::Sdfg;
-use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicPtr, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, Weak};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// One cache slot: filled exactly once, by whichever caller gets there
 /// first; everyone else blocks on this slot only.
 type Slot = Arc<OnceLock<Arc<Program>>>;
 
-/// Immutable snapshot: content hash → weak slot handles (plus LRU
-/// stamps) whose full keys share it.
-type Shelf = HashMap<u64, Vec<(Arc<str>, Weak<OnceLock<Arc<Program>>>, Arc<AtomicU64>)>>;
-
-/// One strong entry: `(content hash, full key, slot, LRU stamp)`.
-type Entry = (u64, Arc<str>, Slot, Arc<AtomicU64>);
-
+/// The resident entries, `content key → (slot, LRU stamp)`, and the
+/// clock the stamps are drawn from.
+#[derive(Default)]
 struct SharedCache {
-    /// Current snapshot (null until the first insert). Always points to
-    /// a leaked, and therefore `'static`, immutable `Shelf`.
-    snap: AtomicPtr<Shelf>,
-    /// The bounded strong-reference list; doubles as the insert lock.
-    /// Never held while compiling.
-    strong: Mutex<Vec<Entry>>,
+    entries: HashMap<Arc<str>, (Slot, u64)>,
+    clock: u64,
 }
 
 /// Default capacity of the process-wide caches (see [`cache_capacity`]).
 pub const DEFAULT_CACHE_CAPACITY: usize = 256;
 
-static CACHE: OnceLock<SharedCache> = OnceLock::new();
+static CACHE: OnceLock<Mutex<SharedCache>> = OnceLock::new();
 static CAPACITY: AtomicUsize = AtomicUsize::new(DEFAULT_CACHE_CAPACITY);
-static CLOCK: AtomicU64 = AtomicU64::new(1);
 static COMPILES: AtomicU64 = AtomicU64::new(0);
 static HITS: AtomicU64 = AtomicU64::new(0);
 static MISSES: AtomicU64 = AtomicU64::new(0);
@@ -89,13 +74,6 @@ pub fn set_cache_capacity(cap: usize) {
     CAPACITY.store(cap.max(1), Ordering::Relaxed);
 }
 
-fn cache() -> &'static SharedCache {
-    CACHE.get_or_init(|| SharedCache {
-        snap: AtomicPtr::new(std::ptr::null_mut()),
-        strong: Mutex::new(Vec::new()),
-    })
-}
-
 /// Number of programs this process has actually compiled through the
 /// shared cache (cache hits do not count). Warm re-runs of a campaign
 /// should leave this unchanged.
@@ -106,15 +84,18 @@ pub fn shared_compile_count() -> u64 {
 /// Cumulative counters of the process-wide shared program cache.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SharedCacheStats {
-    /// Lock-free probes that found a live slot.
+    /// Probes that found a resident slot.
     pub hits: u64,
-    /// Probes that found nothing (or an evicted slot).
+    /// Probes that found nothing (never inserted, or evicted).
     pub misses: u64,
     /// Entries dropped by LRU eviction.
     pub evictions: u64,
     /// Programs actually compiled (same counter as
     /// [`shared_compile_count`]).
     pub compiles: u64,
+    /// Entries resident right now — a gauge, not a cumulative count;
+    /// never above [`cache_capacity`] after an insert.
+    pub resident: usize,
 }
 
 /// Current counters of the shared program cache.
@@ -124,39 +105,12 @@ pub fn shared_cache_stats() -> SharedCacheStats {
         misses: MISSES.load(Ordering::Relaxed),
         evictions: EVICTIONS.load(Ordering::Relaxed),
         compiles: COMPILES.load(Ordering::Relaxed),
+        resident: CACHE.get().map_or(0, |c| lock(c).entries.len()),
     }
 }
 
-fn shelf_of(c: &'static SharedCache) -> Option<&'static Shelf> {
-    // SAFETY: `snap` only ever holds null or a pointer from
-    // `Box::leak`, so any non-null value is valid for the process
-    // lifetime and never mutated after publication.
-    unsafe { c.snap.load(Ordering::Acquire).as_ref() }
-}
-
-/// Lock-free probe of the published snapshot. A hit refreshes the
-/// entry's LRU stamp.
-fn probe(shelf: Option<&Shelf>, h: u64, key: &str) -> Option<Slot> {
-    let (_, weak, stamp) = shelf
-        .and_then(|m| m.get(&h))
-        .and_then(|v| v.iter().find(|(k, _, _)| &**k == key))?;
-    let slot = weak.upgrade()?;
-    stamp.store(CLOCK.fetch_add(1, Ordering::Relaxed), Ordering::Relaxed);
-    Some(slot)
-}
-
-/// Rebuilds and publishes the snapshot from the (bounded) strong list.
-/// Caller holds the insert lock.
-fn publish(c: &'static SharedCache, strong: &[Entry]) {
-    let mut next: Shelf = HashMap::new();
-    for (h, k, slot, stamp) in strong {
-        next.entry(*h)
-            .or_default()
-            .push((Arc::clone(k), Arc::downgrade(slot), Arc::clone(stamp)));
-    }
-    // Leak the new snapshot; the superseded one stays alive for readers
-    // that already loaded it, holding only weak handles.
-    c.snap.store(Box::leak(Box::new(next)), Ordering::Release);
+fn lock(cache: &Mutex<SharedCache>) -> std::sync::MutexGuard<'_, SharedCache> {
+    cache.lock().expect("shared program cache poisoned")
 }
 
 /// [`Program::compile`] through the shared cache.
@@ -169,51 +123,38 @@ pub fn compile_shared(sdfg: &Sdfg) -> Arc<Program> {
 /// and options, compiling it at most once while resident.
 pub fn compile_shared_with(sdfg: &Sdfg, opts: &CompileOptions) -> Arc<Program> {
     // Content key: options plus the SDFG's complete debug rendering
-    // (structurally equal SDFGs render identically). Hash for the map,
-    // full string compare on probe — no collision risk.
+    // (structurally equal SDFGs render identically). The map compares
+    // whole keys — no collision risk.
     let key = format!(
         "s{}f{}|{sdfg:?}",
         opts.specialize_f64 as u8, opts.fuse_maps as u8
     );
-    let mut hasher = DefaultHasher::new();
-    key.hash(&mut hasher);
-    let h = hasher.finish();
-
-    let c = cache();
-    let slot = match probe(shelf_of(c), h, &key) {
-        Some(slot) => {
+    let slot = {
+        let mut guard = lock(CACHE.get_or_init(Default::default));
+        let cache = &mut *guard;
+        cache.clock += 1;
+        if let Some((slot, stamp)) = cache.entries.get_mut(key.as_str()) {
             HITS.fetch_add(1, Ordering::Relaxed);
-            slot
-        }
-        None => {
+            *stamp = cache.clock;
+            Arc::clone(slot)
+        } else {
             MISSES.fetch_add(1, Ordering::Relaxed);
-            let mut strong = c.strong.lock().expect("shared-cache insert lock");
-            // Re-probe under the lock (against the authoritative strong
-            // list): a concurrent inserter may have published this key
-            // between our miss and the acquisition.
-            if let Some((_, _, slot, stamp)) =
-                strong.iter().find(|(eh, ek, _, _)| *eh == h && **ek == key)
-            {
-                stamp.store(CLOCK.fetch_add(1, Ordering::Relaxed), Ordering::Relaxed);
-                Arc::clone(slot)
-            } else {
-                let slot: Slot = Arc::new(OnceLock::new());
-                let stamp = Arc::new(AtomicU64::new(CLOCK.fetch_add(1, Ordering::Relaxed)));
-                strong.push((h, Arc::from(key.as_str()), Arc::clone(&slot), stamp));
-                let cap = cache_capacity();
-                while strong.len() > cap {
-                    let oldest = strong
-                        .iter()
-                        .enumerate()
-                        .min_by_key(|(_, (_, _, _, s))| s.load(Ordering::Relaxed))
-                        .map(|(i, _)| i)
-                        .expect("non-empty over-capacity list");
-                    strong.remove(oldest);
-                    EVICTIONS.fetch_add(1, Ordering::Relaxed);
-                }
-                publish(c, &strong);
-                slot
+            let slot = Slot::default();
+            cache
+                .entries
+                .insert(key.into(), (Arc::clone(&slot), cache.clock));
+            let cap = cache_capacity();
+            while cache.entries.len() > cap {
+                let oldest = cache
+                    .entries
+                    .iter()
+                    .min_by_key(|(_, (_, stamp))| *stamp)
+                    .map(|(k, _)| Arc::clone(k))
+                    .expect("non-empty over-capacity map");
+                cache.entries.remove(&oldest);
+                EVICTIONS.fetch_add(1, Ordering::Relaxed);
             }
+            slot
         }
     };
     Arc::clone(slot.get_or_init(|| {

@@ -28,7 +28,7 @@ pub struct TransformationMatch {
 /// The set of program elements a transformation modified — the paper's ΔT.
 /// White-box transformations report this directly (Sec. 3 step 2), so no
 /// graph-diff is needed.
-#[derive(Clone, Debug, Default, PartialEq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq, Hash)]
 pub struct ChangeSet {
     /// Modified/created dataflow nodes (top-level references).
     pub nodes: Vec<NodeRef>,

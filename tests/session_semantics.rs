@@ -195,6 +195,39 @@ fn warm_rerun_is_byte_identical_and_prepares_nothing() {
     assert_eq!(session.prepared_instances(), 2 * INSTANCES);
 }
 
+/// Instances that report the same change set share one cutout: the three
+/// tiling passes touch each GEMM's map alike, so nine instances are
+/// prepared from three extractions — whatever the thread width, since
+/// concurrent instances of one change set wait for its one extraction —
+/// and the report does not depend on who extracted.
+#[test]
+fn passes_on_one_map_share_one_cutout() {
+    let reference = reference_report();
+    for threads in [1usize, 2, 8] {
+        let session = base_campaign().with_threads(threads).session();
+        assert_eq!(session.extracted_cutouts(), 0);
+        let cold = session.run(&NullSink);
+        // The report echoes `threads`; everything verified must agree.
+        assert!(
+            cold.instances == reference.instances && cold.fusion == reference.fusion,
+            "report diverged at threads={threads}"
+        );
+        assert_eq!(session.prepared_instances(), INSTANCES);
+        assert_eq!(
+            session.extracted_cutouts(),
+            3,
+            "one cutout per GEMM at threads={threads}"
+        );
+        // Warm re-runs extract nothing; a cleared cache extracts afresh.
+        session.run(&NullSink);
+        assert_eq!(session.extracted_cutouts(), 3);
+        session.clear_cache();
+        let recold = session.run(&NullSink);
+        assert!(recold.instances == reference.instances);
+        assert_eq!(session.extracted_cutouts(), 6);
+    }
+}
+
 /// Runs on one session serialize: concurrent `run` calls cannot race
 /// the artifact cache into duplicate preparations or fresh arenas, and
 /// every call still returns the byte-identical report.
