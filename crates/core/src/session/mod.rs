@@ -84,7 +84,8 @@ pub use report::{
 };
 
 use crate::verify::{
-    prepare_instance, run_prepared, CutoutMemo, PreparedInstance, VerifyConfig, VerifyError,
+    catch_panic, prepare_instance, run_prepared, CutoutMemo, PreparedInstance, VerifyConfig,
+    VerifyError,
 };
 use fuzzyflow_cutout::ProgramAnalysis;
 use fuzzyflow_evo::{EvoEvent, EvolutionFuzzer};
@@ -324,7 +325,7 @@ impl Session {
 
     /// Cumulative count of cold pipeline preparations (steps 1–4 +
     /// compile) performed by this session. A warm re-run leaves this
-    /// unchanged — the observable behind the `session_reuse` bench.
+    /// unchanged — the observable behind the benchmark's `core.prepares`.
     pub fn prepared_instances(&self) -> usize {
         self.prepares.load(Ordering::Relaxed)
     }
@@ -492,17 +493,22 @@ impl Session {
         self.prepares.fetch_add(1, Ordering::Relaxed);
         let spec = &self.specs[index];
         let vcfg = &self.verify[spec.workload];
-        let analysis = analyses[spec.workload].get_or_init(|| {
-            let (_, sdfg, _) = &self.campaign.workloads[spec.workload];
-            ProgramAnalysis::new(sdfg, vcfg.size_max.max(1))
+        // A panic while preparing is cached like any other pipeline
+        // error: a complete `Err` entry, never a half-built one.
+        let prepared = catch_panic(|| {
+            let analysis = analyses[spec.workload].get_or_init(|| {
+                let (_, sdfg, _) = &self.campaign.workloads[spec.workload];
+                ProgramAnalysis::new(sdfg, vcfg.size_max.max(1))
+            });
+            prepare_instance(
+                analysis,
+                self.campaign.transformations[spec.transformation].as_ref(),
+                &spec.m,
+                vcfg,
+                &self.cutouts[spec.workload],
+            )
         });
-        let entry = Arc::new(prepare_instance(
-            analysis,
-            self.campaign.transformations[spec.transformation].as_ref(),
-            &spec.m,
-            vcfg,
-            &self.cutouts[spec.workload],
-        ));
+        let entry = Arc::new(prepared.flatten());
         self.cache
             .lock()
             .expect("session cache poisoned")
@@ -549,43 +555,45 @@ impl Session {
             error: None,
             fault: None,
         };
-        let mut triage = None;
-        match entry.as_ref() {
+        // Trials run behind the same unwind boundary as prepare: a panic
+        // in either is this instance's pipeline error, not the campaign's.
+        let ran = match entry.as_ref() {
+            Err(error) => Err(error.clone()),
+            Ok(prepared) => catch_panic(|| match &self.campaign.evolve {
+                // Evolution mode replaces the one-shot trial batch;
+                // invalid instances still fall through so they
+                // classify as "generates invalid code" either way.
+                Some(ecfg) if prepared.invalid.is_none() => {
+                    let (diff, buckets) = run_evolved(prepared, ecfg, vcfg, sink, index);
+                    (diff, Some(buckets))
+                }
+                _ => {
+                    let total = vcfg.trials;
+                    let chunk = (total / 4).max(1);
+                    let progress = |done: usize| {
+                        if done.is_multiple_of(chunk) || done == total {
+                            sink.on_event(&Event::TrialProgress {
+                                index,
+                                trials_done: done,
+                                trials_total: total,
+                            });
+                        }
+                    };
+                    (run_prepared(prepared, vcfg, pool, Some(&progress)), None)
+                }
+            })
+            .map(|(diff, buckets)| (prepared, diff, buckets)),
+        };
+        let triage = match ran {
             Err(error) => {
-                sink.on_event(&Event::PipelineError {
-                    index,
-                    error: error.clone(),
-                });
                 report.error = Some(ErrorRecord {
                     kind: error.kind().to_string(),
                     message: error.detail(),
                 });
+                sink.on_event(&Event::PipelineError { index, error });
+                None
             }
-            Ok(prepared) => {
-                let diff = match &self.campaign.evolve {
-                    // Evolution mode replaces the one-shot trial batch;
-                    // invalid instances still fall through so they
-                    // classify as "generates invalid code" either way.
-                    Some(ecfg) if prepared.invalid.is_none() => {
-                        let (diff, buckets) = run_evolved(prepared, ecfg, vcfg, sink, index);
-                        triage = Some(buckets);
-                        diff
-                    }
-                    _ => {
-                        let total = vcfg.trials;
-                        let chunk = (total / 4).max(1);
-                        let progress = |done: usize| {
-                            if done.is_multiple_of(chunk) || done == total {
-                                sink.on_event(&Event::TrialProgress {
-                                    index,
-                                    trials_done: done,
-                                    trials_total: total,
-                                });
-                            }
-                        };
-                        run_prepared(prepared, vcfg, pool, Some(&progress))
-                    }
-                };
+            Ok((prepared, diff, buckets)) => {
                 report.label = diff.verdict.label().to_string();
                 report.trials_run = diff.trials_run;
                 report.trials_to_detection = diff.trials_to_detection;
@@ -604,8 +612,9 @@ impl Session {
                         detail: fault.detail.clone(),
                     });
                 }
+                buckets
             }
-        }
+        };
         sink.on_event(&Event::InstanceFinished {
             index,
             label: report.label.clone(),

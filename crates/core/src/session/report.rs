@@ -23,7 +23,8 @@ use std::fmt;
 /// A structured pipeline error: which stage failed, and why.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ErrorRecord {
-    /// Pipeline stage: "apply", "extract" or "replay".
+    /// Pipeline stage: "apply", "extract" or "replay" — or "panic" for an
+    /// instance that panicked while preparing or running.
     pub kind: String,
     /// Stage-specific message.
     pub message: String,

@@ -153,6 +153,9 @@ pub enum VerifyError {
     /// paper (Sec. 3 step 2) this exposes a transformation that changes
     /// elements outside its reported change set.
     Replay(TransformError),
+    /// Preparing or running the instance panicked (the payload's
+    /// message); the campaign records it and moves on.
+    Panic(String),
 }
 
 impl fmt::Display for VerifyError {
@@ -161,19 +164,21 @@ impl fmt::Display for VerifyError {
             VerifyError::Apply(e) => write!(f, "transformation failed to apply: {e}"),
             VerifyError::Extract(e) => write!(f, "cutout extraction failed: {e}"),
             VerifyError::Replay(e) => write!(f, "cutout replay failed: {e}"),
+            VerifyError::Panic(e) => write!(f, "instance panicked: {e}"),
         }
     }
 }
 
 impl VerifyError {
     /// Stable machine-readable pipeline-stage tag ("apply", "extract",
-    /// "replay") — used by campaign reports so recurring verdicts can be
-    /// deduplicated by stage without parsing prose.
+    /// "replay", "panic") — used by campaign reports so recurring verdicts
+    /// can be deduplicated by stage without parsing prose.
     pub fn kind(&self) -> &'static str {
         match self {
             VerifyError::Apply(_) => "apply",
             VerifyError::Extract(_) => "extract",
             VerifyError::Replay(_) => "replay",
+            VerifyError::Panic(_) => "panic",
         }
     }
 
@@ -181,12 +186,26 @@ impl VerifyError {
     pub fn detail(&self) -> String {
         match self {
             VerifyError::Apply(e) | VerifyError::Replay(e) => e.to_string(),
-            VerifyError::Extract(e) => e.clone(),
+            VerifyError::Extract(e) | VerifyError::Panic(e) => e.clone(),
         }
     }
 }
 
 impl std::error::Error for VerifyError {}
+
+/// Runs `f`, turning a panic anywhere below it into
+/// [`VerifyError::Panic`] — the unwind boundary that keeps one bad
+/// instance from taking the rest of a campaign with it.
+pub(crate) fn catch_panic<T>(f: impl FnOnce() -> T) -> Result<T, VerifyError> {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).map_err(|payload| {
+        let message = payload
+            .downcast_ref::<&str>()
+            .map(|s| s.to_string())
+            .or_else(|| payload.downcast_ref::<String>().cloned())
+            .unwrap_or_else(|| "non-string panic payload".to_string());
+        VerifyError::Panic(message)
+    })
+}
 
 /// Result of verifying one transformation instance.
 #[derive(Clone, Debug)]
@@ -277,9 +296,12 @@ impl CutoutMemo {
             let mut slots = self.slots.lock().expect("cutout memo poisoned");
             Arc::clone(slots.entry(changes.clone()).or_default())
         };
+        // A panicking `extract` leaves the slot empty, so the next
+        // instance with this change set extracts again.
         slot.get_or_init(|| {
+            let extracted = extract();
             self.extractions.fetch_add(1, Ordering::Relaxed);
-            extract()
+            extracted
         })
         .clone()
     }
@@ -568,6 +590,25 @@ mod tests {
             mc.reduction()
         );
         assert!(!mc.added_nodes.is_empty(), "batched matmul absorbed");
+    }
+
+    /// An extraction that panics leaves its memo slot empty — not filled
+    /// by anything half-built — so the change set's next instance
+    /// extracts for itself.
+    #[test]
+    fn panicking_extraction_leaves_the_memo_slot_empty() {
+        let memo = CutoutMemo::default();
+        let changes = ChangeSet::default();
+        let Err(VerifyError::Panic(message)) =
+            catch_panic(|| memo.get_or_extract(&changes, || panic!("mid-extraction")))
+        else {
+            panic!("the panic must surface as VerifyError::Panic");
+        };
+        assert_eq!(message, "mid-extraction");
+        assert_eq!(memo.extractions(), 0);
+        let retried = memo.get_or_extract(&changes, || Err(VerifyError::Extract("ran".into())));
+        assert!(matches!(retried, Err(VerifyError::Extract(e)) if e == "ran"));
+        assert_eq!(memo.extractions(), 1);
     }
 
     #[test]

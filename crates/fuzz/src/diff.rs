@@ -6,7 +6,7 @@ use crate::rng::{rng_split, Xoshiro256};
 use crate::sampler::{sample_state, ValueProfile};
 use crate::testcase::TestCase;
 use fuzzyflow_cutout::Cutout;
-use fuzzyflow_interp::{ExecOptions, ExecState, Executor, ExecutorArena, Program, ResetPolicy};
+use fuzzyflow_interp::{ExecOptions, ExecState, Executor, ExecutorArena, Program};
 use fuzzyflow_pool::{resolve_threads, WorkerPool};
 use std::sync::Mutex;
 
@@ -328,10 +328,6 @@ pub struct DiffTester {
     /// the calling thread. Reports are byte-identical for every setting —
     /// the verdict is always the lowest-numbered faulting trial.
     pub threads: usize,
-    /// Inter-trial buffer reset policy. The default dirty-region reset is
-    /// byte-identical to [`ResetPolicy::Full`] (enforced by the engine-
-    /// equivalence suite) and much cheaper on large containers.
-    pub reset: ResetPolicy,
     /// Out-of-bounds slop mode: single-element wild stores near a
     /// container land in its poisoned guard planes and surface as a
     /// guard-plane fault naming the offending element, instead of the
@@ -350,7 +346,6 @@ impl Default for DiffTester {
             profile: ValueProfile::default(),
             max_resamples: 200,
             threads: 0,
-            reset: ResetPolicy::default(),
             oob_slop: false,
         }
     }
@@ -373,7 +368,6 @@ impl DiffTester {
     fn exec_options(&self) -> ExecOptions {
         ExecOptions {
             max_steps: self.max_steps,
-            reset: self.reset,
             oob_slop: self.oob_slop,
             ..ExecOptions::default()
         }
@@ -747,8 +741,8 @@ mod tests {
         // Warm runs cap their width at the stash size and every finish
         // parks its pair back, so the stash can only grow if a fresh
         // arena pair was constructed — a constant size proves zero fresh
-        // construction. (The `session_reuse` bench asserts the same via
-        // `fresh_arena_count` in a controlled process.)
+        // construction. (The benchmark's `*_warm` workloads assert the
+        // same via `fresh_arena_count` in a controlled process.)
         assert_eq!(stash.len(), parked, "warm runs constructed fresh arenas");
     }
 
@@ -880,11 +874,11 @@ mod tests {
         assert!(error.contains("out-of-bounds"), "{error}");
     }
 
-    /// The dirty-region reset must never change a report: across thread
-    /// counts 1, 2 and 8 and both reset policies, faulting and clean
-    /// instances alike produce byte-identical reports.
+    /// Reports never depend on the batch width: across thread counts 1,
+    /// 2 and 8, faulting and clean instances alike produce byte-identical
+    /// reports.
     #[test]
-    fn dirty_and_full_resets_report_identically_across_threads() {
+    fn reports_are_identical_across_thread_counts() {
         for t in [
             Box::new(MapTiling::new(4)) as Box<dyn Transformation>,
             Box::new(MapTilingOffByOne::new(4)),
@@ -893,22 +887,19 @@ mod tests {
             let (c, transformed, cons) = pair(t.as_ref());
             let mut reference = None;
             for threads in [1usize, 2, 8] {
-                for reset in [ResetPolicy::Dirty, ResetPolicy::Full] {
-                    let tester = DiffTester {
-                        threads,
-                        reset,
-                        ..tester(40, 2024)
-                    };
-                    let got = format!("{:?}", test(&tester, &c, &transformed, &cons));
-                    match &reference {
-                        None => reference = Some(got),
-                        Some(want) => assert_eq!(
-                            want,
-                            &got,
-                            "report diverged for {} (threads={threads}, {reset:?})",
-                            t.name()
-                        ),
-                    }
+                let tester = DiffTester {
+                    threads,
+                    ..tester(40, 2024)
+                };
+                let got = format!("{:?}", test(&tester, &c, &transformed, &cons));
+                match &reference {
+                    None => reference = Some(got),
+                    Some(want) => assert_eq!(
+                        want,
+                        &got,
+                        "report diverged for {} (threads={threads})",
+                        t.name()
+                    ),
                 }
             }
         }

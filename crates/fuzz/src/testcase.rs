@@ -56,20 +56,6 @@ fn dtype_from(name: &str) -> Option<DType> {
     })
 }
 
-/// Total element count of a shape, `None` on product overflow. Parsers
-/// must call this (and bound the count against the supplied data) before
-/// allocating: serialized cases may come from untrusted sources.
-fn checked_element_count(shape: &[i64]) -> Option<usize> {
-    let mut n: u64 = 1;
-    for &d in shape {
-        if d < 0 {
-            return None;
-        }
-        n = n.checked_mul(d as u64)?;
-    }
-    usize::try_from(n).ok()
-}
-
 fn scalar_to_hex(s: Scalar) -> String {
     match s {
         Scalar::F64(v) => format!("{:016x}", v.to_bits()),
@@ -209,7 +195,7 @@ impl TestCase {
                 // hex digits plus a separator), so a count beyond the
                 // document length is unsatisfiable — reject it before
                 // allocating anything.
-                let elems = checked_element_count(&shape)
+                let elems = ArrayValue::element_count(&shape)
                     .ok_or_else(|| TestCaseParseError(format!("shape {shape:?} overflows")))?;
                 if elems > text.len() {
                     return Err(TestCaseParseError("truncated array data".into()));
@@ -358,7 +344,7 @@ impl TestCase {
             // *before* allocating: reports may come from untrusted
             // sources, and a hostile shape like [1 << 30, 8] must yield a
             // parse error, not an overflow panic or a giant allocation.
-            let elems = checked_element_count(&shape)
+            let elems = ArrayValue::element_count(&shape)
                 .ok_or_else(|| TestCaseParseError(format!("array '{name}': shape overflows")))?;
             let supplied = bits.split_whitespace().count();
             if supplied != elems {

@@ -10,20 +10,13 @@ use fuzzyflow_ir::{
 use std::collections::BTreeMap;
 
 /// How a reused [`Executor`](crate::Executor) restores its retained
-/// allocation buffers between trials.
+/// allocation buffers between trials. There is one way — the name and
+/// the [`ExecOptions::reset`] field stay because callers spell them.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum ResetPolicy {
-    /// Reset only the granules the previous run dirtied, from the
-    /// pristine fill pattern tracked in the arena — bit-identical to
-    /// [`ResetPolicy::Full`] (enforced by the engine-equivalence suite)
-    /// but skipping the full-container memset/refill on large,
-    /// sparsely-written containers. Falls back to a full reset whenever
-    /// tracking cannot vouch for a buffer (fresh allocations, tiny
-    /// containers, program or shape changes, non-affine writes).
+    /// Refill every reused allocation (host zeros / device garbage) and
+    /// re-poison its guard planes.
     #[default]
-    Dirty,
-    /// Unconditionally refill every reused allocation (the reference
-    /// behavior; the `trial_reset` bench measures the gap).
     Full,
 }
 
@@ -33,8 +26,7 @@ pub struct ExecOptions {
     /// Step budget; exceeding it raises [`ExecError::StepLimitExceeded`]
     /// (the hang oracle of paper Sec. 5.1).
     pub max_steps: u64,
-    /// Between-trial reset strategy for reused executors. Ignored by the
-    /// tree-walk engine, which never reuses buffers.
+    /// Between-trial reset of reused executors; see [`ResetPolicy`].
     pub reset: ResetPolicy,
     /// Out-of-bounds *slop* mode for the compiled engine: a plain
     /// (non-WCR) store whose subscript fails its bounds check is modeled
@@ -71,6 +63,23 @@ impl Default for ExecOptions {
             jit: true,
         }
     }
+}
+
+/// Rejects a concrete shape neither engine may allocate: a negative
+/// dimension, or an element count that overflows. Shared by the tree
+/// walk and the compiled engine so both report the same error.
+pub(crate) fn check_alloc_shape(name: &str, shape: &[i64]) -> Result<(), ExecError> {
+    if shape.iter().any(|&d| d < 0) {
+        return Err(ExecError::Malformed(format!(
+            "container '{name}' has negative dimension in shape {shape:?}"
+        )));
+    }
+    if ArrayValue::element_count(shape).is_none() {
+        return Err(ExecError::Malformed(format!(
+            "container '{name}' has an overflowing element count in shape {shape:?}"
+        )));
+    }
+    Ok(())
 }
 
 /// Handler for distributed collectives, installed by the `fuzzyflow-dist`
@@ -283,11 +292,7 @@ impl<'a> Exec<'a> {
                 continue;
             }
             let shape = desc.concrete_shape(&st.symbols).map_err(ExecError::from)?;
-            if shape.iter().any(|&d| d < 0) {
-                return Err(ExecError::Malformed(format!(
-                    "container '{name}' has negative dimension in shape {shape:?}"
-                )));
-            }
+            check_alloc_shape(name, &shape)?;
             let value = match desc.storage {
                 Storage::Host => ArrayValue::zeros(desc.dtype, shape),
                 Storage::Device => ArrayValue::garbage(desc.dtype, shape),

@@ -26,7 +26,7 @@
 //! inside the same blob. Lane strides other than the unit stride the
 //! pair loads assume are detected per run and fall back per-kernel
 //! ([`JitReject::NonUnitStrideLanes`]) — never per-element — so error
-//! ordering, step accounting and dirty-span recording stay bit-identical.
+//! ordering and step accounting stay bit-identical.
 //!
 //! `min`/`max` (both as body instructions and as write-conflict
 //! combiners) are emitted NaN- and signed-zero-exactly with the same

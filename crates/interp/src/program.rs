@@ -19,8 +19,8 @@
 use crate::coverage::{location_id, CoverageMap};
 use crate::error::ExecError;
 use crate::exec::{
-    apply_bin, apply_cmp, apply_un, combine_wcr, matmul, reduce, softmax, CommHandler, ExecOptions,
-    ExecState, ResetPolicy, StateMismatch,
+    apply_bin, apply_cmp, apply_un, check_alloc_shape, combine_wcr, matmul, reduce, softmax,
+    CommHandler, ExecOptions, ExecState, StateMismatch,
 };
 use crate::jit::JitReject;
 use crate::value::ArrayValue;
@@ -2424,86 +2424,6 @@ impl RunCtx<'_> {
     }
 }
 
-/// Spans a [`DirtySet`] holds before further marks coalesce into the
-/// nearest existing span (bounded so marking stays O(1) per write plan).
-const DIRTY_SPAN_CAP: usize = 8;
-
-/// Containers smaller than this always take the full-reset path: below
-/// it, a straight memset is at least as cheap as span bookkeeping, and
-/// the tracking metadata would be pure overhead.
-const DIRTY_MIN_ELEMS: usize = 4096;
-
-/// The fill pattern a retained allocation buffer held the last time it
-/// was reset — what [`Executor::allocate`] restores dirty granules from.
-/// `Unknown` forces a full reset (fresh buffer, program switch, slot
-/// recycled through an input or `run_in_place`, shape change).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-enum Pristine {
-    #[default]
-    Unknown,
-    Zero,
-    Garbage,
-}
-
-/// Coarse per-container record of the linear element ranges a run wrote:
-/// a bounded set of half-open spans, conservatively merged (`dirty ⊇
-/// written` always holds; over-approximation only costs reset work,
-/// never correctness). Non-affine or unbounded writes degrade to
-/// [`DirtySet::mark_all`].
-#[derive(Clone, Debug, Default)]
-struct DirtySet {
-    all: bool,
-    spans: Vec<(usize, usize)>,
-}
-
-impl DirtySet {
-    fn clear(&mut self) {
-        self.all = false;
-        self.spans.clear();
-    }
-
-    fn mark_all(&mut self) {
-        self.all = true;
-        self.spans.clear();
-    }
-
-    /// Records the half-open span `lo..hi` as written, merging with an
-    /// overlapping or adjacent span when one exists and coalescing into
-    /// the nearest span once [`DIRTY_SPAN_CAP`] is reached.
-    fn mark(&mut self, lo: usize, hi: usize) {
-        if self.all || lo >= hi {
-            return;
-        }
-        for s in &mut self.spans {
-            if lo <= s.1 && s.0 <= hi {
-                s.0 = s.0.min(lo);
-                s.1 = s.1.max(hi);
-                return;
-            }
-        }
-        if self.spans.len() < DIRTY_SPAN_CAP {
-            self.spans.push((lo, hi));
-            return;
-        }
-        let nearest = self
-            .spans
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, s)| if hi <= s.0 { s.0 - hi } else { lo - s.1 })
-            .map(|(i, _)| i)
-            .expect("span cap is non-zero");
-        let s = &mut self.spans[nearest];
-        s.0 = s.0.min(lo);
-        s.1 = s.1.max(hi);
-    }
-
-    /// Total elements covered (an upper bound; spans may overlap after
-    /// merges). Used to decide whether a selective reset is worthwhile.
-    fn covered(&self) -> usize {
-        self.spans.iter().map(|s| s.1 - s.0).sum()
-    }
-}
-
 /// Counts freshly constructed [`ExecutorArena`]s process-wide — the
 /// observable arena parking exists to minimize (benches assert warm
 /// campaign re-runs construct none).
@@ -2553,15 +2473,6 @@ pub struct ExecutorArena {
     fouts: Vec<ArrayValue>,
     /// Native-kernel call frame (see [`crate::jit::lower::JitLayout`]).
     jframe: Vec<u64>,
-    /// Per-slot record of what the last run wrote (selective resets).
-    dirty: Vec<DirtySet>,
-    /// Per-slot pristine pattern the retained buffer held outside its
-    /// dirty spans. Invalidated whenever a slot's contents stop being
-    /// engine-controlled (inputs, `run_in_place`, program switches).
-    pristine: Vec<Pristine>,
-    /// Identity of the program the tracking state belongs to; arenas
-    /// recycle across programs, so a mismatch wipes `dirty`/`pristine`.
-    tracked_prog: Option<u64>,
     /// First wild store of the run under [`ExecOptions::oob_slop`]
     /// (slot index + faulting point), reported after the run as
     /// [`ExecError::GuardViolation`].
@@ -2605,17 +2516,6 @@ impl<'p> Executor<'p> {
         a.live.resize(prog.data.len(), false);
         a.extra_syms.clear();
         a.extra_arrays.clear();
-        // Dirty/pristine tracking is only meaningful for the program that
-        // produced it: a recycled arena attached to a different program
-        // maps slot indices to different containers, so wipe the record
-        // (retained buffers stay; they just take one full reset).
-        if a.tracked_prog != Some(prog.id) {
-            a.tracked_prog = Some(prog.id);
-            a.pristine.clear();
-            a.dirty.clear();
-        }
-        a.pristine.resize(prog.data.len(), Pristine::Unknown);
-        a.dirty.resize_with(prog.data.len(), DirtySet::default);
         a.guard_fault = None;
         Executor { prog, a }
     }
@@ -2664,10 +2564,6 @@ impl<'p> Executor<'p> {
                         }
                     }
                     self.a.live[id.idx()] = true;
-                    // The slot now holds caller data, not a pristine fill
-                    // pattern; if a later trial allocates it, reset fully.
-                    self.a.pristine[id.idx()] = Pristine::Unknown;
-                    self.a.dirty[id.idx()].mark_all();
                 }
                 None => self.a.extra_arrays.push((name.clone(), arr.clone())),
             }
@@ -2704,15 +2600,6 @@ impl<'p> Executor<'p> {
                 self.a.arrays[i] = Some(arr);
                 self.a.live[i] = true;
             }
-        }
-        // Every slot either holds injected caller data now or gives its
-        // buffer away to `state` afterwards — no retained pattern to
-        // vouch for either way.
-        for p in &mut self.a.pristine {
-            *p = Pristine::Unknown;
-        }
-        for d in &mut self.a.dirty {
-            d.clear();
         }
         let res = self.run_loaded(opts, comm, cov);
         // Write back even on error: the tree-walk engine mutates its state
@@ -2842,16 +2729,6 @@ impl<'p> Executor<'p> {
         st
     }
 
-    /// Test-only inspection of the dirty record for a container: returns
-    /// `(mark_all, spans)` as of the last run (spans survive until the
-    /// next trial's `allocate` resets them). Not a stable API.
-    #[doc(hidden)]
-    pub fn dirty_spans(&self, name: &str) -> Option<(bool, Vec<(usize, usize)>)> {
-        let id = self.prog.data_id(name)?;
-        let d = self.a.dirty.get(id.idx())?;
-        Some((d.all, d.spans.clone()))
-    }
-
     // ----- runtime ------------------------------------------------------
 
     fn run_loaded(
@@ -2869,7 +2746,7 @@ impl<'p> Executor<'p> {
             jit: opts.jit,
         };
         self.a.guard_fault = None;
-        self.allocate(opts.reset)?;
+        self.allocate()?;
         let prog = self.prog;
         let mut current = prog.start;
         loop {
@@ -2931,16 +2808,11 @@ impl<'p> Executor<'p> {
         Ok(())
     }
 
-    /// Allocates declared containers the caller did not provide, reusing
-    /// retained buffers of matching dtype/shape from previous runs.
-    ///
-    /// Under [`ResetPolicy::Dirty`], a retained buffer whose pristine
-    /// pattern is still on record is restored by refilling only the spans
-    /// the previous run dirtied (plus a guard re-poison) — bit-identical
-    /// to the full refill because `dirty ⊇ written`. Any doubt (unknown
-    /// pattern, tiny container, mostly-dirty buffer, `mark_all`) falls
-    /// back to the full fill.
-    fn allocate(&mut self, reset: ResetPolicy) -> Result<(), ExecError> {
+    /// Allocates declared containers the caller did not provide: a
+    /// retained buffer of matching dtype/shape from a previous run is
+    /// refilled in place (host zeros / device garbage, guards re-poisoned),
+    /// anything else is allocated.
+    fn allocate(&mut self) -> Result<(), ExecError> {
         let prog = self.prog;
         for ap in &prog.arrays {
             let i = ap.data.idx();
@@ -2951,53 +2823,21 @@ impl<'p> Executor<'p> {
             for ic in &ap.shape {
                 shape.push(self.eval_idx(ic)?);
             }
-            if shape.iter().any(|&d| d < 0) {
-                return Err(ExecError::Malformed(format!(
-                    "container '{}' has negative dimension in shape {shape:?}",
-                    prog.data.names[i]
-                )));
-            }
-            let reusable = matches!(
-                &self.a.arrays[i],
-                Some(buf) if buf.dtype() == ap.dtype && buf.shape() == shape.as_slice()
-            );
-            let want = match ap.storage {
-                Storage::Host => Pristine::Zero,
-                Storage::Device => Pristine::Garbage,
-            };
-            if reusable {
-                let dset = std::mem::take(&mut self.a.dirty[i]);
-                let buf = self.a.arrays[i].as_mut().expect("checked above");
-                let selective = reset == ResetPolicy::Dirty
-                    && self.a.pristine[i] == want
-                    && !dset.all
-                    && buf.len() >= DIRTY_MIN_ELEMS
-                    && dset.covered() < buf.len() / 2;
-                if selective {
-                    for &(lo, hi) in &dset.spans {
-                        match ap.storage {
-                            Storage::Host => buf.fill_zero_range(lo, hi),
-                            Storage::Device => buf.fill_garbage_range(lo, hi),
-                        }
-                    }
-                    buf.repoison_guards();
-                } else {
+            check_alloc_shape(&prog.data.names[i], &shape)?;
+            match &mut self.a.arrays[i] {
+                Some(buf) if buf.dtype() == ap.dtype && buf.shape() == shape.as_slice() => {
                     match ap.storage {
                         Storage::Host => buf.fill_zero(),
                         Storage::Device => buf.fill_garbage(),
                     }
                 }
-                let mut dset = dset;
-                dset.clear();
-                self.a.dirty[i] = dset;
-            } else {
-                self.a.arrays[i] = Some(match ap.storage {
-                    Storage::Host => ArrayValue::zeros(ap.dtype, shape),
-                    Storage::Device => ArrayValue::garbage(ap.dtype, shape),
-                });
-                self.a.dirty[i].clear();
+                slot => {
+                    *slot = Some(match ap.storage {
+                        Storage::Host => ArrayValue::zeros(ap.dtype, shape),
+                        Storage::Device => ArrayValue::garbage(ap.dtype, shape),
+                    });
+                }
             }
-            self.a.pristine[i] = want;
             self.a.live[i] = true;
         }
         Ok(())
@@ -3351,36 +3191,6 @@ impl<'p> Executor<'p> {
         let scalar_body = fk.has_select || interleave;
         // The precheck proved the whole kernel fits the step budget.
         ctx.steps += ticks;
-
-        // Dirty marking: each output's touched offsets span the interval
-        // [base + sum(min(stride*span)), base + sum(max(stride*span))] over
-        // the concrete iteration box — O(dims) per kernel, not per element.
-        {
-            let n_in = fk.inputs.len();
-            let n_dims = self.a.fdims.len();
-            for (oi, o) in fk.outputs.iter().enumerate() {
-                let a_idx = n_in + oi;
-                let mut lo = self.a.fbases[a_idx] as i128;
-                let mut hi = lo;
-                for d in 0..n_dims {
-                    let span = self.a.fstrides[a_idx * n_dims + d] as i128
-                        * (self.a.fdims[d].len() as i128 - 1);
-                    if span < 0 {
-                        lo += span;
-                    } else {
-                        hi += span;
-                    }
-                }
-                let di = o.data.idx();
-                let len = self.a.arrays[di]
-                    .as_ref()
-                    .expect("guarded slot holds a buffer")
-                    .len() as i128;
-                let lo = lo.clamp(0, len) as usize;
-                let hi = (hi + 1).clamp(0, len) as usize;
-                self.a.dirty[di].mark(lo, hi.max(lo));
-            }
-        }
 
         let mut rf = std::mem::take(&mut self.a.fk_regs_f);
         let mut rb = std::mem::take(&mut self.a.fk_regs_b);
@@ -4027,25 +3837,6 @@ impl<'p> Executor<'p> {
             }
             ctx.tick(volume as u64)?;
             let i = plan.data.idx();
-            // Record the dirty span before storing — a conservative
-            // superset of what lands even if the store traps mid-subset.
-            let (dlo, dhi) = {
-                let arr = self.a.arrays[i]
-                    .as_ref()
-                    .expect("guarded slot holds a buffer");
-                match &plan.kind {
-                    MemKind::Single(_) => {
-                        match fuzzyflow_ir::DataDesc::linearize(arr.shape(), &point) {
-                            Some(off) => (off, off + 1),
-                            None => (0, 0),
-                        }
-                    }
-                    MemKind::Ranges(_) => {
-                        range_write_bounds(&dims, arr.shape(), arr.len()).unwrap_or((0, 0))
-                    }
-                }
-            };
-            self.a.dirty[i].mark(dlo, dhi);
             let name = &prog.data.names[i];
             let arr = self.a.arrays[i]
                 .as_mut()
@@ -4373,20 +4164,6 @@ impl<'p> Executor<'p> {
             return Err(ExecError::UnknownData(self.prog.data.names[i].clone()));
         }
         let mut arr = self.a.arrays[i].take().expect("live slot holds a buffer");
-        // Record the dirty span before storing — a conservative superset
-        // of what lands even if the store traps mid-subset.
-        match &plan.kind {
-            MemKind::Single(_) => {
-                if let Some(off) = fuzzyflow_ir::DataDesc::linearize(arr.shape(), point) {
-                    self.a.dirty[i].mark(off, off + 1);
-                }
-            }
-            MemKind::Ranges(_) => {
-                if let Some((lo, hi)) = range_write_bounds(dims, arr.shape(), arr.len()) {
-                    self.a.dirty[i].mark(lo, hi);
-                }
-            }
-        }
         let name = &self.prog.data.names[i];
         let res =
             (|| -> Result<(), ExecError> {
@@ -4433,10 +4210,10 @@ impl<'p> Executor<'p> {
     /// Out-of-bounds slop mode ([`ExecOptions::oob_slop`]): re-model a
     /// trapped single-element, non-WCR store as a native wild store. A
     /// write that folds back into the payload silently corrupts a
-    /// neighbouring element (and is marked dirty); one landing in a
-    /// guard plane records the faulting element for post-run
-    /// [`ExecError::GuardViolation`] reporting; anything further out
-    /// keeps the [`ExecError::OutOfBounds`] trap.
+    /// neighbouring element; one landing in a guard plane records the
+    /// faulting element for post-run [`ExecError::GuardViolation`]
+    /// reporting; anything further out keeps the
+    /// [`ExecError::OutOfBounds`] trap.
     fn slop_rescue(
         &mut self,
         res: Result<(), ExecError>,
@@ -4463,9 +4240,8 @@ impl<'p> Executor<'p> {
         if !arr.poke_linear(off, val) {
             return res;
         }
-        if off >= 0 && (off as usize) < arr.len() {
-            self.a.dirty[i].mark(off as usize, off as usize + 1);
-        } else if self.a.guard_fault.is_none() {
+        let in_payload = off >= 0 && (off as usize) < arr.len();
+        if !in_payload && self.a.guard_fault.is_none() {
             self.a.guard_fault = Some((i, point.to_vec()));
         }
         Ok(())
@@ -4601,34 +4377,6 @@ fn signed_linearize(shape: &[i64], point: &[i64]) -> Option<i64> {
         stride *= shape[d] as i128;
     }
     i64::try_from(off).ok()
-}
-
-/// Conservative half-open linear bounds covering every element a range
-/// subset can write: the row-major offsets of the component-wise minimum
-/// and maximum points (concrete ranges have positive steps and row-major
-/// strides are non-negative, so these bound all visited points), clamped
-/// to the payload. `None` on rank mismatch — no point linearizes then,
-/// so nothing is written.
-fn range_write_bounds(dims: &[ConcreteRange], shape: &[i64], len: usize) -> Option<(usize, usize)> {
-    if dims.len() != shape.len() {
-        return None;
-    }
-    let mut stride = 1i128;
-    let mut lo = 0i128;
-    let mut hi = 0i128;
-    for d in (0..dims.len()).rev() {
-        let r = &dims[d];
-        let n = r.len() as i128;
-        if n == 0 {
-            return Some((0, 0));
-        }
-        lo += (r.start as i128) * stride;
-        hi += (r.start as i128 + (n - 1) * r.step as i128) * stride;
-        stride *= shape[d] as i128;
-    }
-    let lo = lo.clamp(0, len as i128) as usize;
-    let hi = (hi + 1).clamp(0, len as i128) as usize;
-    Some((lo, hi.max(lo)))
 }
 
 /// Row-major iteration over the contiguous rows of a dense, fully

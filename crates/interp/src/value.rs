@@ -85,21 +85,36 @@ pub struct ArrayValue {
 }
 
 impl ArrayValue {
+    /// Number of payload elements a `shape` holds (1 for rank 0); `None`
+    /// when a dimension is negative or the product overflows.
+    pub fn element_count(shape: &[i64]) -> Option<usize> {
+        if shape.iter().any(|&d| d < 0) {
+            return None;
+        }
+        if shape.contains(&0) {
+            return Some(0);
+        }
+        shape
+            .iter()
+            .try_fold(1usize, |n, &d| n.checked_mul(usize::try_from(d).ok()?))
+    }
+
     /// A zero-filled array.
     ///
     /// # Panics
     ///
-    /// Panics if any dimension is negative. Negative extents are always a
-    /// shape bug in the caller; silently clamping them to empty arrays
-    /// would let the bug surface far downstream as a confusing
-    /// zero-length-data failure instead of at the allocation site.
+    /// Panics if any dimension is negative or the element count
+    /// overflows. Such extents are always a shape bug in the caller;
+    /// silently clamping or wrapping them to empty arrays would let the
+    /// bug surface far downstream as a confusing zero-length-data failure
+    /// instead of at the allocation site.
     pub fn zeros(dtype: DType, shape: Vec<i64>) -> Self {
         assert!(
             shape.iter().all(|&d| d >= 0),
             "ArrayValue::zeros: negative dimension in shape {shape:?}"
         );
-        let n = shape.iter().product::<i64>() as usize;
-        let n = if shape.is_empty() { 1 } else { n };
+        let n = Self::element_count(&shape)
+            .unwrap_or_else(|| panic!("ArrayValue::zeros: element count overflows in {shape:?}"));
         let data = match dtype {
             DType::F64 => Data::F64(guarded_vec(n, 0.0, f64::from_bits(POISON_F64))),
             DType::F32 => Data::F32(guarded_vec(n, 0.0, f32::from_bits(POISON_F32))),
@@ -143,33 +158,6 @@ impl ArrayValue {
             Data::Bool(v) => v.fill(GARBAGE_BOOL),
         }
         self.repoison_guards();
-    }
-
-    /// Resets payload elements `lo..hi` (clamped to the payload) to zero.
-    /// Selective trial resets restore only dirty granules through this.
-    pub fn fill_zero_range(&mut self, lo: usize, hi: usize) {
-        let (lo, hi) = (lo.min(self.len()), hi.min(self.len()));
-        let (lo, hi) = (lo + GUARD_ELEMS, hi + GUARD_ELEMS);
-        match &mut self.data {
-            Data::F64(v) => v[lo..hi].fill(0.0),
-            Data::F32(v) => v[lo..hi].fill(0.0),
-            Data::I64(v) => v[lo..hi].fill(0),
-            Data::I32(v) => v[lo..hi].fill(0),
-            Data::Bool(v) => v[lo..hi].fill(false),
-        }
-    }
-
-    /// Resets payload elements `lo..hi` (clamped) to the garbage sentinel.
-    pub fn fill_garbage_range(&mut self, lo: usize, hi: usize) {
-        let (lo, hi) = (lo.min(self.len()), hi.min(self.len()));
-        let (lo, hi) = (lo + GUARD_ELEMS, hi + GUARD_ELEMS);
-        match &mut self.data {
-            Data::F64(v) => v[lo..hi].fill(f64::from_bits(GARBAGE_BITS)),
-            Data::F32(v) => v[lo..hi].fill(f32::from_bits(GARBAGE_BITS_F32)),
-            Data::I64(v) => v[lo..hi].fill(GARBAGE_BITS_I64),
-            Data::I32(v) => v[lo..hi].fill(GARBAGE_BITS_I32),
-            Data::Bool(v) => v[lo..hi].fill(GARBAGE_BOOL),
-        }
     }
 
     /// Rewrites both guard planes with their poison pattern, erasing any
@@ -564,9 +552,6 @@ mod tests {
             assert!(a.guards_intact(), "{dt:?} guards survive fill_garbage");
             a.fill_zero();
             assert!(a.guards_intact(), "{dt:?} guards survive fill_zero");
-            a.fill_zero_range(0, 5);
-            a.fill_garbage_range(2, 5);
-            assert!(a.guards_intact(), "{dt:?} guards survive range fills");
         }
     }
 

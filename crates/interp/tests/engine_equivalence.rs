@@ -13,7 +13,7 @@ use fuzzyflow_interp::coverage::MAP_SIZE;
 use fuzzyflow_interp::value::GARBAGE_BITS;
 use fuzzyflow_interp::{
     jit_native_runs, jit_native_runs_split, run_with_tree_walk, ArrayValue, CompileOptions,
-    CoverageMap, ExecError, ExecOptions, ExecState, Program, ResetPolicy,
+    CoverageMap, ExecError, ExecOptions, ExecState, Program,
 };
 use fuzzyflow_ir::{
     sym, BinOp, CmpOp, DType, LibraryOp, Memlet, ScalarExpr, Schedule, Sdfg, SdfgBuilder, Storage,
@@ -392,46 +392,26 @@ fn assert_engines_agree(p: &Sdfg, input: &ExecState, max_steps: u64) -> Result<(
         unf_cov.edges_hit()
     );
 
-    // A reused executor must behave exactly like a fresh one (the arena
-    // reset is what the trial loop relies on). The fifth equivalence axis
-    // runs the reuse under both reset policies: the dirty-region reset
-    // must stay bit-identical — results, states, step accounting and
-    // coverage — to the exhaustive full reset across repeated trials.
-    let mut dirty_opts = opts.clone();
-    dirty_opts.reset = ResetPolicy::Dirty;
-    let mut full_opts = opts.clone();
-    full_opts.reset = ResetPolicy::Full;
-    let mut dirty_exec = prog.executor();
-    let mut full_exec = prog.executor();
+    // Fifth axis: a reused executor must behave exactly like a fresh one
+    // (the arena reset is what the trial loop relies on) — results,
+    // states, step accounting and coverage stay bit-identical to the tree
+    // walk across repeated trials.
+    let mut reused = prog.executor();
     for trial in 0..3 {
-        let mut dirty_cov = CoverageMap::new();
-        let mut full_cov = CoverageMap::new();
-        let d = dirty_exec.execute(input, &dirty_opts, None, Some(&mut dirty_cov));
-        let f = full_exec.execute(input, &full_opts, None, Some(&mut full_cov));
+        let mut reused_cov = CoverageMap::new();
+        let r = reused.execute(input, &opts, None, Some(&mut reused_cov));
         assert_eq!(
-            format!("{d:?}"),
+            format!("{r:?}"),
             format!("{tree_res:?}"),
             "reused executor diverges on trial {trial}"
         );
-        assert_eq!(
-            format!("{d:?}"),
-            format!("{f:?}"),
-            "dirty-reset result diverges from full reset on trial {trial}"
-        );
         if tree_res.is_ok() {
-            assert_states_bit_identical(&tree_state, &dirty_exec.to_state());
+            assert_states_bit_identical(&tree_state, &reused.to_state());
         }
-        assert_states_bit_identical(&dirty_exec.to_state(), &full_exec.to_state());
-        let mut dirty_virgin = [0u8; MAP_SIZE];
-        let mut full_virgin = [0u8; MAP_SIZE];
-        dirty_cov.merge_into(&mut dirty_virgin);
-        full_cov.merge_into(&mut full_virgin);
+        let mut reused_virgin = [0u8; MAP_SIZE];
+        reused_cov.merge_into(&mut reused_virgin);
         assert!(
-            dirty_virgin[..] == full_virgin[..],
-            "dirty-reset coverage diverges from full reset on trial {trial}"
-        );
-        assert!(
-            dirty_virgin[..] == tree_virgin[..],
+            reused_virgin[..] == tree_virgin[..],
             "reused-executor coverage diverges from fresh run on trial {trial}"
         );
     }
@@ -631,6 +611,45 @@ fn overflow_error_parity_in_subscripts() {
         // enough that a careless lowering diverges; agreement is the
         // assertion, the concrete outcome is free to be Ok or Err.
         let _ = res;
+    }
+}
+
+/// An engine-allocated `[N, N]` container at `N = 2^32` has an element
+/// count that overflows: every engine must refuse the allocation with
+/// the same `Malformed` error instead of wrapping to an empty buffer (or
+/// panicking under overflow checks).
+#[test]
+fn overflowing_element_count_is_malformed_in_both_engines() {
+    let mut b = SdfgBuilder::new("huge");
+    b.symbol("N");
+    b.array("A", DType::F64, &["4"]);
+    b.transient("T", DType::F64, &["N", "N"]);
+    let st = b.start();
+    b.in_state(st, |df| {
+        let a = df.access("A");
+        let o = df.access("T");
+        let t = df.tasklet(Tasklet::simple("cp", vec!["x"], "y", ScalarExpr::r("x")));
+        df.read(
+            a,
+            t,
+            Memlet::new("A", Subset::at(vec![SymExpr::Int(0)])).to_conn("x"),
+        );
+        df.write(
+            t,
+            o,
+            Memlet::new("T", Subset::at(vec![SymExpr::Int(0), SymExpr::Int(0)])).from_conn("y"),
+        );
+    });
+    let p = b.build();
+    let mut input = ExecState::new();
+    input.bind("N", 1 << 32);
+    input.set_array("A", ArrayValue::from_f64(vec![4], &[1.0, 2.0, 3.0, 4.0]));
+    match assert_engines_agree(&p, &input, 1_000_000) {
+        Err(ExecError::Malformed(msg)) => assert!(
+            msg.contains("'T'") && msg.contains("overflowing element count"),
+            "error names the container and the cause: {msg}"
+        ),
+        other => panic!("expected a Malformed allocation error, got {other:?}"),
     }
 }
 

@@ -1,11 +1,11 @@
-//! Dirty-region tracking and guard-plane tests.
+//! Trial-reset and guard-plane tests.
 //!
-//! Two properties of the selective-reset layer are pinned here:
-//!
-//! 1. **Coverage** — the dirty set an execution records for a container
-//!    is a superset of every element the run actually wrote, across the
-//!    per-element plans, bulk range copies, WCR accumulation and the
-//!    fused-kernel path (shadow-diffed against the pristine zero fill).
+//! 1. **Reset** — an executor reused across trials with *different*
+//!    inputs leaves every engine-allocated container bit-identical,
+//!    payload and guard planes, to what a fresh executor produces, across
+//!    per-element stores, WCR accumulation, bulk range copies, the
+//!    fused-kernel path, and host (zero-filled) and device
+//!    (garbage-filled) storage.
 //! 2. **Guard planes** — out-of-bounds stores land where native code
 //!    would put them: in trap mode they raise `OutOfBounds`; in slop
 //!    mode a near miss corrupts the poisoned guard plane and is reported
@@ -13,27 +13,28 @@
 //!    faulting element, a payload fold-back silently corrupts the
 //!    neighboring element, and a far wild store still traps.
 
-use fuzzyflow_interp::{
-    ArrayValue, CompileOptions, ExecError, ExecOptions, ExecState, Program, ResetPolicy,
-};
+use fuzzyflow_interp::{ArrayValue, CompileOptions, ExecError, ExecOptions, ExecState, Program};
 use fuzzyflow_ir::{
-    sym, DType, LibraryOp, Memlet, ScalarExpr, Schedule, Sdfg, SdfgBuilder, Subset, SymExpr,
-    SymRange, Tasklet, Wcr,
+    sym, DType, DataDesc, LibraryOp, Memlet, ScalarExpr, Schedule, Sdfg, SdfgBuilder, Storage,
+    Subset, SymExpr, SymRange, Tasklet, Wcr,
 };
-use proptest::prelude::*;
 
-/// Container size comfortably above the selective-reset threshold, so
-/// warm trials of these programs exercise the dirty-span refill path.
-const BIG: &str = "8192";
+/// Output container size: far more than any one trial writes, so residue
+/// a reset left behind from an earlier, larger trial would show.
+const BIG: i64 = 8192;
+
+fn big_output(storage: Storage) -> DataDesc {
+    DataDesc::array(DType::F64, vec![SymExpr::Int(BIG)]).in_storage(storage)
+}
 
 /// `B[i*stride + offset] (=|+=) A[i]` over `i in 0..N`, with `B` a big
 /// engine-allocated container — per-element stores (fused, f64 fast
 /// path, or generic bytecode depending on compile options).
-fn scatter_program(wcr: Option<Wcr>, stride: i64, offset: i64) -> Sdfg {
+fn scatter_program(wcr: Option<Wcr>, stride: i64, offset: i64, storage: Storage) -> Sdfg {
     let mut b = SdfgBuilder::new("scatter");
     b.symbol("N");
     b.array("A", DType::F64, &["N"]);
-    b.array("B", DType::F64, &[BIG]);
+    b.array_desc("B", big_output(storage));
     let st = b.start();
     b.in_state(st, |df| {
         let a = df.access("A");
@@ -75,11 +76,11 @@ fn scatter_program(wcr: Option<Wcr>, stride: i64, offset: i64) -> Sdfg {
 
 /// `B[0:N] = softmax(A[0:N])` — a bulk range write into the prefix of a
 /// big container through the library-node path.
-fn bulk_program() -> Sdfg {
+fn bulk_program(storage: Storage) -> Sdfg {
     let mut b = SdfgBuilder::new("bulk");
     b.symbol("N");
     b.array("A", DType::F64, &["N"]);
-    b.array("B", DType::F64, &[BIG]);
+    b.array_desc("B", big_output(storage));
     let st = b.start();
     b.in_state(st, |df| {
         let a = df.access("A");
@@ -107,42 +108,6 @@ fn input_for(n: i64) -> ExecState {
     st
 }
 
-/// Runs `p` three times on one executor (fresh alloc, then two
-/// dirty-reset reuses) and asserts, per trial, that every element of `B`
-/// that differs from the pristine zero fill lies inside the recorded
-/// dirty set, and that warm trials are bit-identical to the first.
-fn assert_dirty_covers_writes(p: &Sdfg, input: &ExecState, copts: &CompileOptions) {
-    let prog = Program::compile_with_options(p, copts);
-    let mut exec = prog.executor();
-    let opts = ExecOptions::default();
-    let mut first_bits: Option<Vec<u64>> = None;
-    for trial in 0..3 {
-        exec.execute(input, &opts, None, None)
-            .unwrap_or_else(|e| panic!("trial {trial} failed: {e}"));
-        let arr = exec.array("B").expect("B allocated");
-        let bits: Vec<u64> = (0..arr.len())
-            .map(|i| arr.get(i).as_f64().to_bits())
-            .collect();
-        let (all, spans) = exec.dirty_spans("B").expect("B tracked");
-        for (i, &b) in bits.iter().enumerate() {
-            if b != 0 {
-                assert!(
-                    all || spans.iter().any(|&(lo, hi)| lo <= i && i < hi),
-                    "trial {trial}: element {i} was written but is not in the \
-                     dirty set (all={all}, spans={spans:?})"
-                );
-            }
-        }
-        match &first_bits {
-            None => first_bits = Some(bits),
-            Some(first) => assert_eq!(
-                first, &bits,
-                "trial {trial} diverged from the fresh-allocation trial"
-            ),
-        }
-    }
-}
-
 fn engine_variants() -> [CompileOptions; 3] {
     [
         CompileOptions::default(),
@@ -157,67 +122,48 @@ fn engine_variants() -> [CompileOptions; 3] {
     ]
 }
 
-proptest! {
-    /// Shadow-diff property: across strides, offsets, WCR and all three
-    /// compiled-engine variants, `dirty ⊇ written`.
-    #[test]
-    fn dirty_set_covers_every_written_element(
-        n in 1i64..48,
-        stride in 1i64..5,
-        offset in 0i64..2048,
-        wcr in 0usize..3,
-    ) {
-        let wcr = match wcr {
-            0 => None,
-            1 => Some(Wcr::Sum),
-            _ => Some(Wcr::Max),
-        };
-        let p = scatter_program(wcr, stride, offset);
-        let input = input_for(n);
-        for copts in engine_variants() {
-            assert_dirty_covers_writes(&p, &input, &copts);
-        }
-    }
+fn payload_bits(arr: &ArrayValue) -> Vec<u64> {
+    (0..arr.len())
+        .map(|i| arr.get(i).as_f64().to_bits())
+        .collect()
 }
 
+/// One executor reused over trials of different sizes against a fresh
+/// executor per trial: the between-trial reset must leave nothing of an
+/// earlier trial behind, in the payload or in the guard planes.
 #[test]
-fn dirty_set_covers_bulk_range_writes() {
-    let p = bulk_program();
-    let input = input_for(33);
-    for copts in engine_variants() {
-        assert_dirty_covers_writes(&p, &input, &copts);
-    }
-}
-
-#[test]
-fn selective_reset_matches_full_reset_bitwise() {
-    // Interleave dirty-reset and full-reset executors over trials with
-    // *different* inputs (so stale residue from a bad reset would show).
-    let p = scatter_program(Some(Wcr::Sum), 1, 777);
-    let prog = Program::compile(&p);
-    let mut dirty_exec = prog.executor();
-    let mut full_exec = prog.executor();
-    let dirty_opts = ExecOptions {
-        reset: ResetPolicy::Dirty,
-        ..Default::default()
-    };
-    let full_opts = ExecOptions {
-        reset: ResetPolicy::Full,
-        ..Default::default()
-    };
-    for n in [40, 7, 23, 40, 1] {
-        let input = input_for(n);
-        dirty_exec.execute(&input, &dirty_opts, None, None).unwrap();
-        full_exec.execute(&input, &full_opts, None, None).unwrap();
-        let d = dirty_exec.array("B").unwrap();
-        let f = full_exec.array("B").unwrap();
-        assert_eq!(d.len(), f.len());
-        for i in 0..d.len() {
-            assert_eq!(
-                d.get(i).as_f64().to_bits(),
-                f.get(i).as_f64().to_bits(),
-                "B[{i}] diverges between dirty and full resets (n={n})"
-            );
+fn reused_executor_matches_fresh_executor_bitwise() {
+    let opts = ExecOptions::default();
+    for storage in [Storage::Host, Storage::Device] {
+        let programs = [
+            scatter_program(None, 1, 0, storage),
+            scatter_program(Some(Wcr::Sum), 1, 777, storage),
+            scatter_program(Some(Wcr::Max), 3, 2048, storage),
+            bulk_program(storage),
+        ];
+        for (pi, p) in programs.iter().enumerate() {
+            for copts in engine_variants() {
+                let prog = Program::compile_with_options(p, &copts);
+                let mut reused = prog.executor();
+                for n in [40, 7, 23, 40, 1] {
+                    let input = input_for(n);
+                    let mut fresh = prog.executor();
+                    reused.execute(&input, &opts, None, None).unwrap();
+                    fresh.execute(&input, &opts, None, None).unwrap();
+                    let r = reused.array("B").expect("B allocated");
+                    let f = fresh.array("B").expect("B allocated");
+                    assert!(
+                        payload_bits(r) == payload_bits(f),
+                        "program {pi}, {storage:?}, {copts:?}: B diverges from a fresh \
+                         executor at n={n}"
+                    );
+                    assert!(
+                        r.guards_intact() && f.guards_intact(),
+                        "program {pi}, {storage:?}, {copts:?}: guard planes not \
+                         re-poisoned at n={n}"
+                    );
+                }
+            }
         }
     }
 }
@@ -407,11 +353,5 @@ fn payload_foldback_corrupts_neighbor_silently_in_slop_mode() {
         arr.get((2 * n) as usize).as_f64(),
         a_last,
         "B[2,0] holds the folded-back store of A[N-1]"
-    );
-    let (all, spans) = exec.dirty_spans("B").unwrap();
-    let off = (2 * n) as usize;
-    assert!(
-        all || spans.iter().any(|&(lo, hi)| lo <= off && off < hi),
-        "the folded-back element must be in the dirty set (spans {spans:?})"
     );
 }

@@ -255,7 +255,7 @@ impl WorkerPool {
     /// Starts a pool with the given number of persistent workers.
     /// Dropping the pool shuts the workers down and joins them — which is
     /// exactly the per-instance spawn cost the shared [`WorkerPool::global`]
-    /// pool exists to avoid (and what the `pool_throughput` bench measures).
+    /// pool exists to avoid.
     pub fn new(workers: usize) -> WorkerPool {
         let shared = Arc::new(Shared {
             state: Mutex::new(PoolState {

@@ -10,36 +10,13 @@ use fuzzyflow::cutout::{
     SideEffectContext,
 };
 use fuzzyflow::fuzz::{derive_constraints, derive_constraints_with_loops};
-use fuzzyflow::ir::{Bindings, Sdfg};
-use fuzzyflow::transforms::{apply_to_clone, builtin_suite, cloudsc_suite, Transformation};
+use fuzzyflow::transforms::apply_to_clone;
 use fuzzyflow::workloads;
 
-const SIZE_MAX: i64 = 10;
+mod common;
+use common::{table2_passes, table2_programs};
 
-/// npbench + cloudsc + MHA + matmul chain, as the benchmark's Table-2
-/// campaign enumerates them.
-fn table2_programs() -> Vec<(&'static str, Sdfg, Bindings)> {
-    let mut programs: Vec<_> = workloads::suite()
-        .into_iter()
-        .map(|w| (w.name, w.sdfg, w.bindings))
-        .collect();
-    programs.push((
-        "cloudsc_like",
-        workloads::cloudsc_like(),
-        workloads::cloudsc::default_bindings(),
-    ));
-    programs.push((
-        "mha_encoder",
-        workloads::mha_encoder(),
-        workloads::mha::default_bindings(),
-    ));
-    programs.push((
-        "matmul_chain",
-        workloads::matmul_chain(),
-        workloads::matmul_chain::default_bindings(),
-    ));
-    programs
-}
+const SIZE_MAX: i64 = 10;
 
 fn assert_same_cutout(a: &Cutout, b: &Cutout, what: &str) {
     assert_eq!(
@@ -70,8 +47,7 @@ fn assert_same_outcome(a: &MinCutOutcome, b: &MinCutOutcome, what: &str) {
 
 #[test]
 fn shared_analysis_matches_the_standalone_stage_functions() {
-    let mut passes: Vec<Box<dyn Transformation>> = builtin_suite();
-    passes.extend(cloudsc_suite());
+    let passes = table2_passes();
     let (mut instances, mut extracted) = (0, 0);
     for (name, program, bindings) in table2_programs() {
         let ctx = SideEffectContext::with_size_symbols(&program.free_symbols(), SIZE_MAX);
@@ -131,8 +107,7 @@ fn shared_analysis_matches_the_standalone_stage_functions() {
 fn one_analysis_serves_concurrent_extractions() {
     let program = workloads::cloudsc_like();
     let ctx = SideEffectContext::with_size_symbols(&program.free_symbols(), SIZE_MAX);
-    let mut passes: Vec<Box<dyn Transformation>> = builtin_suite();
-    passes.extend(cloudsc_suite());
+    let passes = table2_passes();
     let mut cases = Vec::new();
     for t in &passes {
         for m in t.find_matches(&program) {

@@ -529,6 +529,122 @@ fn vectorized_minmax_campaign_runs_packed_native() {
     assert_eq!(warm.caches.code_bytes, 0, "{:?}", warm.caches);
 }
 
+/// [`MapTiling`] that panics when asked to apply one chosen match — an
+/// instance-level defect among sound instances.
+struct PanickyTiling {
+    inner: MapTiling,
+    panic_on: Option<String>,
+}
+
+impl Transformation for PanickyTiling {
+    fn name(&self) -> &'static str {
+        "PanickyTiling"
+    }
+
+    fn description(&self) -> &'static str {
+        self.inner.description()
+    }
+
+    fn find_matches(&self, sdfg: &Sdfg) -> Vec<fuzzyflow::transforms::TransformationMatch> {
+        self.inner.find_matches(sdfg)
+    }
+
+    fn apply(
+        &self,
+        sdfg: &mut Sdfg,
+        m: &fuzzyflow::transforms::TransformationMatch,
+    ) -> Result<fuzzyflow::transforms::ChangeSet, fuzzyflow::transforms::TransformError> {
+        if self.panic_on.as_ref() == Some(&m.description) {
+            panic!("tiling blew up on {}", m.description);
+        }
+        self.inner.apply(sdfg, m)
+    }
+}
+
+/// A panicking instance is that instance's pipeline error, not a lost
+/// campaign: the run completes at every thread width, the row is kind
+/// `panic` with the payload as its message, every other row is
+/// byte-identical to the same campaign without the panic, and a warm
+/// re-run replays the cached error instead of panicking again.
+#[test]
+fn panicking_instance_is_a_pipeline_error_not_a_lost_campaign() {
+    let program = fuzzyflow::workloads::matmul_chain();
+    let doomed = MapTiling::new(4).find_matches(&program)[1]
+        .description
+        .clone();
+    let campaign = |panic_on: Option<String>, threads: usize| {
+        Campaign::new("panicky")
+            .with_workload(
+                "matmul_chain",
+                fuzzyflow::workloads::matmul_chain(),
+                fuzzyflow::workloads::matmul_chain::default_bindings(),
+            )
+            .with_transformations(vec![
+                Box::new(MapTiling::new(4)),
+                Box::new(PanickyTiling {
+                    inner: MapTiling::new(4),
+                    panic_on,
+                }),
+            ])
+            .with_verify(VerifyConfig::new().with_trials(15).with_size_max(8))
+            .with_threads(threads)
+    };
+    let sound = campaign(None, 1).session().run(&NullSink);
+    assert_eq!(sound.completed(), 6);
+    assert!(sound.instances.iter().all(|i| i.label == "ok"));
+
+    for threads in [1usize, 2, 8] {
+        let session = campaign(Some(doomed.clone()), threads).session();
+        let sink = CollectingSink::new();
+        let report = session.run(&sink);
+        assert_eq!(report.completed(), 6, "threads={threads}");
+        assert_eq!(report.status, StopReason::Completed);
+        let panicked: Vec<&_> = report
+            .instances
+            .iter()
+            .filter(|i| i.error.as_ref().is_some_and(|e| e.kind == "panic"))
+            .collect();
+        assert_eq!(panicked.len(), 1, "threads={threads}");
+        let row = panicked[0];
+        assert_eq!(row.label, "pipeline error");
+        assert_eq!(row.transformation, "PanickyTiling");
+        assert_eq!(row.match_description, doomed);
+        assert_eq!(
+            row.error.as_ref().unwrap().message,
+            format!("tiling blew up on {doomed}")
+        );
+        for (got, want) in report.instances.iter().zip(&sound.instances) {
+            if got.index != row.index {
+                assert_eq!(
+                    format!("{got:?}"),
+                    format!("{want:?}"),
+                    "threads={threads}: a sound row changed"
+                );
+            }
+        }
+        let events = sink.take();
+        assert!(events
+            .iter()
+            .any(|e| matches!(e, Event::PipelineError { index, .. } if *index == row.index)));
+        assert_eq!(
+            events
+                .iter()
+                .filter(|e| matches!(e, Event::InstanceFinished { .. }))
+                .count(),
+            6
+        );
+        let parsed = CampaignReport::from_json(&report.to_json()).expect("parses");
+        assert_eq!(parsed, report, "the panic row round-trips");
+
+        // The error is a complete cache entry like any other: the warm
+        // run prepares nothing and reports the same rows.
+        assert_eq!(session.cached_instances(), 6);
+        let warm = session.run(&NullSink);
+        assert_eq!(session.prepared_instances(), 6);
+        assert!(warm.instances == report.instances, "threads={threads}");
+    }
+}
+
 /// FNV-1a over the report JSON minus the `"caches"` line (live counter
 /// deltas, outside the byte-identity contract).
 fn report_fingerprint(report: &CampaignReport) -> u64 {
