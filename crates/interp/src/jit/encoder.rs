@@ -397,3 +397,237 @@ impl Asm {
         self.modrm_reg(xmm, r);
     }
 }
+
+#[cfg(test)]
+mod tests {
+    //! Golden bytes per instruction form, checked by hand against the
+    //! Intel SDM encodings (prefix, REX.WRXB, opcode, ModRM
+    //! `mod|reg|rm`, SIB for an `r12` base, disp8/disp32). Register
+    //! numbers are the raw encodings: `0..=7` the legacy registers,
+    //! `8..=15` the REX-extended ones.
+
+    use super::{cc, gpr, Asm};
+
+    const R9: u8 = 9;
+    const R12: u8 = 12;
+    const R15: u8 = 15;
+
+    /// The bytes one `emit` call appends to a fresh buffer.
+    fn enc(emit: impl FnOnce(&mut Asm)) -> Vec<u8> {
+        let mut a = Asm::new();
+        emit(&mut a);
+        a.finish()
+    }
+
+    #[test]
+    fn scalar_loads_and_stores() {
+        // movsd xmm0, [rdi+8]
+        assert_eq!(
+            enc(|a| a.movsd_rm(0, gpr::RDI, 8)),
+            [0xF2, 0x0F, 0x10, 0x47, 0x08]
+        );
+        // movsd xmm2, [rdi+0x200]: disp32 form.
+        assert_eq!(
+            enc(|a| a.movsd_rm(2, gpr::RDI, 0x200)),
+            [0xF2, 0x0F, 0x10, 0x97, 0x00, 0x02, 0x00, 0x00]
+        );
+        // movsd xmm9, [r12+0]: REX.RB, SIB escape for the r12 base.
+        assert_eq!(
+            enc(|a| a.movsd_rm(9, R12, 0)),
+            [0xF2, 0x45, 0x0F, 0x10, 0x4C, 0x24, 0x00]
+        );
+        // movsd [r8+16], xmm1
+        assert_eq!(
+            enc(|a| a.movsd_mr(gpr::R8, 16, 1)),
+            [0xF2, 0x41, 0x0F, 0x11, 0x48, 0x10]
+        );
+    }
+
+    #[test]
+    fn packed_loads_stores_and_moves() {
+        // movupd xmm3, [rsi+32]
+        assert_eq!(
+            enc(|a| a.movupd_rm(3, gpr::RSI, 32)),
+            [0x66, 0x0F, 0x10, 0x5E, 0x20]
+        );
+        // movupd [r15-16], xmm14
+        assert_eq!(
+            enc(|a| a.movupd_mr(R15, -16, 14)),
+            [0x66, 0x45, 0x0F, 0x11, 0x77, 0xF0]
+        );
+        // movapd xmm1, xmm2 / movapd xmm8, xmm15
+        assert_eq!(enc(|a| a.movapd(1, 2)), [0x66, 0x0F, 0x28, 0xCA]);
+        assert_eq!(enc(|a| a.movapd(8, 15)), [0x66, 0x45, 0x0F, 0x28, 0xC7]);
+        // unpcklpd xmm2, xmm2 / unpcklpd xmm10, xmm10
+        assert_eq!(enc(|a| a.unpcklpd(2, 2)), [0x66, 0x0F, 0x14, 0xD2]);
+        assert_eq!(enc(|a| a.unpcklpd(10, 10)), [0x66, 0x45, 0x0F, 0x14, 0xD2]);
+        // movq xmm0, rdx / movq xmm15, rdx
+        assert_eq!(
+            enc(|a| a.movq_xr(0, gpr::RDX)),
+            [0x66, 0x48, 0x0F, 0x6E, 0xC2]
+        );
+        assert_eq!(
+            enc(|a| a.movq_xr(15, gpr::RDX)),
+            [0x66, 0x4C, 0x0F, 0x6E, 0xFA]
+        );
+    }
+
+    #[test]
+    fn scalar_and_packed_arithmetic() {
+        // (opcode, op xmm0, xmm1) for add/sub/mul/div/sqrt/min/max.
+        for op in [0x58, 0x5C, 0x59, 0x5E, 0x51, 0x5D, 0x5F] {
+            assert_eq!(
+                enc(|a| a.sd_op(op, 0, 1)),
+                [0xF2, 0x0F, op, 0xC1],
+                "sd {op:#x}"
+            );
+            assert_eq!(
+                enc(|a| a.pd_op(op, 0, 1)),
+                [0x66, 0x0F, op, 0xC1],
+                "pd {op:#x}"
+            );
+        }
+        // subsd xmm2, xmm3 / mulsd xmm4, xmm5 / divsd xmm6, xmm7
+        assert_eq!(enc(|a| a.sd_op(0x5C, 2, 3)), [0xF2, 0x0F, 0x5C, 0xD3]);
+        assert_eq!(enc(|a| a.sd_op(0x59, 4, 5)), [0xF2, 0x0F, 0x59, 0xE5]);
+        assert_eq!(enc(|a| a.sd_op(0x5E, 6, 7)), [0xF2, 0x0F, 0x5E, 0xF7]);
+        // sqrtsd xmm0, xmm13 (REX.B) / minsd xmm14, xmm1 (REX.R)
+        assert_eq!(
+            enc(|a| a.sd_op(0x51, 0, 13)),
+            [0xF2, 0x41, 0x0F, 0x51, 0xC5]
+        );
+        assert_eq!(
+            enc(|a| a.sd_op(0x5D, 14, 1)),
+            [0xF2, 0x44, 0x0F, 0x5D, 0xF1]
+        );
+        // sqrtpd xmm2, xmm2 / addpd xmm12, xmm9 (REX.RB)
+        assert_eq!(enc(|a| a.pd_op(0x51, 2, 2)), [0x66, 0x0F, 0x51, 0xD2]);
+        assert_eq!(
+            enc(|a| a.pd_op(0x58, 12, 9)),
+            [0x66, 0x45, 0x0F, 0x58, 0xE1]
+        );
+        // cvtsi2sd xmm3, rax / cvtsi2sd xmm14, rdx
+        assert_eq!(
+            enc(|a| a.cvtsi2sd(3, gpr::RAX)),
+            [0xF2, 0x48, 0x0F, 0x2A, 0xD8]
+        );
+        assert_eq!(
+            enc(|a| a.cvtsi2sd(14, gpr::RDX)),
+            [0xF2, 0x4C, 0x0F, 0x2A, 0xF2]
+        );
+    }
+
+    #[test]
+    fn bitwise_and_compare_forms() {
+        assert_eq!(enc(|a| a.andpd(15, 14)), [0x66, 0x45, 0x0F, 0x54, 0xFE]);
+        assert_eq!(enc(|a| a.andnpd(14, 15)), [0x66, 0x45, 0x0F, 0x55, 0xF7]);
+        assert_eq!(enc(|a| a.xorpd(0, 0)), [0x66, 0x0F, 0x57, 0xC0]);
+        assert_eq!(enc(|a| a.orpd(1, R9)), [0x66, 0x41, 0x0F, 0x56, 0xC9]);
+        assert_eq!(enc(|a| a.pcmpeqd(15, 15)), [0x66, 0x45, 0x0F, 0x76, 0xFF]);
+        // ucomisd xmm1, xmm0 / ucomisd xmm13, xmm15
+        assert_eq!(enc(|a| a.ucomisd(1, 0)), [0x66, 0x0F, 0x2E, 0xC8]);
+        assert_eq!(enc(|a| a.ucomisd(13, 15)), [0x66, 0x45, 0x0F, 0x2E, 0xEF]);
+        // cmppd/cmpsd with the predicate as a trailing imm8.
+        assert_eq!(enc(|a| a.cmppd(0, 1, 4)), [0x66, 0x0F, 0xC2, 0xC1, 0x04]);
+        assert_eq!(
+            enc(|a| a.cmppd(14, 3, 3)),
+            [0x66, 0x44, 0x0F, 0xC2, 0xF3, 0x03]
+        );
+        assert_eq!(
+            enc(|a| a.cmpsd(15, 15, 3)),
+            [0xF2, 0x45, 0x0F, 0xC2, 0xFF, 0x03]
+        );
+    }
+
+    #[test]
+    fn setcc_and_byte_logic() {
+        for (c, op) in [
+            (cc::E, 0x94),
+            (cc::NE, 0x95),
+            (cc::A, 0x97),
+            (cc::AE, 0x93),
+            (cc::P, 0x9A),
+            (cc::NP, 0x9B),
+        ] {
+            // set<cc> dl: no REX for the legacy byte registers.
+            assert_eq!(
+                enc(|a| a.setcc(c, gpr::RDX)),
+                [0x0F, op, 0xC2],
+                "setcc {c:#x}"
+            );
+        }
+        // setp sil: a bare REX selects sil instead of dh.
+        assert_eq!(enc(|a| a.setcc(cc::P, gpr::RSI)), [0x40, 0x0F, 0x9A, 0xC6]);
+        // and dl, sil / or dl, sil
+        assert_eq!(enc(|a| a.and_r8(gpr::RDX, gpr::RSI)), [0x40, 0x20, 0xF2]);
+        assert_eq!(enc(|a| a.or_r8(gpr::RDX, gpr::RSI)), [0x40, 0x08, 0xF2]);
+        // movzx rdx, dl
+        assert_eq!(
+            enc(|a| a.movzx(gpr::RDX, gpr::RDX)),
+            [0x48, 0x0F, 0xB6, 0xD2]
+        );
+    }
+
+    #[test]
+    fn integer_forms() {
+        let mut imm = vec![0x48, 0xBA];
+        imm.extend_from_slice(&0x3FF0_0000_0000_0000u64.to_le_bytes());
+        assert_eq!(enc(|a| a.mov_ri(gpr::RDX, 0x3FF0_0000_0000_0000)), imm);
+        // mov r9, 1: REX.WB
+        let mut imm9 = vec![0x49, 0xB9];
+        imm9.extend_from_slice(&1u64.to_le_bytes());
+        assert_eq!(enc(|a| a.mov_ri(R9, 1)), imm9);
+        assert_eq!(
+            enc(|a| a.mov_rm(gpr::RCX, gpr::RDI, 0)),
+            [0x48, 0x8B, 0x4F, 0x00]
+        );
+        assert_eq!(
+            enc(|a| a.mov_rm(R12, gpr::RDI, 24)),
+            [0x4C, 0x8B, 0x67, 0x18]
+        );
+        assert_eq!(
+            enc(|a| a.mov_mr(gpr::RDI, 40, gpr::RDX)),
+            [0x48, 0x89, 0x57, 0x28]
+        );
+        assert_eq!(
+            enc(|a| a.add_rm(gpr::R8, gpr::RDI, 56)),
+            [0x4C, 0x03, 0x47, 0x38]
+        );
+        assert_eq!(
+            enc(|a| a.and_rm(gpr::RDX, gpr::RDI, 8)),
+            [0x48, 0x23, 0x57, 0x08]
+        );
+        assert_eq!(
+            enc(|a| a.or_rm(gpr::RDX, gpr::RDI, 8)),
+            [0x48, 0x0B, 0x57, 0x08]
+        );
+        assert_eq!(enc(|a| a.xor_ri8(gpr::RDX, 1)), [0x48, 0x83, 0xF2, 0x01]);
+        assert_eq!(enc(|a| a.test_rr(gpr::RCX, gpr::RCX)), [0x48, 0x85, 0xC9]);
+        assert_eq!(enc(|a| a.dec(gpr::RCX)), [0x48, 0xFF, 0xC9]);
+        assert_eq!(enc(|a| a.push(R12)), [0x41, 0x54]);
+        assert_eq!(enc(|a| a.pop(R15)), [0x41, 0x5F]);
+        assert_eq!(enc(|a| a.ret()), [0xC3]);
+    }
+
+    #[test]
+    fn branches_patch_rel32_from_the_next_instruction() {
+        // Forward jcc over one `ret`: rel32 = 1.
+        let fwd = enc(|a| {
+            let l = a.label();
+            a.jcc(cc::E, l);
+            a.ret();
+            a.bind(l);
+            a.ret();
+        });
+        assert_eq!(fwd, [0x0F, 0x84, 0x01, 0x00, 0x00, 0x00, 0xC3, 0xC3]);
+        // Backward jmp to offset 0 from a 5-byte `jmp` at offset 1, which
+        // ends at offset 6: rel32 = -6.
+        let back = enc(|a| {
+            let top = a.label();
+            a.bind(top);
+            a.ret();
+            a.jmp(top);
+        });
+        assert_eq!(back, [0xC3, 0xE9, 0xFA, 0xFF, 0xFF, 0xFF]);
+    }
+}

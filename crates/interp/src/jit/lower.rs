@@ -1,4 +1,7 @@
-//! Lowering of fused kernel bytecode ([`FKInsn`]) to native x86_64.
+//! Lowering of a fused kernel's code to native x86_64. The input is the
+//! one f64 kernel IR ([`FInsn`]) that the per-element fast path and the
+//! bytecode kernel loops also run; `Stmt`/`CoverSel`/`Cover` coverage
+//! markers emit nothing.
 //!
 //! The emitted function has signature `extern "C" fn(frame: *mut u64)`
 //! and executes **one inner row** of the iteration box per call — the
@@ -73,7 +76,7 @@
 
 use super::encoder::{cc, gpr, Asm, Label};
 use super::JitReject;
-use crate::program::{FKInsn, FusedKernel, SymId};
+use crate::program::{FInsn, FusedKernel, SymId};
 use fuzzyflow_ir::{BinOp, CmpOp, UnOp, Wcr};
 
 /// Highest kernel float register mappable onto `xmm0..xmm13`.
@@ -185,15 +188,15 @@ pub(crate) fn analyze(fk: &FusedKernel, n_params: usize) -> Result<JitLayout, Ji
     let mut sym_slots: Vec<SymId> = Vec::new();
     for insn in &fk.code {
         match insn {
-            FKInsn::BinF { op, .. } => match op {
+            FInsn::BinF { op, .. } => match op {
                 BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div | BinOp::Min | BinOp::Max => {}
                 _ => return Err(JitReject::UnsupportedOp),
             },
-            FKInsn::UnF { op, .. } => match op {
+            FInsn::UnF { op, .. } => match op {
                 UnOp::Neg | UnOp::Abs | UnOp::Sqrt => {}
                 _ => return Err(JitReject::UnsupportedOp),
             },
-            FKInsn::LoadSymF { sym, .. } if !sym_slots.contains(sym) => {
+            FInsn::LoadSymF { sym, .. } if !sym_slots.contains(sym) => {
                 sym_slots.push(*sym);
             }
             // Everything else has a direct lowering (coverage markers
@@ -371,23 +374,23 @@ fn emit_body_scalar(a: &mut Asm, fk: &FusedKernel, lay: &JitLayout, inner: usize
     for (i, insn) in fk.code.iter().enumerate() {
         a.bind(labels[i]);
         match insn {
-            FKInsn::ConstF { dst, val } => {
+            FInsn::ConstF { dst, val } => {
                 const_fp(a, false, *dst as u8, val.to_bits());
             }
-            FKInsn::ConstB { dst, val } => {
+            FInsn::ConstB { dst, val } => {
                 a.mov_ri(gpr::RDX, *val as u64);
                 a.mov_mr(gpr::RDI, disp(lay.bool_word(*dst as usize)), gpr::RDX);
             }
-            FKInsn::MovF { dst, src } => {
+            FInsn::MovF { dst, src } => {
                 if dst != src {
                     a.movapd(*dst as u8, *src as u8);
                 }
             }
-            FKInsn::MovB { dst, src } => {
+            FInsn::MovB { dst, src } => {
                 a.mov_rm(gpr::RDX, gpr::RDI, disp(lay.bool_word(*src as usize)));
                 a.mov_mr(gpr::RDI, disp(lay.bool_word(*dst as usize)), gpr::RDX);
             }
-            FKInsn::LoadSymF { dst, sym } => {
+            FInsn::LoadSymF { dst, sym } => {
                 let slot = lay
                     .sym_slots
                     .iter()
@@ -395,14 +398,14 @@ fn emit_body_scalar(a: &mut Asm, fk: &FusedKernel, lay: &JitLayout, inner: usize
                     .expect("analyze collected every LoadSymF symbol");
                 a.movsd_rm(*dst as u8, gpr::RDI, disp(lay.sym_word(slot)));
             }
-            FKInsn::LoadParamF { dst, dim } => {
+            FInsn::LoadParamF { dst, dim } => {
                 if *dim as usize == inner {
                     a.cvtsi2sd(*dst as u8, gpr::RAX);
                 } else {
                     a.movsd_rm(*dst as u8, gpr::RDI, disp(lay.param_word(*dim as usize)));
                 }
             }
-            FKInsn::BinF {
+            FInsn::BinF {
                 op,
                 dst,
                 a: x,
@@ -411,14 +414,14 @@ fn emit_body_scalar(a: &mut Asm, fk: &FusedKernel, lay: &JitLayout, inner: usize
                 FpOp::Plain(opb) => bin_fp(a, false, opb, *dst as u8, *x as u8, *y as u8),
                 FpOp::MinMax(opb) => minmax_fp(a, false, opb, *dst as u8, *x as u8, *y as u8),
             },
-            FKInsn::UnF { op, dst, a: x } => match op {
+            FInsn::UnF { op, dst, a: x } => match op {
                 UnOp::Sqrt => a.sd_op(0x51, *dst as u8, *x as u8),
                 UnOp::Neg | UnOp::Abs => {
                     emit_sign_mask(a, false, op, *dst as u8, *x as u8);
                 }
                 _ => unreachable!("rejected by analyze"),
             },
-            FKInsn::CmpF {
+            FInsn::CmpF {
                 op,
                 dst,
                 a: x,
@@ -455,39 +458,39 @@ fn emit_body_scalar(a: &mut Asm, fk: &FusedKernel, lay: &JitLayout, inner: usize
                 };
                 store_flag_bool(a, lay, *dst, recipe);
             }
-            FKInsn::NotB { dst, a: x } => {
+            FInsn::NotB { dst, a: x } => {
                 a.mov_rm(gpr::RDX, gpr::RDI, disp(lay.bool_word(*x as usize)));
                 a.xor_ri8(gpr::RDX, 1);
                 a.mov_mr(gpr::RDI, disp(lay.bool_word(*dst as usize)), gpr::RDX);
             }
-            FKInsn::AndB { dst, a: x, b: y } => {
+            FInsn::AndB { dst, a: x, b: y } => {
                 a.mov_rm(gpr::RDX, gpr::RDI, disp(lay.bool_word(*x as usize)));
                 a.and_rm(gpr::RDX, gpr::RDI, disp(lay.bool_word(*y as usize)));
                 a.mov_mr(gpr::RDI, disp(lay.bool_word(*dst as usize)), gpr::RDX);
             }
-            FKInsn::OrB { dst, a: x, b: y } => {
+            FInsn::OrB { dst, a: x, b: y } => {
                 a.mov_rm(gpr::RDX, gpr::RDI, disp(lay.bool_word(*x as usize)));
                 a.or_rm(gpr::RDX, gpr::RDI, disp(lay.bool_word(*y as usize)));
                 a.mov_mr(gpr::RDI, disp(lay.bool_word(*dst as usize)), gpr::RDX);
             }
-            FKInsn::BoolFromF { reg } => {
+            FInsn::BoolFromF { reg } => {
                 a.xorpd(XMM_SCRATCH1, XMM_SCRATCH1);
                 a.ucomisd(*reg as u8, XMM_SCRATCH1);
                 store_flag_bool(a, lay, *reg, BoolRecipe::Or(cc::NE, cc::P));
             }
-            FKInsn::FloatFromB { dst, src } => {
+            FInsn::FloatFromB { dst, src } => {
                 a.mov_rm(gpr::RDX, gpr::RDI, disp(lay.bool_word(*src as usize)));
                 a.cvtsi2sd(*dst as u8, gpr::RDX);
             }
             // Coverage markers: entry coverage is batched by the caller
             // and interleaved-coverage runs never dispatch natively.
-            FKInsn::Stmt { .. } | FKInsn::CoverSel { .. } | FKInsn::Cover { .. } => {}
-            FKInsn::JumpIfFalse { cond, target } => {
+            FInsn::Stmt { .. } | FInsn::CoverSel { .. } | FInsn::Cover { .. } => {}
+            FInsn::JumpIfFalse { cond, target } => {
                 a.mov_rm(gpr::RDX, gpr::RDI, disp(lay.bool_word(*cond as usize)));
                 a.test_rr(gpr::RDX, gpr::RDX);
                 a.jcc(cc::E, labels[*target as usize]);
             }
-            FKInsn::Jump { target } => {
+            FInsn::Jump { target } => {
                 a.jmp(labels[*target as usize]);
             }
         }
@@ -538,10 +541,10 @@ fn emit_body_scalar(a: &mut Asm, fk: &FusedKernel, lay: &JitLayout, inner: usize
 fn emit_body_packed(a: &mut Asm, fk: &FusedKernel, lay: &JitLayout, inner: usize, off: i32) {
     for insn in fk.code.iter() {
         match insn {
-            FKInsn::ConstF { dst, val } => {
+            FInsn::ConstF { dst, val } => {
                 const_fp(a, true, *dst as u8, val.to_bits());
             }
-            FKInsn::ConstB { dst, val } => {
+            FInsn::ConstB { dst, val } => {
                 if *val {
                     a.pcmpeqd(XMM_SCRATCH1, XMM_SCRATCH1);
                 } else {
@@ -549,16 +552,16 @@ fn emit_body_packed(a: &mut Asm, fk: &FusedKernel, lay: &JitLayout, inner: usize
                 }
                 a.movupd_mr(gpr::RDI, disp(lay.bool_word(*dst as usize)), XMM_SCRATCH1);
             }
-            FKInsn::MovF { dst, src } => {
+            FInsn::MovF { dst, src } => {
                 if dst != src {
                     a.movapd(*dst as u8, *src as u8);
                 }
             }
-            FKInsn::MovB { dst, src } => {
+            FInsn::MovB { dst, src } => {
                 a.movupd_rm(XMM_SCRATCH1, gpr::RDI, disp(lay.bool_word(*src as usize)));
                 a.movupd_mr(gpr::RDI, disp(lay.bool_word(*dst as usize)), XMM_SCRATCH1);
             }
-            FKInsn::LoadSymF { dst, sym } => {
+            FInsn::LoadSymF { dst, sym } => {
                 let slot = lay
                     .sym_slots
                     .iter()
@@ -567,7 +570,7 @@ fn emit_body_packed(a: &mut Asm, fk: &FusedKernel, lay: &JitLayout, inner: usize
                 a.movsd_rm(*dst as u8, gpr::RDI, disp(lay.sym_word(slot)));
                 a.unpcklpd(*dst as u8, *dst as u8);
             }
-            FKInsn::LoadParamF { dst, dim } => {
+            FInsn::LoadParamF { dst, dim } => {
                 // Map parameters never index the synthetic lane dim, so
                 // both lanes see the same value.
                 if *dim as usize == inner {
@@ -577,7 +580,7 @@ fn emit_body_packed(a: &mut Asm, fk: &FusedKernel, lay: &JitLayout, inner: usize
                 }
                 a.unpcklpd(*dst as u8, *dst as u8);
             }
-            FKInsn::BinF {
+            FInsn::BinF {
                 op,
                 dst,
                 a: x,
@@ -586,14 +589,14 @@ fn emit_body_packed(a: &mut Asm, fk: &FusedKernel, lay: &JitLayout, inner: usize
                 FpOp::Plain(opb) => bin_fp(a, true, opb, *dst as u8, *x as u8, *y as u8),
                 FpOp::MinMax(opb) => minmax_fp(a, true, opb, *dst as u8, *x as u8, *y as u8),
             },
-            FKInsn::UnF { op, dst, a: x } => match op {
+            FInsn::UnF { op, dst, a: x } => match op {
                 UnOp::Sqrt => a.pd_op(0x51, *dst as u8, *x as u8),
                 UnOp::Neg | UnOp::Abs => {
                     emit_sign_mask(a, true, op, *dst as u8, *x as u8);
                 }
                 _ => unreachable!("rejected by analyze"),
             },
-            FKInsn::CmpF {
+            FInsn::CmpF {
                 op,
                 dst,
                 a: x,
@@ -615,25 +618,25 @@ fn emit_body_packed(a: &mut Asm, fk: &FusedKernel, lay: &JitLayout, inner: usize
                 a.cmppd(XMM_SCRATCH0, q as u8, pred);
                 a.movupd_mr(gpr::RDI, disp(lay.bool_word(*dst as usize)), XMM_SCRATCH0);
             }
-            FKInsn::NotB { dst, a: x } => {
+            FInsn::NotB { dst, a: x } => {
                 a.movupd_rm(XMM_SCRATCH0, gpr::RDI, disp(lay.bool_word(*x as usize)));
                 a.pcmpeqd(XMM_SCRATCH1, XMM_SCRATCH1);
                 a.xorpd(XMM_SCRATCH0, XMM_SCRATCH1);
                 a.movupd_mr(gpr::RDI, disp(lay.bool_word(*dst as usize)), XMM_SCRATCH0);
             }
-            FKInsn::AndB { dst, a: x, b: y } => {
+            FInsn::AndB { dst, a: x, b: y } => {
                 a.movupd_rm(XMM_SCRATCH0, gpr::RDI, disp(lay.bool_word(*x as usize)));
                 a.movupd_rm(XMM_SCRATCH1, gpr::RDI, disp(lay.bool_word(*y as usize)));
                 a.andpd(XMM_SCRATCH0, XMM_SCRATCH1);
                 a.movupd_mr(gpr::RDI, disp(lay.bool_word(*dst as usize)), XMM_SCRATCH0);
             }
-            FKInsn::OrB { dst, a: x, b: y } => {
+            FInsn::OrB { dst, a: x, b: y } => {
                 a.movupd_rm(XMM_SCRATCH0, gpr::RDI, disp(lay.bool_word(*x as usize)));
                 a.movupd_rm(XMM_SCRATCH1, gpr::RDI, disp(lay.bool_word(*y as usize)));
                 a.orpd(XMM_SCRATCH0, XMM_SCRATCH1);
                 a.movupd_mr(gpr::RDI, disp(lay.bool_word(*dst as usize)), XMM_SCRATCH0);
             }
-            FKInsn::BoolFromF { reg } => {
+            FInsn::BoolFromF { reg } => {
                 // `v != 0.0` per lane (NaN → true), matching the scalar
                 // ucomisd `setne || setp` recipe.
                 a.xorpd(XMM_SCRATCH0, XMM_SCRATCH0);
@@ -641,14 +644,14 @@ fn emit_body_packed(a: &mut Asm, fk: &FusedKernel, lay: &JitLayout, inner: usize
                 a.cmppd(XMM_SCRATCH1, XMM_SCRATCH0, 4);
                 a.movupd_mr(gpr::RDI, disp(lay.bool_word(*reg as usize)), XMM_SCRATCH1);
             }
-            FKInsn::FloatFromB { dst, src } => {
+            FInsn::FloatFromB { dst, src } => {
                 a.movupd_rm(XMM_SCRATCH0, gpr::RDI, disp(lay.bool_word(*src as usize)));
                 const_fp(a, true, XMM_SCRATCH1, 1f64.to_bits());
                 a.andpd(XMM_SCRATCH0, XMM_SCRATCH1);
                 a.movapd(*dst as u8, XMM_SCRATCH0);
             }
-            FKInsn::Stmt { .. } | FKInsn::CoverSel { .. } | FKInsn::Cover { .. } => {}
-            FKInsn::JumpIfFalse { .. } | FKInsn::Jump { .. } => {
+            FInsn::Stmt { .. } | FInsn::CoverSel { .. } | FInsn::Cover { .. } => {}
+            FInsn::JumpIfFalse { .. } | FInsn::Jump { .. } => {
                 unreachable!("packed bodies are branch-free (lane_scalar handles selects)")
             }
         }

@@ -242,15 +242,16 @@ enum Insn {
     },
 }
 
-/// Compiled tasklet node.
+/// Compiled tasklet node. Its memlet plans and gathers serve both the
+/// generic bytecode `code` and the f64 code in `fast`, whose register
+/// layout is the same.
 #[derive(Clone, Debug)]
 struct TaskletPlan {
     name: String,
     cover_loc: u64,
     lanes: usize,
+    /// Input-connector slots; slot `k`'s lane value lives in register `k`.
     n_conn_slots: usize,
-    /// Register holding each input-connector slot's lane value.
-    conn_regs: Vec<u32>,
     inputs: Vec<InputPlan>,
     code: Vec<Insn>,
     n_regs: usize,
@@ -265,16 +266,24 @@ struct TaskletPlan {
     fast: Option<Box<FastTasklet>>,
 }
 
-/// One instruction of the monomorphic f64 fast path: a parallel bytecode
-/// over a raw `f64` register file plus a `bool` register file (sharing one
-/// index space), with no per-element [`Scalar`] boxing or dtype dispatch.
-/// Only operations whose generic evaluation provably takes the float (or
+/// One instruction of the f64 kernel IR: a bytecode over a raw `f64`
+/// register file plus a `bool` register file (sharing one index space),
+/// with no per-element [`Scalar`] boxing or dtype dispatch. Only
+/// operations whose generic evaluation provably takes the float (or
 /// boolean) path are ever lowered here, so results, errors, coverage ids
 /// and step accounting stay bit-identical to the generic bytecode.
-#[derive(Clone, Debug)]
-enum FInsn {
+///
+/// It is the one instruction set of both f64 tiers: the per-element fast
+/// path runs a tasklet's code ([`FastTasklet::code`]), and a fused kernel
+/// runs its tasklets' code concatenated ([`FusedKernel::code`]) through
+/// the same scalar interpreter ([`run_fcode`]), the lane-chunked loop or
+/// the JIT. `LoadParamF`, `FloatFromB` and `Cover` occur only in fused
+/// kernels.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum FInsn {
     /// Statement marker: sets the coverage site, resets the select
-    /// counter (mirrors [`Insn::Stmt`]).
+    /// counter (mirrors [`Insn::Stmt`]). Select-free fused kernels drop
+    /// it (nothing reads the site there).
     Stmt {
         site: u64,
     },
@@ -296,10 +305,19 @@ enum FInsn {
     },
     /// Symbol load, converted to `f64` at the load — sound because
     /// eligibility guarantees the value's only uses are float-path
-    /// operations, which convert with the same `as f64` at first use.
+    /// operations, which convert with the same `as f64` at first use. In
+    /// a fused kernel it names an outer symbol, which the precheck
+    /// proved bound.
     LoadSymF {
         dst: u32,
         sym: SymId,
+    },
+    /// Map parameter of dimension `dim` — what fusion turns a `LoadSymF`
+    /// of the map's own parameter into: varies per lane on the innermost
+    /// dimension, broadcast otherwise.
+    LoadParamF {
+        dst: u32,
+        dim: u32,
     },
     /// Float-path binary op (`Add..Max` with ≥ 1 float operand, or `Pow`).
     BinF {
@@ -341,6 +359,15 @@ enum FInsn {
     BoolFromF {
         reg: u32,
     },
+    /// `rf[dst] = rb[src] as u8 as f64` — the gather conversion, used to
+    /// forward a bool-classed pipeline intermediate to the next tasklet's
+    /// float connector register exactly as a store + reload would.
+    FloatFromB {
+        dst: u32,
+        src: u32,
+    },
+    /// Select-condition coverage: bumps the select counter and records
+    /// `[site, sel, cond]` (mirrors [`Insn::CoverSel`]).
     CoverSel {
         cond: u32,
     },
@@ -351,41 +378,68 @@ enum FInsn {
     Jump {
         target: u32,
     },
+    /// Tasklet-entry coverage marker. Coverage is *edge* coverage
+    /// (consecutive locations pair up), so when a kernel records more
+    /// than one location per element — pipelines, select sites — the
+    /// records must interleave exactly as the per-element engine's do.
+    /// The scalar interpreter records it once per element (on the first
+    /// lane); the chunked loop ignores it and the caller batches
+    /// instead, which is order-equivalent only for the single-location
+    /// kernels the chunked loop is limited to.
+    Cover {
+        loc: u64,
+    },
 }
 
-#[derive(Clone, Debug)]
-struct FastInput {
-    slot: usize,
-    conn: String,
-    plan: MemPlan,
+impl FInsn {
+    /// The instruction shifted into a concatenated stream: every register
+    /// operand moves up by `reg`, every jump target by `pc`.
+    fn relocate(mut self, reg: u32, pc: u32) -> FInsn {
+        match &mut self {
+            FInsn::Stmt { .. } | FInsn::Cover { .. } => {}
+            FInsn::ConstF { dst, .. }
+            | FInsn::ConstB { dst, .. }
+            | FInsn::LoadSymF { dst, .. }
+            | FInsn::LoadParamF { dst, .. }
+            | FInsn::BoolFromF { reg: dst }
+            | FInsn::CoverSel { cond: dst } => *dst += reg,
+            FInsn::MovF { dst, src }
+            | FInsn::MovB { dst, src }
+            | FInsn::FloatFromB { dst, src }
+            | FInsn::UnF { dst, a: src, .. }
+            | FInsn::NotB { dst, a: src } => {
+                *dst += reg;
+                *src += reg;
+            }
+            FInsn::BinF { dst, a, b, .. }
+            | FInsn::CmpF { dst, a, b, .. }
+            | FInsn::AndB { dst, a, b }
+            | FInsn::OrB { dst, a, b } => {
+                *dst += reg;
+                *a += reg;
+                *b += reg;
+            }
+            FInsn::JumpIfFalse { cond, target } => {
+                *cond += reg;
+                *target += pc;
+            }
+            FInsn::Jump { target } => *target += pc,
+        }
+        self
+    }
 }
 
-#[derive(Clone, Debug)]
-struct FastGather {
-    slot: usize,
-    reg: u32,
-    /// The gathered register is boolean-classed; convert with
-    /// [`Scalar::as_bool`]'s inverse convention (`true` → `1.0`).
-    from_bool: bool,
-}
-
-#[derive(Clone, Debug)]
-struct FastOut {
-    slot: usize,
-    plan: MemPlan,
-}
-
-/// Monomorphic f64 specialization of one tasklet. `lanes`,
-/// `n_conn_slots` and `n_out_slots` are shared with the owning
-/// [`TaskletPlan`].
+/// Monomorphic f64 specialization of one tasklet: only the code and what
+/// it adds to the owning [`TaskletPlan`], whose memlet plans, connector
+/// registers and gathers the fast path shares.
 #[derive(Clone, Debug)]
 struct FastTasklet {
-    conn_regs: Vec<u32>,
-    inputs: Vec<FastInput>,
     code: Vec<FInsn>,
     n_regs: usize,
-    gather: Vec<FastGather>,
-    out_writes: Vec<FastOut>,
+    /// Per [`TaskletPlan::gather`] entry: the gathered register is
+    /// boolean-classed; convert with [`Scalar::as_bool`]'s inverse
+    /// convention (`true` → `1.0`).
+    gather_bool: Vec<bool>,
     /// Containers that must be live with dtype `F64` at runtime for the
     /// fast path to be semantically equal to the generic one; any failed
     /// guard falls back to the generic interpreter for the whole node.
@@ -442,114 +496,6 @@ struct MapPlan {
     /// Why the scope did not fuse (compile-time eligibility), for
     /// [`Program::tasklet_stats`] introspection.
     fuse_reason: Option<FuseReject>,
-}
-
-/// One instruction of a fused kernel body: the tasklets' [`FInsn`] code
-/// with map-parameter loads turned into lane-indexed parameter reads and
-/// jump targets rebased into the concatenated stream. Select-free bodies
-/// additionally drop the statement markers (nothing records per-statement
-/// coverage) and run lane-chunked; bodies with control flow keep them and
-/// run the scalar per-element loop (see [`FusedKernel::has_select`]).
-#[derive(Clone, Debug)]
-pub(crate) enum FKInsn {
-    ConstF {
-        dst: u32,
-        val: f64,
-    },
-    ConstB {
-        dst: u32,
-        val: bool,
-    },
-    MovF {
-        dst: u32,
-        src: u32,
-    },
-    MovB {
-        dst: u32,
-        src: u32,
-    },
-    /// Outer (non-parameter) symbol: constant across the whole kernel;
-    /// the precheck guarantees it is bound.
-    LoadSymF {
-        dst: u32,
-        sym: SymId,
-    },
-    /// Map parameter of dimension `dim`: varies per lane on the innermost
-    /// dimension, broadcast otherwise.
-    LoadParamF {
-        dst: u32,
-        dim: u32,
-    },
-    BinF {
-        op: BinOp,
-        dst: u32,
-        a: u32,
-        b: u32,
-    },
-    UnF {
-        op: UnOp,
-        dst: u32,
-        a: u32,
-    },
-    CmpF {
-        op: CmpOp,
-        dst: u32,
-        a: u32,
-        b: u32,
-    },
-    NotB {
-        dst: u32,
-        a: u32,
-    },
-    AndB {
-        dst: u32,
-        a: u32,
-        b: u32,
-    },
-    OrB {
-        dst: u32,
-        a: u32,
-        b: u32,
-    },
-    BoolFromF {
-        reg: u32,
-    },
-    /// `rf[dst] = rb[src] as u8 as f64` — the gather conversion, used to
-    /// forward a bool-classed intermediate to the next tasklet's float
-    /// connector register exactly as a store + reload would.
-    FloatFromB {
-        dst: u32,
-        src: u32,
-    },
-    /// Statement marker (select-mode only): sets the coverage site,
-    /// resets the select counter — mirrors [`FInsn::Stmt`].
-    Stmt {
-        site: u64,
-    },
-    /// Select-condition coverage (select-mode only): bumps the select
-    /// counter and records `[site, sel, cond]` — mirrors
-    /// [`FInsn::CoverSel`].
-    CoverSel {
-        cond: u32,
-    },
-    JumpIfFalse {
-        cond: u32,
-        target: u32,
-    },
-    Jump {
-        target: u32,
-    },
-    /// Tasklet-entry coverage marker. Coverage is *edge* coverage
-    /// (consecutive locations pair up), so when a kernel records more
-    /// than one location per element — pipelines, select sites — the
-    /// records must interleave exactly as the per-element engine's do.
-    /// The scalar body loop executes this once per element (on the
-    /// first lane); the chunked loop ignores it and the caller batches
-    /// instead, which is order-equivalent only for the single-location
-    /// kernels the chunked loop is limited to.
-    Cover {
-        loc: u64,
-    },
 }
 
 /// A variable occurring in a fused access's affine subscript.
@@ -671,7 +617,14 @@ pub(crate) struct FusedKernel {
     pub(crate) outputs: Vec<FusedAccess>,
     /// `(source register, gathered from the bool file)` per output.
     pub(crate) out_regs: Vec<(u32, bool)>,
-    pub(crate) code: Vec<FKInsn>,
+    /// The body tasklets' [`FInsn`] code, concatenated in execution order
+    /// (see [`fuse_map`]): each tasklet's registers in a disjoint window,
+    /// jump targets rebased, map-parameter loads turned into
+    /// `LoadParamF`, a `Cover` marker at each tasklet's entry. Select-free
+    /// bodies drop the statement markers and run lane-chunked; bodies
+    /// with control flow keep them and run the scalar interpreter (see
+    /// [`FusedKernel::has_select`]).
+    pub(crate) code: Vec<FInsn>,
     pub(crate) n_regs: usize,
     /// Containers that must be live with dtype `F64` (same contract as
     /// [`FastTasklet::guards`]).
@@ -1395,10 +1348,8 @@ impl Compiler<'_> {
         // Named registers: one per connector slot, one per distinct
         // statement destination not already a connector.
         let mut reg_of: BTreeMap<String, u32> = BTreeMap::new();
-        let mut conn_regs = Vec::with_capacity(conn_slots.len());
         for (i, conn) in conn_slots.iter().enumerate() {
             reg_of.insert(conn.clone(), i as u32);
-            conn_regs.push(i as u32);
         }
         let mut next_reg = conn_slots.len() as u32;
         for stmt in &t.code {
@@ -1486,7 +1437,6 @@ impl Compiler<'_> {
             cover_loc: location_id(&[node_site]),
             lanes,
             n_conn_slots: conn_slots.len(),
-            conn_regs,
             inputs,
             code,
             n_regs: (named_count as usize) + max_depth + 1,
@@ -1496,7 +1446,9 @@ impl Compiler<'_> {
             fast: None,
         };
         if self.specialize {
-            plan.fast = self.specialize_f64(t, &plan, node_site).map(Box::new);
+            plan.fast = self
+                .specialize_f64(t, &plan, &conn_slots, &reg_of, node_site)
+                .map(Box::new);
         }
         plan
     }
@@ -1514,86 +1466,52 @@ impl Compiler<'_> {
     /// conversion happens at the same abstract moment in both engines; an
     /// integer-*operated* expression (`i + 1` over two ints, which wraps)
     /// makes the tasklet ineligible and keeps it on the generic bytecode.
+    ///
+    /// The code uses the generic bytecode's named registers (`reg_of`:
+    /// connector slots first, then statement destinations in first-use
+    /// order), so the plan's connector and gather registers address it.
     fn specialize_f64(
         &mut self,
         t: &Tasklet,
         plan: &TaskletPlan,
+        conn_slots: &[String],
+        reg_of: &BTreeMap<String, u32>,
         node_site: u64,
     ) -> Option<FastTasklet> {
         // Memlet eligibility: every input/output plan compiled cleanly
         // and targets a declared-F64 container.
-        let mut guards: Vec<DataId> = Vec::new();
-        let guard = |this: &Compiler<'_>, guards: &mut Vec<DataId>, data: DataId| -> bool {
-            let name = &this.data.names[data.idx()];
-            match this.sdfg.array(name) {
-                Some(desc) if desc.dtype == DType::F64 => {
-                    if !guards.iter().any(|g| g.idx() == data.idx()) {
-                        guards.push(data);
-                    }
-                    true
-                }
-                _ => false,
-            }
-        };
-        let mut inputs = Vec::with_capacity(plan.inputs.len());
+        let mut accessed: Vec<DataId> = Vec::new();
         for ip in &plan.inputs {
-            match ip {
-                InputPlan::Fail(_) => return None,
-                InputPlan::Read { slot, conn, plan } => {
-                    if !guard(self, &mut guards, plan.data) {
-                        return None;
-                    }
-                    inputs.push(FastInput {
-                        slot: *slot,
-                        conn: conn.clone(),
-                        plan: plan.clone(),
-                    });
-                }
-            }
+            let InputPlan::Read { plan, .. } = ip else {
+                return None;
+            };
+            accessed.push(plan.data);
         }
-        let mut out_writes = Vec::with_capacity(plan.out_writes.len());
         for ow in &plan.out_writes {
-            match ow {
-                OutWrite::Fail(_) => return None,
-                OutWrite::Write { slot, plan } => {
-                    if !guard(self, &mut guards, plan.data) {
-                        return None;
-                    }
-                    out_writes.push(FastOut {
-                        slot: *slot,
-                        plan: plan.clone(),
-                    });
-                }
+            let OutWrite::Write { plan, .. } = ow else {
+                return None;
+            };
+            accessed.push(plan.data);
+        }
+        let mut guards: Vec<DataId> = Vec::new();
+        for data in accessed {
+            let desc = self.sdfg.array(&self.data.names[data.idx()])?;
+            if desc.dtype != DType::F64 {
+                return None;
+            }
+            if !guards.contains(&data) {
+                guards.push(data);
             }
         }
-        if plan.gather.iter().any(|g| matches!(g, GatherSpec::Fail(_))) {
-            return None;
-        }
 
-        // Named registers: same layout as the generic bytecode (connector
-        // slots first, then statement destinations in first-use order),
-        // each with an inferred class.
-        let mut conn_slots: Vec<String> = vec![String::new(); plan.n_conn_slots];
-        for ip in &inputs {
-            conn_slots[ip.slot].clone_from(&ip.conn);
-        }
-        let mut reg_of: BTreeMap<String, u32> = BTreeMap::new();
-        let mut cls_of: BTreeMap<String, FCls> = BTreeMap::new();
-        for (i, conn) in conn_slots.iter().enumerate() {
-            reg_of.insert(conn.clone(), i as u32);
-            cls_of.insert(conn.clone(), FCls::Float);
-        }
-        let mut next_reg = conn_slots.len() as u32;
-        for stmt in &t.code {
-            reg_of.entry(stmt.dst.clone()).or_insert_with(|| {
-                let r = next_reg;
-                next_reg += 1;
-                r
-            });
-        }
-        let named_count = next_reg;
+        // Each named register gets an inferred class.
+        let mut cls_of: BTreeMap<String, FCls> = conn_slots
+            .iter()
+            .map(|conn| (conn.clone(), FCls::Float))
+            .collect();
+        let named_count = reg_of.len() as u32;
 
-        let mut defined: Vec<String> = conn_slots.clone();
+        let mut defined: Vec<String> = conn_slots.to_vec();
         let mut code = Vec::new();
         let mut max_depth = 0usize;
         for (si, stmt) in t.code.iter().enumerate() {
@@ -1607,7 +1525,7 @@ impl Compiler<'_> {
                 0,
                 &defined,
                 &cls_of,
-                &reg_of,
+                reg_of,
             )?;
             max_depth = max_depth.max(depth);
             let dst = reg_of[&stmt.dst];
@@ -1635,28 +1553,21 @@ impl Compiler<'_> {
             }
         }
 
-        // Gathers mirror the generic slot assignment; bool-classed
-        // outputs convert at the gather, exactly where the generic
-        // engine's `Scalar::as_f64` conversion happens (array store).
-        let mut gather = Vec::with_capacity(plan.gather.len());
+        // Gathers are the plan's; bool-classed outputs convert at the
+        // gather, exactly where the generic engine's `Scalar::as_f64`
+        // conversion happens (array store).
+        let mut gather_bool = Vec::with_capacity(plan.gather.len());
         for (g, out) in plan.gather.iter().zip(&t.outputs) {
-            let GatherSpec::Push { slot, reg: _ } = g else {
+            if matches!(g, GatherSpec::Fail(_)) {
                 return None;
-            };
-            gather.push(FastGather {
-                slot: *slot,
-                reg: reg_of[out.as_str()],
-                from_bool: cls_of.get(out.as_str()) == Some(&FCls::Bool),
-            });
+            }
+            gather_bool.push(cls_of.get(out.as_str()) == Some(&FCls::Bool));
         }
 
         Some(FastTasklet {
-            conn_regs: plan.conn_regs.clone(),
-            inputs,
             code,
             n_regs: (named_count as usize) + max_depth + 1,
-            gather,
-            out_writes,
+            gather_bool,
             guards,
         })
     }
@@ -2180,7 +2091,7 @@ fn fuse_map(mp: &MapPlan) -> Result<FusedKernel, FuseReject> {
     let mut chained: Vec<usize> = Vec::new();
     let mut outputs: Vec<FusedAccess> = Vec::new();
     let mut out_regs: Vec<(u32, bool)> = Vec::new();
-    let mut code: Vec<FKInsn> = Vec::new();
+    let mut code: Vec<FInsn> = Vec::new();
     let mut guards: Vec<DataId> = Vec::new();
     // Container → index of the fused output that wrote it.
     let mut writer_of: BTreeMap<usize, usize> = BTreeMap::new();
@@ -2192,15 +2103,20 @@ fn fuse_map(mp: &MapPlan) -> Result<FusedKernel, FuseReject> {
         cover_locs.push(tp.cover_loc);
         // Entry coverage precedes the tasklet's reads and body, exactly
         // where the per-element engine records it.
-        code.push(FKInsn::Cover { loc: tp.cover_loc });
+        code.push(FInsn::Cover { loc: tp.cover_loc });
         // Each tasklet gets a disjoint window of the register files.
         let base = n_regs as u32;
 
-        for (k, ip) in fp.inputs.iter().enumerate() {
+        for (k, ip) in tp.inputs.iter().enumerate() {
+            let InputPlan::Read { slot, plan, .. } = ip else {
+                return Err(FuseReject::NotSpecialized);
+            };
             // A later read into the same connector slot overwrites this
             // one; the read still happens for bounds/step parity.
-            let dead = fp.inputs[k + 1..].iter().any(|later| later.slot == ip.slot);
-            let acc = fused_access(&ip.plan, &mp.params, false)?;
+            let dead = tp.inputs[k + 1..]
+                .iter()
+                .any(|later| matches!(later, InputPlan::Read { slot: s, .. } if s == slot));
+            let acc = fused_access(plan, &mp.params, false)?;
             if let Some(&oi) = writer_of.get(&acc.data.idx()) {
                 // Pipeline-internal read: an earlier tasklet wrote this
                 // container. Sound only when the subset is byte-identical
@@ -2216,11 +2132,11 @@ fn fuse_map(mp: &MapPlan) -> Result<FusedKernel, FuseReject> {
                 chained.push(oi);
                 if !dead {
                     let (src, from_bool) = out_regs[oi];
-                    let dst = fp.conn_regs[ip.slot] + base;
+                    let dst = *slot as u32 + base;
                     code.push(if from_bool {
-                        FKInsn::FloatFromB { dst, src }
+                        FInsn::FloatFromB { dst, src }
                     } else {
-                        FKInsn::MovF { dst, src }
+                        FInsn::MovF { dst, src }
                     });
                 }
             } else {
@@ -2228,97 +2144,34 @@ fn fuse_map(mp: &MapPlan) -> Result<FusedKernel, FuseReject> {
                 in_regs.push(if dead {
                     None
                 } else {
-                    Some(fp.conn_regs[ip.slot] + base)
+                    Some(*slot as u32 + base)
                 });
                 inputs.push(acc);
             }
         }
 
-        // Translate the tasklet's code 1:1 (jump targets rebase onto the
-        // concatenated stream). Select-free kernels drop the statement
-        // markers — nothing reads the site — which cannot desync targets
-        // because such code has no jumps at all.
+        // Append the tasklet's code, relocated into its register window
+        // and onto the concatenated stream's jump targets. Select-free
+        // kernels drop the statement markers — nothing reads the site —
+        // which cannot desync targets because such code has no jumps.
         let code_base = code.len() as u32;
-        let skip_stmts = !has_select;
-        for insn in &fp.code {
-            code.push(match insn {
-                FInsn::Stmt { site } => {
-                    if skip_stmts {
-                        continue;
-                    }
-                    FKInsn::Stmt { site: *site }
-                }
-                FInsn::CoverSel { cond } => FKInsn::CoverSel { cond: cond + base },
-                FInsn::JumpIfFalse { cond, target } => FKInsn::JumpIfFalse {
-                    cond: cond + base,
-                    target: target + code_base,
-                },
-                FInsn::Jump { target } => FKInsn::Jump {
-                    target: target + code_base,
-                },
-                FInsn::ConstF { dst, val } => FKInsn::ConstF {
-                    dst: dst + base,
-                    val: *val,
-                },
-                FInsn::ConstB { dst, val } => FKInsn::ConstB {
-                    dst: dst + base,
-                    val: *val,
-                },
-                FInsn::MovF { dst, src } => FKInsn::MovF {
-                    dst: dst + base,
-                    src: src + base,
-                },
-                FInsn::MovB { dst, src } => FKInsn::MovB {
-                    dst: dst + base,
-                    src: src + base,
-                },
+        for &insn in &fp.code {
+            let insn = match insn {
+                FInsn::Stmt { .. } if !has_select => continue,
                 FInsn::LoadSymF { dst, sym } => match mp.params.iter().position(|p| p.0 == sym.0) {
-                    Some(d) => FKInsn::LoadParamF {
-                        dst: dst + base,
-                        dim: d as u32,
-                    },
-                    None => FKInsn::LoadSymF {
-                        dst: dst + base,
-                        sym: *sym,
-                    },
+                    Some(d) => FInsn::LoadParamF { dst, dim: d as u32 },
+                    None => insn,
                 },
-                FInsn::BinF { op, dst, a, b } => FKInsn::BinF {
-                    op: *op,
-                    dst: dst + base,
-                    a: a + base,
-                    b: b + base,
-                },
-                FInsn::UnF { op, dst, a } => FKInsn::UnF {
-                    op: *op,
-                    dst: dst + base,
-                    a: a + base,
-                },
-                FInsn::CmpF { op, dst, a, b } => FKInsn::CmpF {
-                    op: *op,
-                    dst: dst + base,
-                    a: a + base,
-                    b: b + base,
-                },
-                FInsn::NotB { dst, a } => FKInsn::NotB {
-                    dst: dst + base,
-                    a: a + base,
-                },
-                FInsn::AndB { dst, a, b } => FKInsn::AndB {
-                    dst: dst + base,
-                    a: a + base,
-                    b: b + base,
-                },
-                FInsn::OrB { dst, a, b } => FKInsn::OrB {
-                    dst: dst + base,
-                    a: a + base,
-                    b: b + base,
-                },
-                FInsn::BoolFromF { reg } => FKInsn::BoolFromF { reg: reg + base },
-            });
+                _ => insn,
+            };
+            code.push(insn.relocate(base, code_base));
         }
 
-        for ow in &fp.out_writes {
-            let acc = fused_access(&ow.plan, &mp.params, true)?;
+        for ow in &tp.out_writes {
+            let OutWrite::Write { slot, plan } = ow else {
+                return Err(FuseReject::NotSpecialized);
+            };
+            let acc = fused_access(plan, &mp.params, true)?;
             let di = acc.data.idx();
             if writer_of.contains_key(&di) {
                 return Err(FuseReject::DupWrites);
@@ -2334,13 +2187,22 @@ fn fuse_map(mp: &MapPlan) -> Result<FusedKernel, FuseReject> {
             if lanes > 1 && acc.dims.iter().all(|d| d.span.is_none()) {
                 return Err(FuseReject::LaneVolume);
             }
-            let mut gathers = fp.gather.iter().filter(|g| g.slot == ow.slot);
+            let mut gathers =
+                tp.gather
+                    .iter()
+                    .zip(&fp.gather_bool)
+                    .filter_map(|(g, &from_bool)| match g {
+                        GatherSpec::Push { slot: s, reg } if s == slot => {
+                            Some((reg + base, from_bool))
+                        }
+                        _ => None,
+                    });
             let g = gathers.next().ok_or(FuseReject::NeverGathered)?;
             if gathers.next().is_some() {
                 return Err(FuseReject::DupConnector);
             }
             writer_of.insert(di, outputs.len());
-            out_regs.push((g.reg + base, g.from_bool));
+            out_regs.push(g);
             outputs.push(acc);
         }
 
@@ -2987,7 +2849,7 @@ impl<'p> Executor<'p> {
             }
         }
         for insn in &fk.code {
-            if let FKInsn::LoadSymF { sym, .. } = insn {
+            if let FInsn::LoadSymF { sym, .. } = insn {
                 if self.a.syms[sym.idx()].is_none() {
                     return FusedReady::Fallback;
                 }
@@ -3176,7 +3038,7 @@ impl<'p> Executor<'p> {
         // Coverage is edge coverage: consecutive records pair up, so a
         // kernel recording more than one location per element (pipeline
         // entries, select sites) must interleave its records exactly as
-        // the per-element engine does — the scalar body loop executes
+        // the per-element engine does — the scalar interpreter executes
         // the kernel's `Cover`/`CoverSel` markers in element order. A
         // single-location kernel records `loc × elems`, for which the
         // batch below is order-identical and keeps the chunked loop.
@@ -3194,8 +3056,8 @@ impl<'p> Executor<'p> {
 
         let mut rf = std::mem::take(&mut self.a.fk_regs_f);
         let mut rb = std::mem::take(&mut self.a.fk_regs_b);
-        // Scalar register files for the scalar body loop (reused from
-        // the fast-path arenas; taken up front so the slice views below
+        // Scalar register files for the scalar loop (the fast path's,
+        // which runs the same interpreter; taken up front so the views below
         // can borrow the arrays without a split borrow).
         let mut srf = std::mem::take(&mut self.a.regs_f);
         let mut srb = std::mem::take(&mut self.a.regs_b);
@@ -3398,9 +3260,8 @@ impl<'p> Executor<'p> {
             b.clear();
         }
         for lane in 0..tp.lanes {
-            for (slot, &reg) in tp.conn_regs.iter().enumerate() {
-                let vals = &in_vals[slot];
-                regs[reg as usize] = if vals.len() == 1 { vals[0] } else { vals[lane] };
+            for (reg, vals) in regs.iter_mut().zip(&in_vals[..tp.n_conn_slots]) {
+                *reg = if vals.len() == 1 { vals[0] } else { vals[lane] };
             }
             self.run_code(&tp.code, ctx, regs, &tp.name)?;
             for g in &tp.gather {
@@ -3537,7 +3398,7 @@ impl<'p> Executor<'p> {
 
     /// Mirrors [`Executor::exec_tasklet_inner`] step for step (gather in
     /// memlet order with volume checks, lane loop, output delivery in
-    /// memlet order) on raw `f64` values.
+    /// memlet order) on raw `f64` values, over the same plans.
     #[allow(clippy::too_many_arguments)]
     fn exec_tasklet_fast_inner(
         &mut self,
@@ -3549,139 +3410,57 @@ impl<'p> Executor<'p> {
         regs_f: &mut [f64],
         regs_b: &mut [bool],
     ) -> Result<(), ExecError> {
-        for ip in &fp.inputs {
-            let buf = &mut fin[ip.slot];
-            buf.clear();
-            self.read_plan_f64(&ip.plan, ctx, buf, &tp.name)?;
-            if buf.len() != 1 && buf.len() != tp.lanes {
-                return Err(ExecError::VolumeMismatch {
-                    context: format!("tasklet '{}' input '{}'", tp.name, ip.conn),
-                    expected: tp.lanes,
-                    actual: buf.len(),
-                });
+        for ip in &tp.inputs {
+            match ip {
+                InputPlan::Fail(e) => return Err(e.clone()),
+                InputPlan::Read { slot, conn, plan } => {
+                    let buf = &mut fin[*slot];
+                    buf.clear();
+                    self.read_plan_f64(plan, ctx, buf, &tp.name)?;
+                    if buf.len() != 1 && buf.len() != tp.lanes {
+                        return Err(ExecError::VolumeMismatch {
+                            context: format!("tasklet '{}' input '{conn}'", tp.name),
+                            expected: tp.lanes,
+                            actual: buf.len(),
+                        });
+                    }
+                }
             }
         }
         for b in fout[..tp.n_out_slots].iter_mut() {
             b.clear();
         }
         for lane in 0..tp.lanes {
-            for (slot, &reg) in fp.conn_regs.iter().enumerate() {
-                let vals = &fin[slot];
-                regs_f[reg as usize] = if vals.len() == 1 { vals[0] } else { vals[lane] };
+            for (reg, vals) in regs_f.iter_mut().zip(&fin[..tp.n_conn_slots]) {
+                *reg = if vals.len() == 1 { vals[0] } else { vals[lane] };
             }
-            self.run_fcode(&fp.code, ctx, regs_f, regs_b, &tp.name)?;
-            for g in &fp.gather {
-                fout[g.slot].push(if g.from_bool {
-                    regs_b[g.reg as usize] as u8 as f64
-                } else {
-                    regs_f[g.reg as usize]
-                });
+            run_fcode(&fp.code, regs_f, regs_b, &self.a.syms, &[], true, ctx).map_err(|sym| {
+                ExecError::UndefinedRef {
+                    tasklet: tp.name.clone(),
+                    name: self.prog.syms.names[sym.idx()].clone(),
+                }
+            })?;
+            for (g, &from_bool) in tp.gather.iter().zip(&fp.gather_bool) {
+                match g {
+                    GatherSpec::Push { slot, reg } => fout[*slot].push(if from_bool {
+                        regs_b[*reg as usize] as u8 as f64
+                    } else {
+                        regs_f[*reg as usize]
+                    }),
+                    GatherSpec::Fail(e) => return Err(e.clone()),
+                }
             }
         }
-        for ow in &fp.out_writes {
-            let vals = std::mem::take(&mut fout[ow.slot]);
-            let r = self.write_plan_f64(&ow.plan, ctx, &vals, &tp.name);
-            fout[ow.slot] = vals;
-            r?;
-        }
-        Ok(())
-    }
-
-    fn run_fcode(
-        &mut self,
-        code: &'p [FInsn],
-        ctx: &mut RunCtx<'_>,
-        regs_f: &mut [f64],
-        regs_b: &mut [bool],
-        tasklet: &str,
-    ) -> Result<(), ExecError> {
-        let mut pc = 0usize;
-        let mut site = 0u64;
-        let mut sel = 0u64;
-        while pc < code.len() {
-            match &code[pc] {
-                FInsn::Stmt { site: s } => {
-                    site = *s;
-                    sel = 0;
-                }
-                FInsn::ConstF { dst, val } => regs_f[*dst as usize] = *val,
-                FInsn::ConstB { dst, val } => regs_b[*dst as usize] = *val,
-                FInsn::MovF { dst, src } => regs_f[*dst as usize] = regs_f[*src as usize],
-                FInsn::MovB { dst, src } => regs_b[*dst as usize] = regs_b[*src as usize],
-                FInsn::LoadSymF { dst, sym } => match self.a.syms[sym.idx()] {
-                    Some(v) => regs_f[*dst as usize] = v as f64,
-                    None => {
-                        return Err(ExecError::UndefinedRef {
-                            tasklet: tasklet.to_string(),
-                            name: self.prog.syms.names[sym.idx()].clone(),
-                        })
-                    }
-                },
-                FInsn::BinF { op, dst, a, b } => {
-                    let (x, y) = (regs_f[*a as usize], regs_f[*b as usize]);
-                    // The float branch of `apply_bin`, monomorphized.
-                    regs_f[*dst as usize] = match op {
-                        BinOp::Add => x + y,
-                        BinOp::Sub => x - y,
-                        BinOp::Mul => x * y,
-                        BinOp::Div => x / y,
-                        BinOp::Mod => x.rem_euclid(y),
-                        BinOp::Min => x.min(y),
-                        BinOp::Max => x.max(y),
-                        BinOp::Pow => x.powf(y),
-                        BinOp::And | BinOp::Or => unreachable!("lowered to AndB/OrB"),
-                    };
-                }
-                FInsn::UnF { op, dst, a } => {
-                    let x = regs_f[*a as usize];
-                    regs_f[*dst as usize] = match op {
-                        UnOp::Neg => -x,
-                        UnOp::Abs => x.abs(),
-                        UnOp::Sqrt => x.sqrt(),
-                        UnOp::Exp => x.exp(),
-                        UnOp::Log => x.ln(),
-                        UnOp::Floor => x.floor(),
-                        UnOp::Ceil => x.ceil(),
-                        UnOp::Tanh => x.tanh(),
-                        UnOp::Not => unreachable!("lowered to NotB"),
-                    };
-                }
-                FInsn::CmpF { op, dst, a, b } => {
-                    let (x, y) = (regs_f[*a as usize], regs_f[*b as usize]);
-                    regs_b[*dst as usize] = match op {
-                        CmpOp::Lt => x < y,
-                        CmpOp::Le => x <= y,
-                        CmpOp::Gt => x > y,
-                        CmpOp::Ge => x >= y,
-                        CmpOp::Eq => x == y,
-                        CmpOp::Ne => x != y,
-                    };
-                }
-                FInsn::NotB { dst, a } => regs_b[*dst as usize] = !regs_b[*a as usize],
-                FInsn::AndB { dst, a, b } => {
-                    regs_b[*dst as usize] = regs_b[*a as usize] && regs_b[*b as usize]
-                }
-                FInsn::OrB { dst, a, b } => {
-                    regs_b[*dst as usize] = regs_b[*a as usize] || regs_b[*b as usize]
-                }
-                FInsn::BoolFromF { reg } => regs_b[*reg as usize] = regs_f[*reg as usize] != 0.0,
-                FInsn::CoverSel { cond } => {
-                    let cv = regs_b[*cond as usize];
-                    sel += 1;
-                    ctx.cover_parts(&[site, sel, cv as u64]);
-                }
-                FInsn::JumpIfFalse { cond, target } => {
-                    if !regs_b[*cond as usize] {
-                        pc = *target as usize;
-                        continue;
-                    }
-                }
-                FInsn::Jump { target } => {
-                    pc = *target as usize;
-                    continue;
+        for ow in &tp.out_writes {
+            match ow {
+                OutWrite::Fail(e) => return Err(e.clone()),
+                OutWrite::Write { slot, plan } => {
+                    let vals = std::mem::take(&mut fout[*slot]);
+                    let r = self.write_plan_f64(plan, ctx, &vals, &tp.name);
+                    fout[*slot] = vals;
+                    r?;
                 }
             }
-            pc += 1;
         }
         Ok(())
     }
@@ -4671,12 +4450,55 @@ fn run_fused_jit(
     }
 }
 
-/// The strength-reduced, lane-chunked fused loop: iterates the outer
-/// dimensions with an odometer, steps raw linear offsets by constant
-/// strides, and runs the straight-line body over chunks of [`LANES`]
-/// elements of the innermost dimension (unit-stride accesses move as
-/// slice copies; scatter loops run in lane order, so repeated offsets and
-/// WCR accumulation combine in exact element order).
+/// The row walker of the bytecode fused loops: iterates every dimension
+/// but the innermost with an odometer over the scratch digits `k`
+/// (all zero on entry and on return) and calls `body(row, params)` once
+/// per row, in row-major order — `row[a]` the linear offset of access
+/// `a`'s first element in the row (hoisted base plus outer strides),
+/// `params[..inner]` the outer map-parameter values. `params[inner]` is
+/// the body's to set.
+fn for_each_row(
+    dims: &[ConcreteRange],
+    bases: &[i64],
+    strides: &[i64],
+    (k, params, row): (&mut [i64], &mut [f64], &mut [i64]),
+    mut body: impl FnMut(&[i64], &mut [f64]),
+) {
+    let n_dims = dims.len();
+    let inner = n_dims - 1;
+    'rows: loop {
+        for (a, r) in row.iter_mut().enumerate() {
+            let mut off = bases[a];
+            for d in 0..inner {
+                off += k[d] * strides[a * n_dims + d];
+            }
+            *r = off;
+        }
+        for d in 0..inner {
+            params[d] = (dims[d].start + k[d] * dims[d].step) as f64;
+        }
+        body(row, params);
+        let mut d = inner;
+        loop {
+            if d == 0 {
+                break 'rows;
+            }
+            d -= 1;
+            k[d] += 1;
+            if k[d] < dims[d].len() as i64 {
+                break;
+            }
+            k[d] = 0;
+        }
+    }
+}
+
+/// The strength-reduced, lane-chunked fused loop: walks the rows (see
+/// [`for_each_row`]), steps raw linear offsets by constant strides, and
+/// runs the straight-line body over chunks of [`LANES`] elements of the
+/// innermost dimension (unit-stride accesses move as slice copies;
+/// scatter loops run in lane order, so repeated offsets and WCR
+/// accumulation combine in exact element order).
 #[allow(clippy::too_many_arguments)]
 fn run_fused_loop(
     fk: &FusedKernel,
@@ -4695,18 +4517,7 @@ fn run_fused_loop(
     let inner_r = dims[inner];
     let inner_len = inner_r.len();
     let n_in = fk.inputs.len();
-    let (k, outer_vals, row) = scratch;
-    'rows: loop {
-        for (a, r) in row.iter_mut().enumerate() {
-            let mut off = bases[a];
-            for d in 0..inner {
-                off += k[d] * strides[a * n_dims + d];
-            }
-            *r = off;
-        }
-        for d in 0..inner {
-            outer_vals[d] = (dims[d].start + k[d] * dims[d].step) as f64;
-        }
+    for_each_row(dims, bases, strides, scratch, |row, outer_vals| {
         let mut j = 0usize;
         while j < inner_len {
             let cl = LANES.min(inner_len - j);
@@ -4760,19 +4571,7 @@ fn run_fused_loop(
             }
             j += cl;
         }
-        let mut d = inner;
-        loop {
-            if d == 0 {
-                break 'rows;
-            }
-            d -= 1;
-            k[d] += 1;
-            if k[d] < dims[d].len() as i64 {
-                break;
-            }
-            k[d] = 0;
-        }
-    }
+    });
 }
 
 /// Executes the straight-line fused body over one lane chunk. Every op
@@ -4780,7 +4579,7 @@ fn run_fused_loop(
 /// fault and are never scattered), as fixed-width loops the compiler
 /// autovectorizes.
 fn run_fk_chunk(
-    code: &[FKInsn],
+    code: &[FInsn],
     rf: &mut [[f64; LANES]],
     rb: &mut [[bool; LANES]],
     syms: &[Option<i64>],
@@ -4790,22 +4589,22 @@ fn run_fk_chunk(
 ) {
     for insn in code {
         match insn {
-            FKInsn::ConstF { dst, val } => rf[*dst as usize] = [*val; LANES],
-            FKInsn::ConstB { dst, val } => rb[*dst as usize] = [*val; LANES],
-            FKInsn::MovF { dst, src } => rf[*dst as usize] = rf[*src as usize],
-            FKInsn::MovB { dst, src } => rb[*dst as usize] = rb[*src as usize],
-            FKInsn::LoadSymF { dst, sym } => {
+            FInsn::ConstF { dst, val } => rf[*dst as usize] = [*val; LANES],
+            FInsn::ConstB { dst, val } => rb[*dst as usize] = [*val; LANES],
+            FInsn::MovF { dst, src } => rf[*dst as usize] = rf[*src as usize],
+            FInsn::MovB { dst, src } => rb[*dst as usize] = rb[*src as usize],
+            FInsn::LoadSymF { dst, sym } => {
                 let v = syms[sym.idx()].expect("precheck resolved symbol") as f64;
                 rf[*dst as usize] = [v; LANES];
             }
-            FKInsn::LoadParamF { dst, dim } => {
+            FInsn::LoadParamF { dst, dim } => {
                 rf[*dst as usize] = if *dim as usize == inner {
                     *inner_vals
                 } else {
                     [outer_vals[*dim as usize]; LANES]
                 };
             }
-            FKInsn::BinF { op, dst, a, b } => {
+            FInsn::BinF { op, dst, a, b } => {
                 let (x, y) = (rf[*a as usize], rf[*b as usize]);
                 let o = &mut rf[*dst as usize];
                 let lanes = o.iter_mut().zip(&x).zip(&y);
@@ -4821,7 +4620,7 @@ fn run_fk_chunk(
                     BinOp::And | BinOp::Or => unreachable!("lowered to AndB/OrB"),
                 }
             }
-            FKInsn::UnF { op, dst, a } => {
+            FInsn::UnF { op, dst, a } => {
                 let x = rf[*a as usize];
                 let o = &mut rf[*dst as usize];
                 let lanes = o.iter_mut().zip(&x);
@@ -4837,7 +4636,7 @@ fn run_fk_chunk(
                     UnOp::Not => unreachable!("lowered to NotB"),
                 }
             }
-            FKInsn::CmpF { op, dst, a, b } => {
+            FInsn::CmpF { op, dst, a, b } => {
                 let (x, y) = (rf[*a as usize], rf[*b as usize]);
                 let o = &mut rb[*dst as usize];
                 let lanes = o.iter_mut().zip(&x).zip(&y);
@@ -4850,14 +4649,14 @@ fn run_fk_chunk(
                     CmpOp::Ne => lanes.for_each(|((o, x), y)| *o = x != y),
                 }
             }
-            FKInsn::NotB { dst, a } => {
+            FInsn::NotB { dst, a } => {
                 let x = rb[*a as usize];
                 rb[*dst as usize]
                     .iter_mut()
                     .zip(&x)
                     .for_each(|(o, x)| *o = !x);
             }
-            FKInsn::AndB { dst, a, b } => {
+            FInsn::AndB { dst, a, b } => {
                 let (x, y) = (rb[*a as usize], rb[*b as usize]);
                 rb[*dst as usize]
                     .iter_mut()
@@ -4865,7 +4664,7 @@ fn run_fk_chunk(
                     .zip(&y)
                     .for_each(|((o, x), y)| *o = *x && *y);
             }
-            FKInsn::OrB { dst, a, b } => {
+            FInsn::OrB { dst, a, b } => {
                 let (x, y) = (rb[*a as usize], rb[*b as usize]);
                 rb[*dst as usize]
                     .iter_mut()
@@ -4873,14 +4672,14 @@ fn run_fk_chunk(
                     .zip(&y)
                     .for_each(|((o, x), y)| *o = *x || *y);
             }
-            FKInsn::BoolFromF { reg } => {
+            FInsn::BoolFromF { reg } => {
                 let x = rf[*reg as usize];
                 rb[*reg as usize]
                     .iter_mut()
                     .zip(&x)
                     .for_each(|(o, x)| *o = *x != 0.0);
             }
-            FKInsn::FloatFromB { dst, src } => {
+            FInsn::FloatFromB { dst, src } => {
                 let x = rb[*src as usize];
                 rf[*dst as usize]
                     .iter_mut()
@@ -4889,23 +4688,22 @@ fn run_fk_chunk(
             }
             // Entry coverage is batched by the caller when the chunked
             // loop runs (it only runs for single-location kernels).
-            FKInsn::Cover { .. } => {}
-            FKInsn::Stmt { .. }
-            | FKInsn::CoverSel { .. }
-            | FKInsn::JumpIfFalse { .. }
-            | FKInsn::Jump { .. } => {
+            FInsn::Cover { .. } => {}
+            FInsn::Stmt { .. }
+            | FInsn::CoverSel { .. }
+            | FInsn::JumpIfFalse { .. }
+            | FInsn::Jump { .. } => {
                 unreachable!("select-bodied kernels run the scalar loop")
             }
         }
     }
 }
 
-/// The scalar twin of [`run_fused_loop`] for select-bodied kernels: the
-/// same odometer over hoisted base offsets and strides, but the body runs
-/// once per element of the iteration box as a scalar `pc` interpreter —
-/// exactly [`run_fcode`]'s arithmetic, jumps and per-select coverage
-/// (`[site, sel, cond]` parts, with a fresh site/sel state per element,
-/// as the generic engine starts one per lane).
+/// The scalar twin of [`run_fused_loop`] for select-bodied kernels (and
+/// runs recording interleaved coverage): the same row walk, but the body
+/// runs once per element of the iteration box through [`run_fcode`],
+/// with a fresh site/sel state per element as the generic engine starts
+/// one per lane.
 #[allow(clippy::too_many_arguments)]
 fn run_fused_scalar(
     fk: &FusedKernel,
@@ -4923,126 +4721,19 @@ fn run_fused_scalar(
     let n_dims = dims.len();
     let inner = n_dims - 1;
     let inner_r = dims[inner];
-    let inner_len = inner_r.len();
     let n_in = fk.inputs.len();
-    let (k, outer_vals, row) = scratch;
-    'rows: loop {
-        for (a, r) in row.iter_mut().enumerate() {
-            let mut off = bases[a];
-            for d in 0..inner {
-                off += k[d] * strides[a * n_dims + d];
-            }
-            *r = off;
-        }
-        for d in 0..inner {
-            outer_vals[d] = (dims[d].start + k[d] * dims[d].step) as f64;
-        }
-        for j in 0..inner_len {
-            let inner_val = (inner_r.start + j as i64 * inner_r.step) as f64;
+    for_each_row(dims, bases, strides, scratch, |row, params| {
+        for j in 0..inner_r.len() {
+            params[inner] = (inner_r.start + j as i64 * inner_r.step) as f64;
             for (ii, s) in ins.iter().enumerate() {
                 let Some(reg) = fk.in_regs[ii] else { continue };
                 let st = strides[ii * n_dims + inner];
                 rf[reg as usize] = s[(row[ii] + j as i64 * st) as usize];
             }
-            let mut pc = 0usize;
-            let mut site = 0u64;
-            let mut sel = 0u64;
-            while pc < fk.code.len() {
-                match &fk.code[pc] {
-                    FKInsn::Stmt { site: s } => {
-                        site = *s;
-                        sel = 0;
-                    }
-                    FKInsn::ConstF { dst, val } => rf[*dst as usize] = *val,
-                    FKInsn::ConstB { dst, val } => rb[*dst as usize] = *val,
-                    FKInsn::MovF { dst, src } => rf[*dst as usize] = rf[*src as usize],
-                    FKInsn::MovB { dst, src } => rb[*dst as usize] = rb[*src as usize],
-                    FKInsn::LoadSymF { dst, sym } => {
-                        rf[*dst as usize] =
-                            syms[sym.idx()].expect("precheck resolved symbol") as f64;
-                    }
-                    FKInsn::LoadParamF { dst, dim } => {
-                        rf[*dst as usize] = if *dim as usize == inner {
-                            inner_val
-                        } else {
-                            outer_vals[*dim as usize]
-                        };
-                    }
-                    FKInsn::BinF { op, dst, a, b } => {
-                        let (x, y) = (rf[*a as usize], rf[*b as usize]);
-                        rf[*dst as usize] = match op {
-                            BinOp::Add => x + y,
-                            BinOp::Sub => x - y,
-                            BinOp::Mul => x * y,
-                            BinOp::Div => x / y,
-                            BinOp::Mod => x.rem_euclid(y),
-                            BinOp::Min => x.min(y),
-                            BinOp::Max => x.max(y),
-                            BinOp::Pow => x.powf(y),
-                            BinOp::And | BinOp::Or => unreachable!("lowered to AndB/OrB"),
-                        };
-                    }
-                    FKInsn::UnF { op, dst, a } => {
-                        let x = rf[*a as usize];
-                        rf[*dst as usize] = match op {
-                            UnOp::Neg => -x,
-                            UnOp::Abs => x.abs(),
-                            UnOp::Sqrt => x.sqrt(),
-                            UnOp::Exp => x.exp(),
-                            UnOp::Log => x.ln(),
-                            UnOp::Floor => x.floor(),
-                            UnOp::Ceil => x.ceil(),
-                            UnOp::Tanh => x.tanh(),
-                            UnOp::Not => unreachable!("lowered to NotB"),
-                        };
-                    }
-                    FKInsn::CmpF { op, dst, a, b } => {
-                        let (x, y) = (rf[*a as usize], rf[*b as usize]);
-                        rb[*dst as usize] = match op {
-                            CmpOp::Lt => x < y,
-                            CmpOp::Le => x <= y,
-                            CmpOp::Gt => x > y,
-                            CmpOp::Ge => x >= y,
-                            CmpOp::Eq => x == y,
-                            CmpOp::Ne => x != y,
-                        };
-                    }
-                    FKInsn::NotB { dst, a } => rb[*dst as usize] = !rb[*a as usize],
-                    FKInsn::AndB { dst, a, b } => {
-                        rb[*dst as usize] = rb[*a as usize] && rb[*b as usize]
-                    }
-                    FKInsn::OrB { dst, a, b } => {
-                        rb[*dst as usize] = rb[*a as usize] || rb[*b as usize]
-                    }
-                    FKInsn::BoolFromF { reg } => rb[*reg as usize] = rf[*reg as usize] != 0.0,
-                    FKInsn::FloatFromB { dst, src } => {
-                        rf[*dst as usize] = rb[*src as usize] as u8 as f64
-                    }
-                    FKInsn::CoverSel { cond } => {
-                        let cv = rb[*cond as usize];
-                        sel += 1;
-                        ctx.cover_parts(&[site, sel, cv as u64]);
-                    }
-                    FKInsn::JumpIfFalse { cond, target } => {
-                        if !rb[*cond as usize] {
-                            pc = *target as usize;
-                            continue;
-                        }
-                    }
-                    FKInsn::Jump { target } => {
-                        pc = *target as usize;
-                        continue;
-                    }
-                    FKInsn::Cover { loc } => {
-                        // Once per element: when the inner dimension is
-                        // the lane block, only the first lane records.
-                        if fk.lanes == 1 || j == 0 {
-                            ctx.cover(*loc);
-                        }
-                    }
-                }
-                pc += 1;
-            }
+            // Entry coverage once per element: when the inner dimension
+            // is the lane block, only the first lane records.
+            run_fcode(&fk.code, rf, rb, syms, params, fk.lanes == 1 || j == 0, ctx)
+                .expect("precheck resolved symbol");
             for (oi, acc) in fk.outputs.iter().enumerate() {
                 let (reg, from_bool) = fk.out_regs[oi];
                 let st = strides[(n_in + oi) * n_dims + inner];
@@ -5062,19 +4753,116 @@ fn run_fused_scalar(
                 };
             }
         }
-        let mut d = inner;
-        loop {
-            if d == 0 {
-                break 'rows;
+    });
+}
+
+/// The scalar interpreter of [`FInsn`] code, shared by the per-element
+/// fast path and the fused scalar loop: runs `code` once over the
+/// register files, recording select coverage — and `Cover` entry markers
+/// when `entry_cover` holds — exactly where the generic bytecode records
+/// them. `LoadSymF` reads `syms`, `LoadParamF` reads `params`. An unbound
+/// symbol stops the run and is returned: the fast path reports it as
+/// [`ExecError::UndefinedRef`], the fused precheck rules it out.
+///
+/// Inlined into both callers: tasklet bodies are a handful of
+/// instructions, so a call per lane is a measurable share of the fast
+/// path's per-element cost.
+#[inline(always)]
+fn run_fcode(
+    code: &[FInsn],
+    rf: &mut [f64],
+    rb: &mut [bool],
+    syms: &[Option<i64>],
+    params: &[f64],
+    entry_cover: bool,
+    ctx: &mut RunCtx<'_>,
+) -> Result<(), SymId> {
+    let mut pc = 0usize;
+    let mut site = 0u64;
+    let mut sel = 0u64;
+    while pc < code.len() {
+        match &code[pc] {
+            FInsn::Stmt { site: s } => {
+                site = *s;
+                sel = 0;
             }
-            d -= 1;
-            k[d] += 1;
-            if k[d] < dims[d].len() as i64 {
-                break;
+            FInsn::ConstF { dst, val } => rf[*dst as usize] = *val,
+            FInsn::ConstB { dst, val } => rb[*dst as usize] = *val,
+            FInsn::MovF { dst, src } => rf[*dst as usize] = rf[*src as usize],
+            FInsn::MovB { dst, src } => rb[*dst as usize] = rb[*src as usize],
+            FInsn::LoadSymF { dst, sym } => match syms[sym.idx()] {
+                Some(v) => rf[*dst as usize] = v as f64,
+                None => return Err(*sym),
+            },
+            FInsn::LoadParamF { dst, dim } => rf[*dst as usize] = params[*dim as usize],
+            FInsn::BinF { op, dst, a, b } => {
+                let (x, y) = (rf[*a as usize], rf[*b as usize]);
+                rf[*dst as usize] = match op {
+                    BinOp::Add => x + y,
+                    BinOp::Sub => x - y,
+                    BinOp::Mul => x * y,
+                    BinOp::Div => x / y,
+                    BinOp::Mod => x.rem_euclid(y),
+                    BinOp::Min => x.min(y),
+                    BinOp::Max => x.max(y),
+                    BinOp::Pow => x.powf(y),
+                    BinOp::And | BinOp::Or => unreachable!("lowered to AndB/OrB"),
+                };
             }
-            k[d] = 0;
+            FInsn::UnF { op, dst, a } => {
+                let x = rf[*a as usize];
+                rf[*dst as usize] = match op {
+                    UnOp::Neg => -x,
+                    UnOp::Abs => x.abs(),
+                    UnOp::Sqrt => x.sqrt(),
+                    UnOp::Exp => x.exp(),
+                    UnOp::Log => x.ln(),
+                    UnOp::Floor => x.floor(),
+                    UnOp::Ceil => x.ceil(),
+                    UnOp::Tanh => x.tanh(),
+                    UnOp::Not => unreachable!("lowered to NotB"),
+                };
+            }
+            FInsn::CmpF { op, dst, a, b } => {
+                let (x, y) = (rf[*a as usize], rf[*b as usize]);
+                rb[*dst as usize] = match op {
+                    CmpOp::Lt => x < y,
+                    CmpOp::Le => x <= y,
+                    CmpOp::Gt => x > y,
+                    CmpOp::Ge => x >= y,
+                    CmpOp::Eq => x == y,
+                    CmpOp::Ne => x != y,
+                };
+            }
+            FInsn::NotB { dst, a } => rb[*dst as usize] = !rb[*a as usize],
+            FInsn::AndB { dst, a, b } => rb[*dst as usize] = rb[*a as usize] && rb[*b as usize],
+            FInsn::OrB { dst, a, b } => rb[*dst as usize] = rb[*a as usize] || rb[*b as usize],
+            FInsn::BoolFromF { reg } => rb[*reg as usize] = rf[*reg as usize] != 0.0,
+            FInsn::FloatFromB { dst, src } => rf[*dst as usize] = rb[*src as usize] as u8 as f64,
+            FInsn::CoverSel { cond } => {
+                let cv = rb[*cond as usize];
+                sel += 1;
+                ctx.cover_parts(&[site, sel, cv as u64]);
+            }
+            FInsn::JumpIfFalse { cond, target } => {
+                if !rb[*cond as usize] {
+                    pc = *target as usize;
+                    continue;
+                }
+            }
+            FInsn::Jump { target } => {
+                pc = *target as usize;
+                continue;
+            }
+            FInsn::Cover { loc } => {
+                if entry_cover {
+                    ctx.cover(*loc);
+                }
+            }
         }
+        pc += 1;
     }
+    Ok(())
 }
 
 /// Postfix evaluation of a compiled symbolic expression, with the same
@@ -5573,5 +5361,326 @@ mod tests {
         let p2 = Program::compile(&mapped(ScalarExpr::r("x")));
         assert_ne!(p1.id(), p2.id());
         assert_eq!(p1.id(), p1.clone().id());
+    }
+
+    /// Reads `(container, subset, connector)` and writes `(container,
+    /// subset, connector, wcr)` of one tasklet in a [`staged_map`].
+    type Reads = Vec<(&'static str, Subset, &'static str)>;
+    type Writes = Vec<(&'static str, Subset, &'static str, Option<Wcr>)>;
+
+    /// One map `i in [0, N)` whose body runs `stages` in order; every
+    /// container is a 1-D `F64` array of length `M`, and a container
+    /// written by one stage and read by a later one is a pipeline
+    /// intermediate.
+    fn staged_map(stages: Vec<(Tasklet, Reads, Writes)>) -> Sdfg {
+        let mut names: Vec<&'static str> = Vec::new();
+        let mut written: Vec<&'static str> = Vec::new();
+        for (_, reads, writes) in &stages {
+            for n in reads.iter().map(|r| r.0).chain(writes.iter().map(|w| w.0)) {
+                if !names.contains(&n) {
+                    names.push(n);
+                }
+            }
+            written.extend(writes.iter().map(|w| w.0));
+        }
+        let mut b = SdfgBuilder::new("staged");
+        b.symbol("N");
+        b.symbol("M");
+        for n in &names {
+            b.array(n, DType::F64, &["M"]);
+        }
+        let st = b.start();
+        b.in_state(st, move |df| {
+            let ins: Vec<_> = names
+                .iter()
+                .filter(|n| !written.contains(n))
+                .map(|n| df.access(n))
+                .collect();
+            let outs: Vec<_> = names
+                .iter()
+                .filter(|n| written.contains(n))
+                .map(|n| df.access(n))
+                .collect();
+            let m = df.map(
+                &["i"],
+                vec![SymRange::full(sym("N"))],
+                Schedule::Parallel,
+                move |mb| {
+                    let nodes: Vec<_> = names.iter().map(|n| mb.access(n)).collect();
+                    let node = |n: &str| nodes[names.iter().position(|x| *x == n).unwrap()];
+                    for (t, reads, writes) in stages {
+                        let t = mb.tasklet(t);
+                        for (data, sub, conn) in reads {
+                            mb.read(node(data), t, Memlet::new(data, sub).to_conn(conn));
+                        }
+                        for (data, sub, conn, wcr) in writes {
+                            let mut w = Memlet::new(data, sub).from_conn(conn);
+                            if let Some(op) = wcr {
+                                w = w.with_wcr(op);
+                            }
+                            mb.write(t, node(data), w);
+                        }
+                    }
+                },
+            );
+            df.auto_wire(m, &ins, &outs);
+        });
+        b.build()
+    }
+
+    /// Pins the machine code `jit::lower::emit` produces for a fixed set
+    /// of fused kernels covering every lowering path: scalar straight-line
+    /// and select bodies (every comparison recipe and bool op), min/max/
+    /// sum/prod WCR stores, packed lanes 2/3/8 (odd remainder, bool
+    /// outputs, packed min/max WCR), a broadcast input, lane-scalar
+    /// selects, and two-tasklet pipelines (float and bool intermediates).
+    /// A refactor of the kernel IR or of fusion must leave every blob
+    /// byte-identical; a deliberate codegen change updates the pins.
+    #[cfg(all(unix, target_arch = "x86_64"))]
+    #[test]
+    fn jit_emission_is_pinned() {
+        use fuzzyflow_ir::{CmpOp, TaskletStmt};
+        use ScalarExpr as E;
+        let x = || E::r("x");
+        let at_i = || Subset::at(vec![sym("i")]);
+        let cmp = |op, a: E, b: E| E::Cmp(op, Box::new(a), Box::new(b));
+        let bin = |op, a: E, b: E| E::Bin(op, Box::new(a), Box::new(b));
+        let un = |op, a: E| E::Un(op, Box::new(a));
+        let lanes = |mut t: Tasklet, l: u32| {
+            t.lanes = l;
+            t
+        };
+        let stmt = |dst: &str, value: E| TaskletStmt {
+            dst: dst.into(),
+            value,
+        };
+        let simple = |body: E| Tasklet::simple("t", vec!["x"], "y", body);
+        let unary = |t: Tasklet, inp: Subset, out: Subset, wcr: Option<Wcr>| {
+            staged_map(vec![(t, vec![("A", inp, "x")], vec![("B", out, "y", wcr)])])
+        };
+
+        let straight = unary(
+            simple(
+                x().mul(E::f64(2.0))
+                    .add(E::r("i"))
+                    .sub(un(UnOp::Abs, x()).div(E::r("N").sqrt()))
+                    .neg(),
+            ),
+            at_i(),
+            at_i(),
+            None,
+        );
+        let select_body = unary(
+            Tasklet::with_code(
+                "t",
+                vec!["x"],
+                vec!["y"],
+                vec![
+                    stmt(
+                        "c",
+                        bin(
+                            BinOp::Or,
+                            bin(
+                                BinOp::And,
+                                cmp(CmpOp::Le, x(), E::f64(0.0)),
+                                un(UnOp::Not, cmp(CmpOp::Eq, x(), E::f64(-1.0))),
+                            ),
+                            cmp(CmpOp::Gt, x(), E::f64(2.0)),
+                        ),
+                    ),
+                    stmt(
+                        "y",
+                        bin(BinOp::And, E::r("c"), E::Const(Scalar::Bool(true))).select(
+                            x().neg(),
+                            cmp(CmpOp::Ne, x(), E::f64(1.0)).select(
+                                x().mul(E::f64(3.0)),
+                                cmp(CmpOp::Ge, x(), E::f64(0.5)).select(x(), E::f64(1.0)),
+                            ),
+                        ),
+                    ),
+                ],
+            ),
+            at_i(),
+            at_i(),
+            None,
+        );
+        let wcr_all = staged_map(vec![(
+            Tasklet::with_code(
+                "t",
+                vec!["x"],
+                vec!["p", "q", "r", "s"],
+                vec![
+                    stmt("p", x().min(E::f64(2.0))),
+                    stmt("q", x().max(E::f64(-1.0))),
+                    stmt("r", x().add(E::r("i"))),
+                    stmt("s", x().mul(E::f64(0.5))),
+                ],
+            ),
+            vec![("A", at_i(), "x")],
+            vec![
+                ("B", at_i(), "p", Some(Wcr::Min)),
+                ("C", at_i(), "q", Some(Wcr::Max)),
+                ("D", at_i(), "r", Some(Wcr::Sum)),
+                ("E", at_i(), "s", Some(Wcr::Prod)),
+            ],
+        )]);
+        let lanes2 = unary(
+            lanes(simple(x().mul(E::f64(2.0)).add(E::f64(1.0))), 2),
+            lane_sub(2),
+            lane_sub(2),
+            Some(Wcr::Max),
+        );
+        let lanes3 = unary(
+            lanes(
+                simple(un(
+                    UnOp::Not,
+                    bin(
+                        BinOp::Or,
+                        bin(BinOp::And, x(), cmp(CmpOp::Lt, x(), E::f64(1.0))),
+                        cmp(CmpOp::Ge, x(), E::f64(4.0)),
+                    ),
+                )),
+                3,
+            ),
+            lane_sub(3),
+            lane_sub(3),
+            None,
+        );
+        let lanes8 = unary(
+            lanes(
+                simple(
+                    x().min(E::f64(2.0))
+                        .max(E::f64(-1.0))
+                        .sqrt()
+                        .sub(x().neg())
+                        .div(E::r("N")),
+                ),
+                8,
+            ),
+            lane_sub(8),
+            lane_sub(8),
+            Some(Wcr::Sum),
+        );
+        let broadcast = staged_map(vec![(
+            lanes(
+                Tasklet::simple("t", vec!["x", "s"], "y", x().mul(E::r("s")).add(E::r("i"))),
+                4,
+            ),
+            vec![
+                ("A", lane_sub(4), "x"),
+                ("S", Subset::at(vec![SymExpr::Int(0)]), "s"),
+            ],
+            vec![("B", lane_sub(4), "y", None)],
+        )]);
+        let lane_select = unary(
+            lanes(
+                simple(cmp(CmpOp::Lt, x(), E::f64(0.0)).select(x().neg(), x())),
+                2,
+            ),
+            lane_sub(2),
+            lane_sub(2),
+            None,
+        );
+        let pipeline = pipelined(None, at_i(), (1, 1));
+        let bool_pipeline = staged_map(vec![
+            (
+                simple(cmp(CmpOp::Lt, x(), E::f64(0.5))),
+                vec![("A", at_i(), "x")],
+                vec![("T", at_i(), "y", None)],
+            ),
+            (
+                simple(x().mul(E::f64(2.0)).add(E::f64(1.0))),
+                vec![("T", at_i(), "x")],
+                vec![("B", at_i(), "y", None)],
+            ),
+        ]);
+
+        fn fnv1a(bytes: &[u8]) -> u64 {
+            bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+                (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+            })
+        }
+        let cases = [
+            ("straight", straight),
+            ("select", select_body),
+            ("wcr_all", wcr_all),
+            ("lanes2", lanes2),
+            ("lanes3", lanes3),
+            ("lanes8", lanes8),
+            ("broadcast", broadcast),
+            ("lane_select", lane_select),
+            ("pipeline", pipeline),
+            ("bool_pipeline", bool_pipeline),
+        ];
+        let mut variants: Vec<String> = Vec::new();
+        let got: Vec<(&str, u64)> = cases
+            .iter()
+            .map(|(name, sdfg)| {
+                let p = Program::compile(sdfg);
+                let Some(Step::Map(mp)) = p.states[0]
+                    .body
+                    .steps
+                    .iter()
+                    .find(|s| matches!(s, Step::Map(_)))
+                else {
+                    panic!("{name}: no map scope");
+                };
+                let fk = mp
+                    .fused
+                    .as_deref()
+                    .unwrap_or_else(|| panic!("{name}: not fused: {:?}", mp.fuse_reason));
+                let lay = fk
+                    .jit
+                    .as_ref()
+                    .unwrap_or_else(|r| panic!("{name}: not JIT-eligible: {r:?}"));
+                for insn in &fk.code {
+                    let dbg = format!("{insn:?}");
+                    let variant = dbg.split([' ', '{']).next().unwrap_or("").to_string();
+                    if !variants.contains(&variant) {
+                        variants.push(variant);
+                    }
+                }
+                (*name, fnv1a(&crate::jit::lower::emit(fk, lay)))
+            })
+            .collect();
+        variants.sort();
+        // Every instruction form the lowering handles occurs in the set.
+        assert_eq!(
+            variants,
+            [
+                "AndB",
+                "BinF",
+                "BoolFromF",
+                "CmpF",
+                "ConstB",
+                "ConstF",
+                "Cover",
+                "CoverSel",
+                "FloatFromB",
+                "Jump",
+                "JumpIfFalse",
+                "LoadParamF",
+                "LoadSymF",
+                "MovB",
+                "MovF",
+                "NotB",
+                "OrB",
+                "Stmt",
+                "UnF",
+            ]
+        );
+        let pinned: [(&str, u64); 10] = [
+            ("straight", 545985061699233664),
+            ("select", 14498254805917344522),
+            ("wcr_all", 879350122785076308),
+            ("lanes2", 12553399554546273977),
+            ("lanes3", 14163170585719678352),
+            ("lanes8", 16653697822923716822),
+            ("broadcast", 17548114817387517000),
+            ("lane_select", 17070264254028415888),
+            ("pipeline", 9500100380707360959),
+            ("bool_pipeline", 12872739561334660076),
+        ];
+        assert_eq!(got, pinned);
     }
 }

@@ -391,6 +391,20 @@ fn assert_engines_agree(p: &Sdfg, input: &ExecState, max_steps: u64) -> Result<(
         tree_cov.edges_hit(),
         unf_cov.edges_hit()
     );
+    // The virgin maps above only compare hit-count buckets; an engine
+    // recording one location too many per element can land in the same
+    // bucket. The raw per-edge counters must agree exactly.
+    for (label, cov) in [
+        ("compiled", &comp_cov),
+        ("generic", &gen_cov),
+        ("per-element fast-path", &unf_cov),
+        ("jit-off", &nj_cov),
+    ] {
+        assert!(
+            tree_cov.hit_counts() == cov.hit_counts(),
+            "{label} coverage hit counts diverge from the tree walk"
+        );
+    }
 
     // Fifth axis: a reused executor must behave exactly like a fresh one
     // (the arena reset is what the trial loop relies on) — results,
