@@ -1,16 +1,16 @@
-//! Fused map kernels vs the per-element f64 fast path (PR 3), on the
-//! fig. 5 MHA scale-nest cutout and the fig. 6 SDDMM cutout.
+//! Fused map kernels vs per-element generic bytecode, on the fig. 5 MHA
+//! scale-nest cutout and the fig. 6 SDDMM cutout.
 //!
 //! The fused engine collapses eligible `map → read → tasklet → write`
-//! scopes into strength-reduced, lane-chunked loop kernels; compiling
-//! with `fuse_maps: false` reproduces the previous per-element fast path
-//! exactly, so the measured delta is the fusion win alone. The bench
-//! asserts:
+//! scopes into strength-reduced loop kernels (native, or lane-chunked);
+//! compiling with `fuse_maps: false` runs every map per element on the
+//! generic bytecode, so the measured delta is the whole fused rung. The
+//! bench asserts:
 //!
 //! * the fused engine is bit-identical to the per-element engine on the
 //!   sampled inputs (the property suite covers this broadly; here it
 //!   guards the exact configurations being timed);
-//! * fused ≥ 1.5x over the per-element fast path on the fig. 5 MHA
+//! * fused ≥ 1.5x over per-element generic bytecode on the fig. 5 MHA
 //!   cutout execution.
 //!
 //! Results land in `BENCH_fused.json` with the machine configuration.
@@ -38,8 +38,8 @@ impl FusionNumbers {
     }
 }
 
-/// Times the cutout execution and the full differential trial on the
-/// per-element fast path vs the fused engine, asserting bit-exact
+/// Times the cutout execution and the full differential trial on
+/// per-element generic bytecode vs the fused engine, asserting bit-exact
 /// agreement on the sampled input first.
 fn measure(pair: &Pair, seed: u64, iters: usize) -> FusionNumbers {
     let (cutout, transformed, constraints) = pair;
@@ -74,7 +74,7 @@ fn measure(pair: &Pair, seed: u64, iters: usize) -> FusionNumbers {
     orig_fus.run(&mut b).unwrap();
     assert!(
         a.compare_on(&b, &cutout.system_state, 0.0).is_none(),
-        "fused kernel diverged from the per-element fast path"
+        "fused kernel diverged from per-element generic bytecode"
     );
 
     let mut ue = orig_unf.executor();
@@ -108,7 +108,7 @@ fn measure(pair: &Pair, seed: u64, iters: usize) -> FusionNumbers {
 }
 
 fn main() {
-    println!("== fused_kernels: fused map kernels vs the per-element f64 fast path ==");
+    println!("== fused_kernels: fused map kernels vs per-element generic bytecode ==");
 
     // --- Fig. 5: MHA scale nest under vectorization (unminimized, so the
     // cutout is the loop nest itself). ---
@@ -136,7 +136,7 @@ fn main() {
 
     let mha_nums = measure(&mha_pair, 7, 300);
     row(
-        "MHA cutout per-element fast path (us)",
+        "MHA cutout per-element generic bytecode (us)",
         format!("{:.1}", mha_nums.unfused_us),
     );
     row("MHA cutout fused (us)", format!("{:.1}", mha_nums.fused_us));
@@ -157,7 +157,7 @@ fn main() {
     let sddmm_pair = prepare_pair(&att, &tiling, sddmm_match, true, &att_bindings);
     let sddmm_nums = measure(&sddmm_pair, 11, 300);
     row(
-        "SDDMM cutout per-element fast path (us)",
+        "SDDMM cutout per-element generic bytecode (us)",
         format!("{:.1}", sddmm_nums.unfused_us),
     );
     row(

@@ -1,11 +1,9 @@
-//! Fusion tier 2 vs the PR 4 fused tier: select-bodied, vectorized and
-//! multi-tasklet-pipeline maps, plus the process-wide shared program
-//! cache.
+//! Tier-2 fusion classes vs per-element execution: select-bodied,
+//! vectorized and multi-tasklet-pipeline maps, plus the process-wide
+//! shared program cache.
 //!
-//! The PR 4 fuser rejected all three shapes, so under it these
-//! workloads ran on the per-element f64 fast path — compiling with
-//! `fuse_maps: false` reproduces that tier exactly and is the baseline
-//! here. The bench asserts:
+//! Compiling with `fuse_maps: false` runs these maps per element on the
+//! generic bytecode, the baseline here. The bench asserts:
 //!
 //! * tier-2 kernels are bit-identical to the per-element engine on the
 //!   timed inputs (the property suite covers this broadly; this guards
@@ -173,7 +171,7 @@ fn measure(label: &str, p: &Sdfg, input: &ExecState, iters: usize) -> Tier2Numbe
         fused_us,
     };
     row(
-        &format!("{label} per-element fast path (us)"),
+        &format!("{label} per-element generic bytecode (us)"),
         format!("{:.1}", nums.per_element_us),
     );
     row(
@@ -204,7 +202,7 @@ fn campaign() -> Campaign {
 }
 
 fn main() {
-    println!("== fused_tier2: tier-2 fusion classes vs the PR 4 fused tier ==");
+    println!("== fused_tier2: tier-2 fusion classes vs per-element generic bytecode ==");
 
     let iters = 200;
     let select = workload(1, 1, true);

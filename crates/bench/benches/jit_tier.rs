@@ -1,24 +1,26 @@
-//! Native x86_64 JIT tier vs the fused bytecode tier.
+//! Native x86_64 JIT vs the same fused kernels with the JIT off.
 //!
-//! The fifth engine tier lowers eligible fused kernels to native SSE2
-//! through the in-crate assembler; running with `ExecOptions::jit`
-//! off reproduces the fused bytecode tier exactly, so the measured
-//! delta is the native-emission win alone. The bench asserts:
+//! The native half of the fused rung lowers eligible kernels to native
+//! SSE2 through the in-crate assembler; running with `ExecOptions::jit`
+//! off runs straight-line kernels in the lane-chunked loop and
+//! select-bodied ones per element on the generic bytecode, so the
+//! measured delta is the native-emission win alone. The bench asserts:
 //!
 //! * the JIT statically engages on every timed workload (per-map
 //!   eligibility from `tasklet_stats`) and actually executes native
 //!   code during the timed loops (`jit_native_runs` delta);
-//! * native results are bit-identical to the bytecode tier on the
+//! * native results are bit-identical to the JIT-off run on the
 //!   timed inputs (the equivalence suite covers this broadly; here it
 //!   guards the exact configurations being timed);
-//! * JIT ≥ 2x over the fused tier on the fig. 5 MHA scale-nest cutout
+//! * JIT ≥ 2x over the chunk loop on the fig. 5 MHA scale-nest cutout
 //!   (the original, unvectorized cutout — `lanes = 1`);
-//! * packed JIT ≥ 1.5x over the lane-blocked bytecode tier on the
+//! * packed JIT ≥ 1.5x over the lane-blocked chunk loop on the
 //!   *vectorized* (`lanes = 4`) fig. 5 cutout, with the packed
 //!   native-run counter asserted to advance (the blob really is the
 //!   lane-parallel one, not scalar);
-//! * JIT ≥ 1.5x on a select-heavy kernel (branchy bodies run the
-//!   scalar bytecode loop, the JIT's best case);
+//! * JIT ≥ 1.5x on a select-heavy kernel (with the JIT off, branchy
+//!   bodies run per element on the generic bytecode — the JIT's best
+//!   case);
 //! * a warm campaign re-run compiles 0 programs through the shared
 //!   program cache and emits 0 bytes of native code through the code
 //!   cache — straight off the session report's `caches` tally.
@@ -48,8 +50,8 @@ impl JitNumbers {
 }
 
 /// Asserts the compiled program has JIT-eligible maps and bit-exact
-/// native/bytecode agreement on `input`, then times the fused bytecode
-/// tier (jit off) against the native tier (jit on) on reused executors.
+/// native/JIT-off agreement on `input`, then times the JIT-off run
+/// against the native run on reused executors.
 fn measure(
     label: &str,
     prog: &Program,
@@ -91,7 +93,7 @@ fn measure(
     );
     assert!(
         eb.compare_on(&ej, outputs, 0.0).is_none(),
-        "{label}: native tier diverged from the bytecode tier"
+        "{label}: native code diverged from the JIT-off run"
     );
 
     let bytecode_us = time_per_iter(iters, || {
@@ -105,7 +107,7 @@ fn measure(
         jit_us,
     };
     row(
-        &format!("{label} fused bytecode (us)"),
+        &format!("{label} JIT off (us)"),
         format!("{:.1}", nums.bytecode_us),
     );
     row(&format!("{label} jit (us)"), format!("{:.1}", nums.jit_us));
@@ -118,8 +120,9 @@ fn measure(
 
 /// A single dense map over `i in [0, N)` whose body is a nest of
 /// selects: abs on the negative side, a magnitude-dependent scale on
-/// the positive side. Branchy bodies run the scalar bytecode loop —
-/// the configuration the native tier accelerates most.
+/// the positive side. With the JIT off, branchy bodies run per element
+/// on the generic bytecode — the configuration native code accelerates
+/// most.
 fn select_heavy() -> Sdfg {
     let mut b = SdfgBuilder::new("jit_select");
     b.symbol("N");
@@ -198,7 +201,7 @@ fn campaign() -> Campaign {
 }
 
 fn main() {
-    println!("== jit_tier: native x86_64 JIT vs the fused bytecode tier ==");
+    println!("== jit_tier: native x86_64 JIT vs JIT off ==");
     let iters = 300;
 
     // --- Fig. 5: the original (unvectorized) MHA scale-nest cutout. ---
@@ -212,7 +215,7 @@ fn main() {
     // Campaign-shaped trial input: attention rows are short (`SM`, the
     // fuzzer's small trial sizes) while the batch×heads dimension `BH`
     // fans out many of them — the regime differential trials live in,
-    // where per-row interpreter setup dominates the bytecode tier.
+    // where per-row interpreter setup dominates the chunk loop.
     let profile = ValueProfile {
         size_max: 24,
         ..Default::default()
@@ -243,7 +246,7 @@ fn main() {
 
     // --- Fig. 5 vectorized: the transformed (`lanes = 4`) cutout side,
     // where the native tier emits *packed* SSE2 pairs against the
-    // lane-blocked bytecode loops. ---
+    // lane-blocked chunk loop. ---
     let vec_prog = Program::compile(&vectorized);
     let packed_before = jit_native_runs_split().1;
     let vec_nums = measure(

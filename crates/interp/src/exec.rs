@@ -42,10 +42,10 @@ pub struct ExecOptions {
     /// cross-engine equivalence suite pins, and reads always trap.
     pub oob_slop: bool,
     /// Whether fused kernels may execute natively-emitted machine code
-    /// (the fifth engine tier, see [`crate::jit`]). On by default;
-    /// bit-identical to the bytecode tiers wherever it engages, so
-    /// turning it off only trades speed. Ignored by the tree-walk
-    /// engine and by kernels the JIT rejects.
+    /// (see [`crate::jit`]). On by default; bit-identical to the bytecode
+    /// rungs wherever it engages, so turning it off only trades speed —
+    /// fused kernels run the chunk loop instead, select-bodied ones per
+    /// element. Ignored by the tree-walk engine.
     pub jit: bool,
 }
 

@@ -1,11 +1,12 @@
 //! Lowering of a fused kernel's code to native x86_64. The input is the
-//! one f64 kernel IR ([`FInsn`]) that the per-element fast path and the
-//! bytecode kernel loops also run; `Stmt`/`CoverSel`/`Cover` coverage
-//! markers emit nothing.
+//! one f64 kernel IR ([`FInsn`]) that the lane-chunked kernel loop also
+//! runs. Native code records no coverage: entry coverage is batched by
+//! the caller, and a run that must interleave per-element records never
+//! dispatches here.
 //!
 //! The emitted function has signature `extern "C" fn(frame: *mut u64)`
 //! and executes **one inner row** of the iteration box per call — the
-//! Rust side keeps the outer odometer, exactly like the bytecode loops.
+//! Rust side keeps the outer odometer, exactly like the chunk loop.
 //! For vectorized kernels (`lanes > 1`) the row is the innermost *real*
 //! map dimension and the synthetic lane dimension is fully unrolled
 //! inside the blob, so one call still covers `row length × lanes`
@@ -40,9 +41,8 @@
 //! are pushed only when used). Kernel float registers map 1:1 onto
 //! `xmm0..xmm13` — scalar values in the low lane, or 2-wide lane pairs
 //! in packed emission; `xmm14`/`xmm15` are scratch. Bool registers live
-//! in frame words — select bodies that reach the JIT are compared
-//! against the scalar bytecode interpreter, so memory-resident bools
-//! still win.
+//! in frame words — a select body the JIT declines runs the map per
+//! element on the generic bytecode, so memory-resident bools still win.
 //!
 //! # Packed emission
 //!
@@ -72,7 +72,7 @@
 //! `xorpd`/`andnpd`/`xorpd` blend on an `isnan(first)` mask selecting
 //! the second operand where the first is NaN. Ops without an exact
 //! lowering (`mod`, `pow`, transcendentals) are rejected statically and
-//! fall back to the bytecode tiers.
+//! fall back to the chunk loop (select bodies: per element).
 
 use super::encoder::{cc, gpr, Asm, Label};
 use super::JitReject;
@@ -199,9 +199,7 @@ pub(crate) fn analyze(fk: &FusedKernel, n_params: usize) -> Result<JitLayout, Ji
             FInsn::LoadSymF { sym, .. } if !sym_slots.contains(sym) => {
                 sym_slots.push(*sym);
             }
-            // Everything else has a direct lowering (coverage markers
-            // are no-ops natively: entry coverage is batched by the
-            // caller and interleaved-coverage runs never reach the JIT).
+            // Everything else has a direct lowering.
             _ => {}
         }
     }
@@ -482,9 +480,6 @@ fn emit_body_scalar(a: &mut Asm, fk: &FusedKernel, lay: &JitLayout, inner: usize
                 a.mov_rm(gpr::RDX, gpr::RDI, disp(lay.bool_word(*src as usize)));
                 a.cvtsi2sd(*dst as u8, gpr::RDX);
             }
-            // Coverage markers: entry coverage is batched by the caller
-            // and interleaved-coverage runs never dispatch natively.
-            FInsn::Stmt { .. } | FInsn::CoverSel { .. } | FInsn::Cover { .. } => {}
             FInsn::JumpIfFalse { cond, target } => {
                 a.mov_rm(gpr::RDX, gpr::RDI, disp(lay.bool_word(*cond as usize)));
                 a.test_rr(gpr::RDX, gpr::RDX);
@@ -650,7 +645,6 @@ fn emit_body_packed(a: &mut Asm, fk: &FusedKernel, lay: &JitLayout, inner: usize
                 a.andpd(XMM_SCRATCH0, XMM_SCRATCH1);
                 a.movapd(*dst as u8, XMM_SCRATCH0);
             }
-            FInsn::Stmt { .. } | FInsn::CoverSel { .. } | FInsn::Cover { .. } => {}
             FInsn::JumpIfFalse { .. } | FInsn::Jump { .. } => {
                 unreachable!("packed bodies are branch-free (lane_scalar handles selects)")
             }

@@ -1,17 +1,18 @@
-//! Native x86_64 code emission for fused map kernels — the fifth engine
-//! tier.
+//! Native x86_64 code emission for fused map kernels — the native half
+//! of the fused rung.
 //!
 //! Eligible [`FusedKernel`](crate::program) bodies are lowered once to a
 //! straight-line native inner-row loop (see the `lower` module) and executed
-//! through the same runtime precheck as the bytecode kernels: a kernel
-//! runs natively only after the precheck proved that no out-of-bounds
+//! through the same runtime precheck as the chunk loop: a kernel runs
+//! natively only after the precheck proved that no out-of-bounds
 //! access, overflow, unbound symbol or step-budget trip can occur
 //! anywhere in the iteration box, and step accounting plus batched
-//! coverage are computed arithmetically — bit-identical to the bytecode
-//! walk by construction. Any ineligibility (non-f64 body, unsupported
-//! op, too many registers, interleaved coverage) falls back down the
-//! existing engine ladder; the reason is reported through [`JitReject`],
-//! mirroring [`FuseReject`](crate::FuseReject).
+//! coverage are computed arithmetically — bit-identical to per-element
+//! execution by construction. Any ineligibility (unsupported op, too
+//! many registers, interleaved coverage) falls back to the chunk loop,
+//! or for select bodies to per-element generic bytecode; the reason is
+//! reported through [`JitReject`], mirroring
+//! [`FuseReject`](crate::FuseReject).
 //!
 //! # Packed emission (`lanes > 1`)
 //!
@@ -112,11 +113,11 @@ pub enum JitReject {
     UnsupportedWcr,
     /// Runtime-only: this run records interleaved per-element coverage
     /// (select branches or multi-tasklet pipelines under a coverage
-    /// map), which only the bytecode loops reproduce exactly.
+    /// map), which only per-element generic bytecode reproduces exactly.
     CoverageInterleave,
     /// Runtime-only: this run spreads a vectorized kernel's lanes at a
     /// stride other than the unit stride the packed loads assume, so it
-    /// falls back to the chunked bytecode loop.
+    /// falls back to the chunk loop (select bodies: per element).
     NonUnitStrideLanes,
     /// Runtime-only: the OS refused executable pages.
     MmapFailed,
@@ -330,9 +331,11 @@ impl JitCode {
     ///
     /// # Safety
     /// The frame must follow the [`lower::JitLayout`] this code was
-    /// emitted for, with every pointer slot addressing live, disjoint,
-    /// in-bounds f64 storage for the row (the fused runtime precheck
-    /// establishes exactly this).
+    /// emitted for, with every pointer slot addressing live, in-bounds
+    /// f64 storage for the row (the fused runtime precheck establishes
+    /// exactly this), and read slots disjoint from the write set except
+    /// a pointwise in-place read, which addresses its paired write's
+    /// element.
     pub(crate) unsafe fn entry(&self) -> unsafe extern "C" fn(*mut u64) {
         std::mem::transmute::<*mut u8, unsafe extern "C" fn(*mut u64)>(self.ptr)
     }

@@ -242,9 +242,9 @@ enum Insn {
     },
 }
 
-/// Compiled tasklet node. Its memlet plans and gathers serve both the
-/// generic bytecode `code` and the f64 code in `fast`, whose register
-/// layout is the same.
+/// Compiled tasklet node. Its memlet plans and gathers serve the generic
+/// bytecode `code`, which runs it per element, and [`fuse_map`], which
+/// reads them next to the f64 code in `fast` (same register layout).
 #[derive(Clone, Debug)]
 struct TaskletPlan {
     name: String,
@@ -259,10 +259,10 @@ struct TaskletPlan {
     gather: Vec<GatherSpec>,
     n_out_slots: usize,
     out_writes: Vec<OutWrite>,
-    /// Dtype-monomorphic f64 fast path, when the tasklet is eligible (see
-    /// [`Compiler::specialize_f64`]) and specialization is enabled. The
-    /// executor takes it only when the runtime dtype guards hold, so the
-    /// generic interpreter above remains the complete fallback.
+    /// Dtype-monomorphic f64 specialization, when the tasklet is eligible
+    /// (see [`Compiler::specialize_f64`]) and specialization is enabled.
+    /// Only [`fuse_map`] consumes it; executed per element, the tasklet
+    /// always runs the generic bytecode above.
     fast: Option<Box<FastTasklet>>,
 }
 
@@ -270,23 +270,18 @@ struct TaskletPlan {
 /// register file plus a `bool` register file (sharing one index space),
 /// with no per-element [`Scalar`] boxing or dtype dispatch. Only
 /// operations whose generic evaluation provably takes the float (or
-/// boolean) path are ever lowered here, so results, errors, coverage ids
-/// and step accounting stay bit-identical to the generic bytecode.
+/// boolean) path are ever lowered here, so results and errors stay
+/// bit-identical to the generic bytecode.
 ///
-/// It is the one instruction set of both f64 tiers: the per-element fast
-/// path runs a tasklet's code ([`FastTasklet::code`]), and a fused kernel
-/// runs its tasklets' code concatenated ([`FusedKernel::code`]) through
-/// the same scalar interpreter ([`run_fcode`]), the lane-chunked loop or
-/// the JIT. `LoadParamF`, `FloatFromB` and `Cover` occur only in fused
-/// kernels.
+/// The specializer emits it per tasklet ([`FastTasklet::code`]), and a
+/// fused kernel runs its tasklets' code concatenated
+/// ([`FusedKernel::code`]) in the lane-chunked loop or the JIT. Neither
+/// records coverage inside the body, so the IR carries no coverage
+/// markers: a run that must interleave per-element records executes the
+/// map per element instead. `LoadParamF` and `FloatFromB` occur only in
+/// fused kernels.
 #[derive(Clone, Copy, Debug)]
 pub(crate) enum FInsn {
-    /// Statement marker: sets the coverage site, resets the select
-    /// counter (mirrors [`Insn::Stmt`]). Select-free fused kernels drop
-    /// it (nothing reads the site there).
-    Stmt {
-        site: u64,
-    },
     ConstF {
         dst: u32,
         val: f64,
@@ -366,28 +361,12 @@ pub(crate) enum FInsn {
         dst: u32,
         src: u32,
     },
-    /// Select-condition coverage: bumps the select counter and records
-    /// `[site, sel, cond]` (mirrors [`Insn::CoverSel`]).
-    CoverSel {
-        cond: u32,
-    },
     JumpIfFalse {
         cond: u32,
         target: u32,
     },
     Jump {
         target: u32,
-    },
-    /// Tasklet-entry coverage marker. Coverage is *edge* coverage
-    /// (consecutive locations pair up), so when a kernel records more
-    /// than one location per element — pipelines, select sites — the
-    /// records must interleave exactly as the per-element engine's do.
-    /// The scalar interpreter records it once per element (on the first
-    /// lane); the chunked loop ignores it and the caller batches
-    /// instead, which is order-equivalent only for the single-location
-    /// kernels the chunked loop is limited to.
-    Cover {
-        loc: u64,
     },
 }
 
@@ -396,13 +375,11 @@ impl FInsn {
     /// operand moves up by `reg`, every jump target by `pc`.
     fn relocate(mut self, reg: u32, pc: u32) -> FInsn {
         match &mut self {
-            FInsn::Stmt { .. } | FInsn::Cover { .. } => {}
             FInsn::ConstF { dst, .. }
             | FInsn::ConstB { dst, .. }
             | FInsn::LoadSymF { dst, .. }
             | FInsn::LoadParamF { dst, .. }
-            | FInsn::BoolFromF { reg: dst }
-            | FInsn::CoverSel { cond: dst } => *dst += reg,
+            | FInsn::BoolFromF { reg: dst } => *dst += reg,
             FInsn::MovF { dst, src }
             | FInsn::MovB { dst, src }
             | FInsn::FloatFromB { dst, src }
@@ -429,9 +406,10 @@ impl FInsn {
     }
 }
 
-/// Monomorphic f64 specialization of one tasklet: only the code and what
-/// it adds to the owning [`TaskletPlan`], whose memlet plans, connector
-/// registers and gathers the fast path shares.
+/// Monomorphic f64 specialization of one tasklet: the compile step whose
+/// only consumer is [`fuse_map`]. It holds just the code and what it adds
+/// to the owning [`TaskletPlan`], whose memlet plans, connector registers
+/// and gathers fusion reads alongside it.
 #[derive(Clone, Debug)]
 struct FastTasklet {
     code: Vec<FInsn>,
@@ -440,13 +418,13 @@ struct FastTasklet {
     /// boolean-classed; convert with [`Scalar::as_bool`]'s inverse
     /// convention (`true` → `1.0`).
     gather_bool: Vec<bool>,
-    /// Containers that must be live with dtype `F64` at runtime for the
-    /// fast path to be semantically equal to the generic one; any failed
-    /// guard falls back to the generic interpreter for the whole node.
+    /// Containers that must be live with dtype `F64` at runtime for f64
+    /// execution to be semantically equal to the generic one; a fused
+    /// kernel whose guard fails runs the map per element instead.
     guards: Vec<DataId>,
 }
 
-/// Static class of a value in the fast-path type inference: float-typed
+/// Static class of a value in the f64 specialization's inference: float-typed
 /// (`F64`), integer-typed (`I64`/`I32` — storable as `f64` because
 /// eligibility forbids integer *operations*), or boolean.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -585,23 +563,27 @@ fn same_subset(a: &FusedAccess, b: &FusedAccess) -> bool {
 /// Only when that analysis proves that no out-of-bounds access, no i64
 /// overflow, no unbound symbol and no step-budget trip can occur anywhere
 /// in the box does the kernel run — hoisted base offsets, per-dimension
-/// linear strides, lane-chunked inner loops. Any doubt falls back to the
-/// generic per-element path, which reproduces errors (and their exact
-/// ordering, partial writes and step counts) by construction.
+/// linear strides, native code or lane-chunked inner loops. Any doubt
+/// falls back to the generic per-element path, which reproduces errors
+/// (and their exact ordering, partial writes and step counts) by
+/// construction.
 #[derive(Clone, Debug)]
 pub(crate) struct FusedKernel {
     /// One coverage location per body tasklet (in execution order), each
     /// recorded once per element exactly as the generic engine records it.
+    /// With a single location the records batch per run; with several, a
+    /// run under a coverage map must interleave them per element and
+    /// executes the map per element instead.
     cover_locs: Vec<u64>,
     /// The body tasklets' common lane width. When `> 1`, the kernel
     /// appends a synthetic innermost `0..lanes` dimension to the
     /// iteration box so the existing odometer/stride machinery iterates
     /// lanes without any new code paths.
     pub(crate) lanes: usize,
-    /// Whether the body contains select control flow: if so the kernel
-    /// runs the scalar per-element loop (which records per-select branch
-    /// coverage bit-identically to the generic engine); otherwise the
-    /// lane-chunked loop. The JIT lowerer reads this to pick packed vs
+    /// Whether the body contains select control flow. Only native code
+    /// runs such a body (the chunk loop is straight-line), and only when
+    /// the run records no per-branch coverage; otherwise the map runs per
+    /// element. The JIT lowerer reads this to pick packed vs
     /// unrolled-scalar lane emission.
     pub(crate) has_select: bool,
     /// External reads, in tasklet-then-memlet order.
@@ -610,6 +592,11 @@ pub(crate) struct FusedKernel {
     /// a later input overwrites the same connector slot (the read still
     /// happens for bounds/step parity, the value is dead).
     pub(crate) in_regs: Vec<Option<u32>>,
+    /// Per input: the output that updates the same container in place
+    /// (see [`fuse_map`]), whose buffer the read goes through — each
+    /// element reads its own location before writing it, and no other
+    /// element touches that location.
+    pub(crate) in_place: Vec<Option<usize>>,
     /// Pipeline-internal reads: for each, the index of the fused output
     /// whose write it aliases (proven byte-identical subset). The value
     /// flows through registers; only the read's step accounting remains.
@@ -620,10 +607,7 @@ pub(crate) struct FusedKernel {
     /// The body tasklets' [`FInsn`] code, concatenated in execution order
     /// (see [`fuse_map`]): each tasklet's registers in a disjoint window,
     /// jump targets rebased, map-parameter loads turned into
-    /// `LoadParamF`, a `Cover` marker at each tasklet's entry. Select-free
-    /// bodies drop the statement markers and run lane-chunked; bodies
-    /// with control flow keep them and run the scalar interpreter (see
-    /// [`FusedKernel::has_select`]).
+    /// `LoadParamF`.
     pub(crate) code: Vec<FInsn>,
     pub(crate) n_regs: usize,
     /// Containers that must be live with dtype `F64` (same contract as
@@ -752,17 +736,17 @@ pub struct Program {
 /// Knobs of [`Program::compile_with_options`].
 #[derive(Clone, Copy, Debug)]
 pub struct CompileOptions {
-    /// Emit dtype-monomorphic f64 fast paths for eligible tasklets (on by
-    /// default). The generic bytecode is always compiled too and remains
-    /// the fallback whenever a runtime dtype guard fails; disabling this
-    /// only exists for benchmarking the specialization win and for
-    /// differentially testing the generic interpreter.
+    /// Lower eligible tasklets to the dtype-monomorphic f64 kernel IR (on
+    /// by default) — the compile step map fusion consumes, so turning it
+    /// off also turns fusion off. The generic bytecode is always compiled
+    /// too; it runs every tasklet executed per element and every map whose
+    /// fused kernel cannot run.
     pub specialize_f64: bool,
     /// Collapse eligible map scopes into fused loop kernels (on by
     /// default; implies nothing unless `specialize_f64` also holds, since
     /// fusion requires the f64-specialized tasklet body). Disabling this
-    /// reproduces the PR 3 per-element fast path, which the
-    /// `fused_kernels` bench compares against.
+    /// runs every map per element on the generic bytecode, the baseline
+    /// the `fused_kernels` bench compares against.
     pub fuse_maps: bool,
 }
 
@@ -781,7 +765,7 @@ impl Default for CompileOptions {
 pub struct TaskletStats {
     /// Total tasklets across all blocks.
     pub tasklets: usize,
-    /// Tasklets lowered to the monomorphic f64 fast path.
+    /// Tasklets lowered to the monomorphic f64 kernel IR.
     pub specialized: usize,
     /// Map scopes collapsed into fused loop kernels.
     pub fused_maps: usize,
@@ -829,7 +813,8 @@ pub enum FuseReject {
     Library,
     /// No tasklet in the body.
     NoTasklet,
-    /// A body tasklet is not on the f64 fast path.
+    /// A body tasklet has no f64 specialization (or a structurally
+    /// failing memlet).
     NotSpecialized,
     /// Body tasklets disagree on their lane width.
     MixedLanes,
@@ -852,7 +837,10 @@ pub enum FuseReject {
     NeverGathered,
     /// Two gathers feed one output connector.
     DupConnector,
-    /// A container is both read externally and written in the scope.
+    /// A container is both read externally and written in the scope,
+    /// other than as a pointwise in-place update `X[p] = f(X[p], …)` (no
+    /// WCR, every read of `X` through the write's pointwise subset, and
+    /// each map parameter driving its own subscript dimension).
     Overlap,
     /// Two outputs target one container.
     DupWrites,
@@ -1447,7 +1435,7 @@ impl Compiler<'_> {
         };
         if self.specialize {
             plan.fast = self
-                .specialize_f64(t, &plan, &conn_slots, &reg_of, node_site)
+                .specialize_f64(t, &plan, &conn_slots, &reg_of)
                 .map(Box::new);
         }
         plan
@@ -1476,7 +1464,6 @@ impl Compiler<'_> {
         plan: &TaskletPlan,
         conn_slots: &[String],
         reg_of: &BTreeMap<String, u32>,
-        node_site: u64,
     ) -> Option<FastTasklet> {
         // Memlet eligibility: every input/output plan compiled cleanly
         // and targets a declared-F64 container.
@@ -1514,10 +1501,7 @@ impl Compiler<'_> {
         let mut defined: Vec<String> = conn_slots.to_vec();
         let mut code = Vec::new();
         let mut max_depth = 0usize;
-        for (si, stmt) in t.code.iter().enumerate() {
-            code.push(FInsn::Stmt {
-                site: location_id(&[node_site, si as u64]),
-            });
+        for stmt in &t.code {
             let (depth, cls) = self.femit(
                 &stmt.value,
                 &mut code,
@@ -1572,7 +1556,7 @@ impl Compiler<'_> {
         })
     }
 
-    /// Emits fast-path instructions for a scalar expression; the result
+    /// Emits f64 kernel instructions for a scalar expression; the result
     /// lands in register `base + depth` of the file selected by the
     /// returned class. Returns `(max scratch depth, class)` or `None`
     /// when the expression is ineligible.
@@ -1741,7 +1725,6 @@ impl Compiler<'_> {
             E::Select(c, a, b) => {
                 let (dc, cc) = self.femit(c, code, base, depth, defined, cls_of, reg_of)?;
                 ensure_bool(code, dst, cc);
-                code.push(FInsn::CoverSel { cond: dst });
                 let jump_else = code.len();
                 code.push(FInsn::JumpIfFalse {
                     cond: dst,
@@ -2019,19 +2002,57 @@ fn fused_access(plan: &MemPlan, params: &[SymId], output: bool) -> Result<FusedA
     })
 }
 
+/// Whether a write to a container the scope also reads from memory is a
+/// pointwise in-place update `X[p] = f(X[p], …)`: no WCR, a pointwise
+/// subset that every external read of `X` shares ([`same_subset`]), and
+/// injective over any iteration box — each map parameter drives exactly
+/// one subscript dimension with a nonzero net coefficient, and no
+/// dimension mixes two. Each element then reads its own location before
+/// writing it and no other element touches that location, so the chunk
+/// loop and native code are order-equivalent to per-element execution.
+fn in_place_update(out: &FusedAccess, inputs: &[FusedAccess], n_params: usize) -> bool {
+    if out.wcr.is_some() || !out.is_pointwise() {
+        return false;
+    }
+    if !inputs
+        .iter()
+        .filter(|a| a.data.idx() == out.data.idx())
+        .all(|a| same_subset(a, out))
+    {
+        return false;
+    }
+    let mut driven = vec![false; n_params];
+    for dim in &out.dims {
+        let mut net = vec![0i128; n_params];
+        for (k, t) in dim.start.terms.iter().enumerate() {
+            if let FusedVar::Param(d) = t.var {
+                // The leading term's sign flag is ignored, as in evaluation.
+                net[d] += if t.sub && k > 0 { -1 } else { 1 } * t.coeff as i128;
+            }
+        }
+        let mut params = (0..n_params).filter(|&d| net[d] != 0);
+        match (params.next(), params.next()) {
+            (None, _) => {}
+            (Some(d), None) if !driven[d] => driven[d] = true,
+            _ => return false,
+        }
+    }
+    driven.iter().all(|&d| d)
+}
+
 /// Attempts to collapse a compiled map scope into a [`FusedKernel`].
 ///
 /// Eligible scopes have: parameter-independent ranges; a body that is a
 /// topologically ordered chain of f64-specialized tasklets (one common
 /// lane width) plus access nodes for the containers they touch; affine
 /// memlets (single-index or ranged); and container sets where every
-/// written container is either a pipeline intermediate re-read through
-/// the byte-identical subset (the value then rides the writer's
-/// registers) or never read at all, so fused execution is
-/// order-equivalent to per-element execution. Select control flow is
-/// allowed — such bodies run the scalar kernel loop, which records
-/// branch coverage exactly like the generic engine. Everything else
-/// keeps the generic plan, with the reason recorded.
+/// written container is a pipeline intermediate re-read through the
+/// byte-identical subset (the value then rides the writer's registers),
+/// a pointwise in-place update (see [`in_place_update`]), or never read
+/// at all, so fused execution is order-equivalent to per-element
+/// execution. Select control flow is allowed (it runs natively; see
+/// [`FusedKernel::has_select`]). Everything else keeps the generic plan,
+/// with the reason recorded.
 fn fuse_map(mp: &MapPlan) -> Result<FusedKernel, FuseReject> {
     if mp.body.error.is_some() {
         return Err(FuseReject::BodyError);
@@ -2077,17 +2098,15 @@ fn fuse_map(mp: &MapPlan) -> Result<FusedKernel, FuseReject> {
         return Err(FuseReject::LanePipeline);
     }
     let has_select = fasts.iter().any(|fp| {
-        fp.code.iter().any(|i| {
-            matches!(
-                i,
-                FInsn::CoverSel { .. } | FInsn::Jump { .. } | FInsn::JumpIfFalse { .. }
-            )
-        })
+        fp.code
+            .iter()
+            .any(|i| matches!(i, FInsn::Jump { .. } | FInsn::JumpIfFalse { .. }))
     });
 
     let mut cover_locs = Vec::with_capacity(tasklets.len());
     let mut inputs: Vec<FusedAccess> = Vec::new();
     let mut in_regs: Vec<Option<u32>> = Vec::new();
+    let mut in_place: Vec<Option<usize>> = Vec::new();
     let mut chained: Vec<usize> = Vec::new();
     let mut outputs: Vec<FusedAccess> = Vec::new();
     let mut out_regs: Vec<(u32, bool)> = Vec::new();
@@ -2095,15 +2114,10 @@ fn fuse_map(mp: &MapPlan) -> Result<FusedKernel, FuseReject> {
     let mut guards: Vec<DataId> = Vec::new();
     // Container → index of the fused output that wrote it.
     let mut writer_of: BTreeMap<usize, usize> = BTreeMap::new();
-    // Containers read from memory (not via pipeline registers).
-    let mut ext_read: Vec<usize> = Vec::new();
     let mut n_regs = 0usize;
 
     for (tp, fp) in tasklets.iter().zip(&fasts) {
         cover_locs.push(tp.cover_loc);
-        // Entry coverage precedes the tasklet's reads and body, exactly
-        // where the per-element engine records it.
-        code.push(FInsn::Cover { loc: tp.cover_loc });
         // Each tasklet gets a disjoint window of the register files.
         let base = n_regs as u32;
 
@@ -2140,24 +2154,21 @@ fn fuse_map(mp: &MapPlan) -> Result<FusedKernel, FuseReject> {
                     });
                 }
             } else {
-                ext_read.push(acc.data.idx());
                 in_regs.push(if dead {
                     None
                 } else {
                     Some(*slot as u32 + base)
                 });
+                in_place.push(None);
                 inputs.push(acc);
             }
         }
 
         // Append the tasklet's code, relocated into its register window
-        // and onto the concatenated stream's jump targets. Select-free
-        // kernels drop the statement markers — nothing reads the site —
-        // which cannot desync targets because such code has no jumps.
+        // and onto the concatenated stream's jump targets.
         let code_base = code.len() as u32;
         for &insn in &fp.code {
             let insn = match insn {
-                FInsn::Stmt { .. } if !has_select => continue,
                 FInsn::LoadSymF { dst, sym } => match mp.params.iter().position(|p| p.0 == sym.0) {
                     Some(d) => FInsn::LoadParamF { dst, dim: d as u32 },
                     None => insn,
@@ -2177,9 +2188,17 @@ fn fuse_map(mp: &MapPlan) -> Result<FusedKernel, FuseReject> {
                 return Err(FuseReject::DupWrites);
             }
             // A write to a container some tasklet read from memory: the
-            // generic path's element interleaving could observe it.
-            if ext_read.contains(&di) {
-                return Err(FuseReject::Overlap);
+            // generic path's element interleaving could observe it, unless
+            // every element touches only its own location.
+            if inputs.iter().any(|a| a.data.idx() == di) {
+                if !in_place_update(&acc, &inputs, mp.params.len()) {
+                    return Err(FuseReject::Overlap);
+                }
+                for (ii, a) in inputs.iter().enumerate() {
+                    if a.data.idx() == di {
+                        in_place[ii] = Some(outputs.len());
+                    }
+                }
             }
             // A single-index write always carries volume 1; with
             // `lanes > 1` gathered values, the generic path raises a
@@ -2233,6 +2252,7 @@ fn fuse_map(mp: &MapPlan) -> Result<FusedKernel, FuseReject> {
         lanes,
         has_select,
         in_regs,
+        in_place,
         inputs,
         chained,
         out_regs,
@@ -2317,10 +2337,6 @@ pub struct ExecutorArena {
     lib_dims: Vec<Vec<i64>>,
     dims_buf: Vec<ConcreteRange>,
     point: Vec<i64>,
-    fin_vals: Vec<Vec<f64>>,
-    fout_vals: Vec<Vec<f64>>,
-    regs_f: Vec<f64>,
-    regs_b: Vec<bool>,
     fk_regs_f: Vec<[f64; LANES]>,
     fk_regs_b: Vec<[bool; LANES]>,
     fdims: Vec<ConcreteRange>,
@@ -2742,11 +2758,39 @@ impl<'p> Executor<'p> {
     /// whenever the kernel runs — the precheck proves no error (and hence
     /// no divergence in error ordering, partial writes or step-limit
     /// behavior) can occur anywhere in the iteration box.
+    ///
+    /// The kernel runs natively when the JIT serves this run, else in the
+    /// chunk loop — which runs straight-line bodies only and batches entry
+    /// coverage. A select body, or a run that must interleave coverage
+    /// records per element (branch records, or several tasklet entries),
+    /// that native code cannot serve takes the per-element path, decided
+    /// before any tick or coverage record is made.
     fn exec_map_step(&mut self, mp: &'p MapPlan, ctx: &mut RunCtx<'_>) -> Result<(), ExecError> {
         if let Some(fk) = &mp.fused {
             match self.prepare_fused(mp, fk, ctx) {
                 FusedReady::ZeroTrip => return Ok(()),
-                FusedReady::Run { elems, ticks } => return self.exec_fused(fk, elems, ticks, ctx),
+                FusedReady::Run { elems, ticks } => {
+                    let interleave =
+                        ctx.cov.is_some() && (fk.has_select || fk.cover_locs.len() > 1);
+                    let native = match &fk.jit {
+                        Ok(lay)
+                            if ctx.jit
+                                && !interleave
+                                && jit_lane_strides_ok(
+                                    fk,
+                                    lay,
+                                    &self.a.fstrides,
+                                    self.a.fdims.len(),
+                                ) =>
+                        {
+                            jit_code_for(fk, lay).map(|code| (lay, code))
+                        }
+                        _ => None,
+                    };
+                    if native.is_some() || !(fk.has_select || interleave) {
+                        return self.exec_fused(fk, native, elems, ticks, ctx);
+                    }
+                }
                 FusedReady::Fallback => {}
             }
         }
@@ -2815,7 +2859,15 @@ impl<'p> Executor<'p> {
         strides: &mut Vec<i64>,
         wide: &mut Vec<i128>,
     ) -> FusedReady {
-        if !self.fast_guards_hold(&fk.guards) {
+        // Dtype guards: every container the kernel touches must be live
+        // with the `F64` dtype the specialization assumed. Otherwise the
+        // per-element path produces the exact generic behavior (including
+        // `UnknownData` errors or non-f64 semantics for caller-substituted
+        // buffers).
+        if !fk.guards.iter().all(|d| {
+            self.a.live[d.idx()]
+                && matches!(&self.a.arrays[d.idx()], Some(a) if a.dtype() == DType::F64)
+        }) {
             return FusedReady::Fallback;
         }
         dims.clear();
@@ -3023,58 +3075,42 @@ impl<'p> Executor<'p> {
 
     /// Runs a prepared fused kernel: per-element access plans collapse to
     /// hoisted base offsets plus constant per-dimension strides, and the
-    /// f64 body runs over lane chunks of the innermost dimension — or,
-    /// when the body has select control flow, through the scalar
-    /// per-element loop that records branch coverage like the generic
-    /// engine. Bit-identical to the per-element path by the precheck's
-    /// no-error proof plus disjointness of the read and write sets.
+    /// f64 body runs as native code (`native`, chosen by
+    /// [`Executor::exec_map_step`]) or over lane chunks of the innermost
+    /// dimension. Bit-identical to the per-element path by the precheck's
+    /// no-error proof plus fusion's order-equivalence: the read and write
+    /// sets are disjoint except for pointwise in-place updates.
     fn exec_fused(
         &mut self,
         fk: &'p FusedKernel,
+        native: Option<(
+            &'p crate::jit::lower::JitLayout,
+            std::sync::Arc<crate::jit::JitCode>,
+        )>,
         elems: u64,
         ticks: u64,
         ctx: &mut RunCtx<'_>,
     ) -> Result<(), ExecError> {
-        // Coverage is edge coverage: consecutive records pair up, so a
-        // kernel recording more than one location per element (pipeline
-        // entries, select sites) must interleave its records exactly as
-        // the per-element engine does — the scalar interpreter executes
-        // the kernel's `Cover`/`CoverSel` markers in element order. A
-        // single-location kernel records `loc × elems`, for which the
-        // batch below is order-identical and keeps the chunked loop.
-        let interleave = ctx.cov.is_some() && (fk.has_select || fk.cover_locs.len() > 1);
-        if ctx.cov.is_some() && !interleave {
+        // Coverage is edge coverage: consecutive records pair up. Runs
+        // that reach here record one location per element (entry
+        // coverage), so `loc × elems` batched is order-identical.
+        if ctx.cov.is_some() {
             for &loc in &fk.cover_locs {
                 for _ in 0..elems {
                     ctx.cover(loc);
                 }
             }
         }
-        let scalar_body = fk.has_select || interleave;
         // The precheck proved the whole kernel fits the step budget.
         ctx.steps += ticks;
 
         let mut rf = std::mem::take(&mut self.a.fk_regs_f);
         let mut rb = std::mem::take(&mut self.a.fk_regs_b);
-        // Scalar register files for the scalar loop (the fast path's,
-        // which runs the same interpreter; taken up front so the views below
-        // can borrow the arrays without a split borrow).
-        let mut srf = std::mem::take(&mut self.a.regs_f);
-        let mut srb = std::mem::take(&mut self.a.regs_b);
-        if scalar_body {
-            if srf.len() < fk.n_regs {
-                srf.resize(fk.n_regs, 0.0);
-            }
-            if srb.len() < fk.n_regs {
-                srb.resize(fk.n_regs, false);
-            }
-        } else {
-            if rf.len() < fk.n_regs {
-                rf.resize(fk.n_regs, [0.0; LANES]);
-            }
-            if rb.len() < fk.n_regs {
-                rb.resize(fk.n_regs, [false; LANES]);
-            }
+        if rf.len() < fk.n_regs {
+            rf.resize(fk.n_regs, [0.0; LANES]);
+        }
+        if rb.len() < fk.n_regs {
+            rb.resize(fk.n_regs, [false; LANES]);
         }
         let dims = std::mem::take(&mut self.a.fdims);
         let bases = std::mem::take(&mut self.a.fbases);
@@ -3090,8 +3126,8 @@ impl<'p> Executor<'p> {
         row.resize(bases.len(), 0);
 
         let mut jframe = std::mem::take(&mut self.a.jframe);
-        // Write targets move out of their slots; reads borrow the rest
-        // (the fused read and write sets are disjoint by construction).
+        // Write targets move out of their slots; reads borrow the rest,
+        // except in-place reads, which go through their output's buffer.
         let mut outs = std::mem::take(&mut self.a.fouts);
         outs.extend(fk.outputs.iter().map(|o| {
             self.a.arrays[o.data.idx()]
@@ -3105,74 +3141,46 @@ impl<'p> Executor<'p> {
             let in_slices: Vec<&[f64]> = fk
                 .inputs
                 .iter()
-                .map(|acc| {
-                    self.a.arrays[acc.data.idx()]
+                .zip(&fk.in_place)
+                .map(|(acc, in_place)| match in_place {
+                    Some(_) => &[][..],
+                    None => self.a.arrays[acc.data.idx()]
                         .as_ref()
                         .expect("guarded slot holds a buffer")
                         .as_f64_slice()
-                        .expect("guarded dtype is F64")
+                        .expect("guarded dtype is F64"),
                 })
                 .collect();
             let mut out_slices: Vec<&mut [f64]> = outs
                 .iter_mut()
-                .map(|arr| arr.as_f64_parts_mut().expect("guarded dtype is F64").1)
+                .map(|arr| arr.as_f64_slice_mut().expect("guarded dtype is F64"))
                 .collect();
-            // Native tier: a statically eligible kernel runs emitted
-            // machine code whenever this execution records no coverage
-            // inside the body (entry coverage was batched above) and —
-            // for vectorized kernels — this run's concrete lane strides
-            // are the unit strides the packed loads assume
-            // (`JitReject::NonUnitStrideLanes` otherwise; the fallback
-            // is always per-kernel). Step accounting is already
-            // arithmetic, and the precheck's no-error proof covers the
-            // native loop exactly as it covers the bytecode loops.
-            // Failure to obtain executable pages falls back down the
-            // ladder.
-            let mut ran_native = false;
-            if ctx.jit && !interleave {
-                if let Ok(lay) = &fk.jit {
-                    if jit_lane_strides_ok(fk, lay, &strides, dims.len()) {
-                        if let Some(code) = jit_code_for(fk, lay) {
-                            // Packed blobs unroll the synthetic lane dim
-                            // internally; the driver's row is the
-                            // innermost real dim.
-                            let inner = dims.len() - 1 - usize::from(lay.lanes > 1);
-                            run_fused_jit(
-                                fk,
-                                lay,
-                                &code,
-                                inner,
-                                &dims,
-                                &bases,
-                                &strides,
-                                &self.a.syms,
-                                &in_slices,
-                                &mut out_slices,
-                                &mut jframe,
-                                &mut odo,
-                            );
-                            crate::jit::count_native_run(lay.lanes > 1);
-                            ran_native = true;
-                        }
-                    }
+            // Step accounting is already arithmetic, and the precheck's
+            // no-error proof covers the native loop exactly as it covers
+            // the chunk loop.
+            match native {
+                Some((lay, code)) => {
+                    // Packed blobs unroll the synthetic lane dim
+                    // internally; the driver's row is the innermost real
+                    // dim.
+                    let inner = dims.len() - 1 - usize::from(lay.lanes > 1);
+                    run_fused_jit(
+                        fk,
+                        lay,
+                        &code,
+                        inner,
+                        &dims,
+                        &bases,
+                        &strides,
+                        &self.a.syms,
+                        &in_slices,
+                        &mut out_slices,
+                        &mut jframe,
+                        &mut odo,
+                    );
+                    crate::jit::count_native_run(lay.lanes > 1);
                 }
-            }
-            if !ran_native && scalar_body {
-                run_fused_scalar(
-                    fk,
-                    &dims,
-                    &bases,
-                    &strides,
-                    &self.a.syms,
-                    &in_slices,
-                    &mut out_slices,
-                    &mut srf,
-                    &mut srb,
-                    ctx,
-                    (&mut odo, &mut outer_vals, &mut row),
-                );
-            } else if !ran_native {
-                run_fused_loop(
+                None => run_fused_loop(
                     fk,
                     &dims,
                     &bases,
@@ -3183,7 +3191,7 @@ impl<'p> Executor<'p> {
                     &mut rf,
                     &mut rb,
                     (&mut odo, &mut outer_vals, &mut row),
-                );
+                ),
             }
         }
         for (o, arr) in fk.outputs.iter().zip(outs.drain(..)) {
@@ -3193,8 +3201,6 @@ impl<'p> Executor<'p> {
         self.a.jframe = jframe;
         self.a.fk_regs_f = rf;
         self.a.fk_regs_b = rb;
-        self.a.regs_f = srf;
-        self.a.regs_b = srb;
         self.a.fdims = dims;
         self.a.fbases = bases;
         self.a.fstrides = strides;
@@ -3205,11 +3211,6 @@ impl<'p> Executor<'p> {
     }
 
     fn exec_tasklet(&mut self, tp: &'p TaskletPlan, ctx: &mut RunCtx<'_>) -> Result<(), ExecError> {
-        if let Some(fp) = &tp.fast {
-            if self.fast_guards_hold(&fp.guards) {
-                return self.exec_tasklet_fast(tp, fp, ctx);
-            }
-        }
         let mut in_vals = std::mem::take(&mut self.a.in_vals);
         let mut out_vals = std::mem::take(&mut self.a.out_vals);
         let mut regs = std::mem::take(&mut self.a.regs);
@@ -3342,344 +3343,6 @@ impl<'p> Executor<'p> {
             pc += 1;
         }
         Ok(())
-    }
-
-    // ----- monomorphic f64 fast path ------------------------------------
-
-    /// True when every container the fast path touches is live with the
-    /// `F64` dtype the specialization assumed. A failed guard routes the
-    /// whole node through the generic interpreter, which then produces
-    /// the exact generic behavior (including `UnknownData` errors or
-    /// non-f64 semantics for caller-substituted buffers).
-    fn fast_guards_hold(&self, guards: &[DataId]) -> bool {
-        guards.iter().all(|d| {
-            self.a.live[d.idx()]
-                && matches!(&self.a.arrays[d.idx()], Some(a) if a.dtype() == DType::F64)
-        })
-    }
-
-    fn exec_tasklet_fast(
-        &mut self,
-        tp: &'p TaskletPlan,
-        fp: &'p FastTasklet,
-        ctx: &mut RunCtx<'_>,
-    ) -> Result<(), ExecError> {
-        let mut fin = std::mem::take(&mut self.a.fin_vals);
-        let mut fout = std::mem::take(&mut self.a.fout_vals);
-        let mut regs_f = std::mem::take(&mut self.a.regs_f);
-        let mut regs_b = std::mem::take(&mut self.a.regs_b);
-        if fin.len() < tp.n_conn_slots {
-            fin.resize_with(tp.n_conn_slots, Vec::new);
-        }
-        if fout.len() < tp.n_out_slots {
-            fout.resize_with(tp.n_out_slots, Vec::new);
-        }
-        if regs_f.len() < fp.n_regs {
-            regs_f.resize(fp.n_regs, 0.0);
-        }
-        if regs_b.len() < fp.n_regs {
-            regs_b.resize(fp.n_regs, false);
-        }
-        let res = self.exec_tasklet_fast_inner(
-            tp,
-            fp,
-            ctx,
-            &mut fin,
-            &mut fout,
-            &mut regs_f,
-            &mut regs_b,
-        );
-        self.a.fin_vals = fin;
-        self.a.fout_vals = fout;
-        self.a.regs_f = regs_f;
-        self.a.regs_b = regs_b;
-        res
-    }
-
-    /// Mirrors [`Executor::exec_tasklet_inner`] step for step (gather in
-    /// memlet order with volume checks, lane loop, output delivery in
-    /// memlet order) on raw `f64` values, over the same plans.
-    #[allow(clippy::too_many_arguments)]
-    fn exec_tasklet_fast_inner(
-        &mut self,
-        tp: &'p TaskletPlan,
-        fp: &'p FastTasklet,
-        ctx: &mut RunCtx<'_>,
-        fin: &mut [Vec<f64>],
-        fout: &mut [Vec<f64>],
-        regs_f: &mut [f64],
-        regs_b: &mut [bool],
-    ) -> Result<(), ExecError> {
-        for ip in &tp.inputs {
-            match ip {
-                InputPlan::Fail(e) => return Err(e.clone()),
-                InputPlan::Read { slot, conn, plan } => {
-                    let buf = &mut fin[*slot];
-                    buf.clear();
-                    self.read_plan_f64(plan, ctx, buf, &tp.name)?;
-                    if buf.len() != 1 && buf.len() != tp.lanes {
-                        return Err(ExecError::VolumeMismatch {
-                            context: format!("tasklet '{}' input '{conn}'", tp.name),
-                            expected: tp.lanes,
-                            actual: buf.len(),
-                        });
-                    }
-                }
-            }
-        }
-        for b in fout[..tp.n_out_slots].iter_mut() {
-            b.clear();
-        }
-        for lane in 0..tp.lanes {
-            for (reg, vals) in regs_f.iter_mut().zip(&fin[..tp.n_conn_slots]) {
-                *reg = if vals.len() == 1 { vals[0] } else { vals[lane] };
-            }
-            run_fcode(&fp.code, regs_f, regs_b, &self.a.syms, &[], true, ctx).map_err(|sym| {
-                ExecError::UndefinedRef {
-                    tasklet: tp.name.clone(),
-                    name: self.prog.syms.names[sym.idx()].clone(),
-                }
-            })?;
-            for (g, &from_bool) in tp.gather.iter().zip(&fp.gather_bool) {
-                match g {
-                    GatherSpec::Push { slot, reg } => fout[*slot].push(if from_bool {
-                        regs_b[*reg as usize] as u8 as f64
-                    } else {
-                        regs_f[*reg as usize]
-                    }),
-                    GatherSpec::Fail(e) => return Err(e.clone()),
-                }
-            }
-        }
-        for ow in &tp.out_writes {
-            match ow {
-                OutWrite::Fail(e) => return Err(e.clone()),
-                OutWrite::Write { slot, plan } => {
-                    let vals = std::mem::take(&mut fout[*slot]);
-                    let r = self.write_plan_f64(plan, ctx, &vals, &tp.name);
-                    fout[*slot] = vals;
-                    r?;
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// True when a concrete subset is a dense, fully in-bounds block of
-    /// the array: full-rank, unit-stride, non-empty in every dimension.
-    /// Such reads/writes are contiguous per row and cannot raise
-    /// out-of-bounds errors, so they take the bulk-copy route.
-    fn dense_in_bounds(dims: &[ConcreteRange], shape: &[i64]) -> bool {
-        dims.len() == shape.len()
-            && dims
-                .iter()
-                .zip(shape)
-                .all(|(d, &s)| d.step == 1 && d.start >= 0 && d.end <= s && d.start < d.end)
-    }
-
-    /// [`Executor::read_plan`] monomorphized to `f64`: same evaluation
-    /// order, same errors, same step ticks — but elements move as raw
-    /// `f64`, and dense in-bounds subsets copy whole contiguous rows
-    /// (`extend_from_slice`, which the compiler vectorizes) instead of
-    /// iterating points. Only called under [`Executor::fast_guards_hold`].
-    fn read_plan_f64(
-        &mut self,
-        plan: &'p MemPlan,
-        ctx: &mut RunCtx<'_>,
-        out: &mut Vec<f64>,
-        context: &str,
-    ) -> Result<(), ExecError> {
-        // Subscripts evaluate first (they need the mutable sym stack);
-        // the array is then borrowed immutably for the copy — no
-        // per-access `Option::take` round trip on the hot trial path.
-        match &plan.kind {
-            MemKind::Single(idxs) => {
-                let mut point = std::mem::take(&mut self.a.point);
-                point.clear();
-                let evald = (|| -> Result<(), ExecError> {
-                    for (start, end) in idxs {
-                        let v = self.eval_idx(start)?;
-                        self.check_end(v, end)?;
-                        point.push(v);
-                    }
-                    Ok(())
-                })();
-                let res = evald.and_then(|()| {
-                    let arr = self.a.arrays[plan.data.idx()]
-                        .as_ref()
-                        .expect("guarded slot holds a buffer");
-                    let data = arr.as_f64_slice().expect("guarded dtype is F64");
-                    let off = fuzzyflow_ir::DataDesc::linearize(arr.shape(), &point).ok_or_else(
-                        || ExecError::OutOfBounds {
-                            data: self.prog.data.names[plan.data.idx()].clone(),
-                            point: point.clone(),
-                            shape: arr.shape().to_vec(),
-                        },
-                    )?;
-                    out.push(data[off]);
-                    ctx.tick(1)
-                });
-                self.a.point = point;
-                res
-            }
-            MemKind::Ranges(rps) => {
-                let mut point = std::mem::take(&mut self.a.point);
-                let mut dims = std::mem::take(&mut self.a.dims_buf);
-                dims.clear();
-                let evald = (|| -> Result<(), ExecError> {
-                    for rp in rps {
-                        let r = self.eval_range(rp)?;
-                        dims.push(r);
-                    }
-                    Ok(())
-                })();
-                let res = evald.and_then(|()| {
-                    let arr = self.a.arrays[plan.data.idx()]
-                        .as_ref()
-                        .expect("guarded slot holds a buffer");
-                    let data = arr.as_f64_slice().expect("guarded dtype is F64");
-                    if Self::dense_in_bounds(&dims, arr.shape()) {
-                        for_each_dense_row(&dims, arr.shape(), &mut point, |off, len| {
-                            out.extend_from_slice(&data[off..off + len]);
-                        });
-                    } else {
-                        iter_points(&dims, &mut point, |p| {
-                            let off = fuzzyflow_ir::DataDesc::linearize(arr.shape(), p)
-                                .ok_or_else(|| ExecError::OutOfBounds {
-                                    data: self.prog.data.names[plan.data.idx()].clone(),
-                                    point: p.to_vec(),
-                                    shape: arr.shape().to_vec(),
-                                })?;
-                            out.push(data[off]);
-                            Ok(())
-                        })?;
-                    }
-                    if out.is_empty() {
-                        return Err(ExecError::VolumeMismatch {
-                            context: context.to_string(),
-                            expected: 1,
-                            actual: 0,
-                        });
-                    }
-                    ctx.tick(out.len() as u64)
-                });
-                self.a.point = point;
-                self.a.dims_buf = dims;
-                res
-            }
-        }
-    }
-
-    /// [`Executor::write_plan`] monomorphized to `f64`: identical error
-    /// order (symbolic evaluation, volume, tick, bounds), WCR combined
-    /// with the float path of `combine_wcr`, dense in-bounds no-WCR
-    /// subsets stored as contiguous row copies.
-    fn write_plan_f64(
-        &mut self,
-        plan: &'p MemPlan,
-        ctx: &mut RunCtx<'_>,
-        vals: &[f64],
-        context: &str,
-    ) -> Result<(), ExecError> {
-        let mut point = std::mem::take(&mut self.a.point);
-        let mut dims = std::mem::take(&mut self.a.dims_buf);
-        // Subscripts evaluate first (mutable sym stack), then the array
-        // is borrowed for the store; the program reference is copied out
-        // so container names stay reachable alongside the buffer borrow.
-        let prog = self.prog;
-        let res = (|| -> Result<(), ExecError> {
-            let volume = match &plan.kind {
-                MemKind::Single(idxs) => {
-                    point.clear();
-                    for (start, end) in idxs {
-                        let v = self.eval_idx(start)?;
-                        self.check_end(v, end)?;
-                        point.push(v);
-                    }
-                    1usize
-                }
-                MemKind::Ranges(rps) => {
-                    dims.clear();
-                    for rp in rps {
-                        let r = self.eval_range(rp)?;
-                        dims.push(r);
-                    }
-                    dims.iter().map(|d| d.len()).product()
-                }
-            };
-            if volume != vals.len() {
-                return Err(ExecError::VolumeMismatch {
-                    context: context.to_string(),
-                    expected: volume,
-                    actual: vals.len(),
-                });
-            }
-            ctx.tick(volume as u64)?;
-            let i = plan.data.idx();
-            let name = &prog.data.names[i];
-            let arr = self.a.arrays[i]
-                .as_mut()
-                .expect("guarded slot holds a buffer");
-            let (shape, data) = arr.as_f64_parts_mut().expect("guarded dtype is F64");
-            let combine = |old: f64, new: f64| -> f64 {
-                match plan.wcr {
-                    None => new,
-                    Some(Wcr::Sum) => old + new,
-                    Some(Wcr::Prod) => old * new,
-                    Some(Wcr::Max) => old.max(new),
-                    Some(Wcr::Min) => old.min(new),
-                }
-            };
-            match &plan.kind {
-                MemKind::Single(_) => {
-                    let off =
-                        fuzzyflow_ir::DataDesc::linearize(shape, &point).ok_or_else(|| {
-                            ExecError::OutOfBounds {
-                                data: name.clone(),
-                                point: point.clone(),
-                                shape: shape.to_vec(),
-                            }
-                        })?;
-                    data[off] = combine(data[off], vals[0]);
-                    Ok(())
-                }
-                MemKind::Ranges(_) => {
-                    if plan.wcr.is_none() && Self::dense_in_bounds(&dims, shape) {
-                        let mut k = 0usize;
-                        for_each_dense_row(&dims, shape, &mut point, |off, len| {
-                            data[off..off + len].copy_from_slice(&vals[k..k + len]);
-                            k += len;
-                        });
-                        return Ok(());
-                    }
-                    let mut k = 0usize;
-                    iter_points(&dims, &mut point, |p| {
-                        let off = fuzzyflow_ir::DataDesc::linearize(shape, p).ok_or_else(|| {
-                            ExecError::OutOfBounds {
-                                data: name.clone(),
-                                point: p.to_vec(),
-                                shape: shape.to_vec(),
-                            }
-                        })?;
-                        let v = vals[k];
-                        k += 1;
-                        data[off] = combine(data[off], v);
-                        Ok(())
-                    })
-                }
-            }
-        })();
-        let res = self.slop_rescue(
-            res,
-            plan,
-            plan.data.idx(),
-            &point,
-            ctx,
-            vals.first().map(|&v| Scalar::F64(v)),
-        );
-        self.a.point = point;
-        self.a.dims_buf = dims;
-        res
     }
 
     fn exec_library(&mut self, lp: &'p LibraryPlan, ctx: &mut RunCtx<'_>) -> Result<(), ExecError> {
@@ -4158,50 +3821,6 @@ fn signed_linearize(shape: &[i64], point: &[i64]) -> Option<i64> {
     i64::try_from(off).ok()
 }
 
-/// Row-major iteration over the contiguous rows of a dense, fully
-/// in-bounds subset (see [`Executor::dense_in_bounds`]): calls
-/// `f(offset, len)` once per innermost-dimension run, in the exact order
-/// [`iter_points`] would visit the same elements. The caller's point
-/// buffer holds the outer coordinates.
-fn for_each_dense_row(
-    dims: &[ConcreteRange],
-    shape: &[i64],
-    point: &mut Vec<i64>,
-    mut f: impl FnMut(usize, usize),
-) {
-    let rank = dims.len();
-    debug_assert!(rank >= 1, "dense subsets are full-rank");
-    let row = &dims[rank - 1];
-    let row_len = (row.end - row.start) as usize;
-    // Row-major strides of the array.
-    let mut strides = vec![1i64; rank];
-    for d in (0..rank - 1).rev() {
-        strides[d] = strides[d + 1] * shape[d + 1];
-    }
-    point.clear();
-    point.extend(dims[..rank - 1].iter().map(|d| d.start));
-    loop {
-        let mut base = row.start * strides[rank - 1];
-        for d in 0..rank - 1 {
-            base += point[d] * strides[d];
-        }
-        f(base as usize, row_len);
-        // Advance the odometer over the outer dimensions.
-        let mut d = rank - 1;
-        loop {
-            if d == 0 {
-                return;
-            }
-            d -= 1;
-            point[d] += 1;
-            if point[d] < dims[d].end {
-                break;
-            }
-            point[d] = dims[d].start;
-        }
-    }
-}
-
 /// Row-major iteration over the points of concrete ranges, reusing the
 /// caller's point buffer (no per-point allocation). Calls `f` for every
 /// covered multi-index; empty ranges yield no points, a zero-rank subset
@@ -4296,7 +3915,7 @@ fn analyze_fused_idx(
 
 /// Cached (or freshly published) native code for a statically eligible
 /// kernel. `None` when the OS refuses executable pages — the caller
-/// falls back to the bytecode loops. Probing is lock-free; concurrent
+/// falls back to the chunk loop (or per element). Probing is lock-free; concurrent
 /// first-compilers may both emit, the insert keeps one copy.
 fn jit_code_for(
     fk: &FusedKernel,
@@ -4316,7 +3935,8 @@ fn jit_code_for(
 /// stride (broadcast inputs at stride 0). A run whose concrete subsets
 /// spread the lanes any other way — including a statically spanned read
 /// that collapses to volume 1 at this shape — falls back per-kernel to
-/// the bytecode loops (`JitReject::NonUnitStrideLanes`). Scalar blobs
+/// the chunk loop, or for select bodies per element
+/// (`JitReject::NonUnitStrideLanes`). Scalar blobs
 /// have no lane dimension and always pass.
 fn jit_lane_strides_ok(
     fk: &FusedKernel,
@@ -4348,7 +3968,7 @@ fn jit_lane_strides_ok(
 /// [`crate::jit::lower::JitLayout`]). `inner` is the row dimension —
 /// the innermost dim for scalar blobs, the innermost *real* dim for
 /// packed blobs (which unroll the synthetic lane dim internally).
-/// Bit-identical to the bytecode loops by the lowering's construction;
+/// Bit-identical to the chunk loop by the lowering's construction;
 /// the precheck's no-error proof is what makes handing raw row pointers
 /// to machine code sound.
 #[allow(clippy::too_many_arguments)]
@@ -4397,14 +4017,27 @@ fn run_fused_jit(
     debug_assert!(k.iter().all(|&v| v == 0), "odometer scratch not reset");
     for (ii, slot) in lay.in_ptr.iter().enumerate() {
         let Some(slot) = slot else { continue };
+        if fk.in_place[ii].is_some() {
+            continue;
+        }
         // SAFETY: the row's first element is an accessed element of the
         // box, proven in-bounds by the precheck.
         frame[lay.ptr_word(*slot)] = unsafe { ins[ii].as_ptr().offset(bases[ii] as isize) } as u64;
     }
     for (oi, slot) in lay.out_ptr.iter().enumerate() {
-        // SAFETY: as above, for the write set.
-        frame[lay.ptr_word(*slot)] =
-            unsafe { outs[oi].as_mut_ptr().offset(bases[n_in + oi] as isize) } as u64;
+        // One `as_mut_ptr()` per output: its in-place reads derive their
+        // pointers from the same borrow as the writes.
+        let buf = outs[oi].as_mut_ptr();
+        // SAFETY: as above, for the write set and its in-place reads.
+        frame[lay.ptr_word(*slot)] = unsafe { buf.offset(bases[n_in + oi] as isize) } as u64;
+        for (ii, islot) in lay.in_ptr.iter().enumerate() {
+            if let (Some(islot), Some(o)) = (islot, fk.in_place[ii]) {
+                if o == oi {
+                    // SAFETY: as above; the read's subset is the write's.
+                    frame[lay.ptr_word(*islot)] = unsafe { buf.offset(bases[ii] as isize) } as u64;
+                }
+            }
+        }
     }
     for d in 0..inner {
         frame[lay.param_word(d)] = (dims[d].start as f64).to_bits();
@@ -4414,8 +4047,11 @@ fn run_fused_jit(
     let f = unsafe { code.entry() };
     'rows: loop {
         // SAFETY: every pointer slot addresses live, in-bounds f64
-        // storage for its row (maintained by the odometer below) and the
-        // read and write sets are disjoint by fusion's construction.
+        // storage for its row (maintained by the odometer below). A read
+        // pointer either addresses a container no output writes, or is
+        // an in-place read whose element is the one its paired output
+        // writes — both derived from one `as_mut_ptr()`, and the emitted
+        // element loads its inputs before it stores.
         unsafe { f(frame.as_mut_ptr()) };
         let mut d = inner;
         loop {
@@ -4450,13 +4086,12 @@ fn run_fused_jit(
     }
 }
 
-/// The row walker of the bytecode fused loops: iterates every dimension
-/// but the innermost with an odometer over the scratch digits `k`
-/// (all zero on entry and on return) and calls `body(row, params)` once
-/// per row, in row-major order — `row[a]` the linear offset of access
-/// `a`'s first element in the row (hoisted base plus outer strides),
-/// `params[..inner]` the outer map-parameter values. `params[inner]` is
-/// the body's to set.
+/// The row walker of the chunk loop: iterates every dimension but the
+/// innermost with an odometer over the scratch digits `k` (all zero on
+/// entry and on return) and calls `body(row, params)` once per row, in
+/// row-major order — `row[a]` the linear offset of access `a`'s first
+/// element in the row (hoisted base plus outer strides),
+/// `params[..inner]` the outer map-parameter values.
 fn for_each_row(
     dims: &[ConcreteRange],
     bases: &[i64],
@@ -4525,8 +4160,14 @@ fn run_fused_loop(
             for (l, v) in inner_vals[..cl].iter_mut().enumerate() {
                 *v = (inner_r.start + (j + l) as i64 * inner_r.step) as f64;
             }
-            for (ii, s) in ins.iter().enumerate() {
+            for (ii, &ins_s) in ins.iter().enumerate() {
                 let Some(reg) = fk.in_regs[ii] else { continue };
+                // The whole chunk is read before any of it is written, and
+                // an in-place element's location is its own.
+                let s: &[f64] = match fk.in_place[ii] {
+                    Some(oi) => outs[oi],
+                    None => ins_s,
+                };
                 let st = strides[ii * n_dims + inner];
                 let base = row[ii];
                 let lanes = &mut rf[reg as usize];
@@ -4686,183 +4327,11 @@ fn run_fk_chunk(
                     .zip(&x)
                     .for_each(|(o, x)| *o = *x as u8 as f64);
             }
-            // Entry coverage is batched by the caller when the chunked
-            // loop runs (it only runs for single-location kernels).
-            FInsn::Cover { .. } => {}
-            FInsn::Stmt { .. }
-            | FInsn::CoverSel { .. }
-            | FInsn::JumpIfFalse { .. }
-            | FInsn::Jump { .. } => {
-                unreachable!("select-bodied kernels run the scalar loop")
+            FInsn::JumpIfFalse { .. } | FInsn::Jump { .. } => {
+                unreachable!("select bodies run natively or per element")
             }
         }
     }
-}
-
-/// The scalar twin of [`run_fused_loop`] for select-bodied kernels (and
-/// runs recording interleaved coverage): the same row walk, but the body
-/// runs once per element of the iteration box through [`run_fcode`],
-/// with a fresh site/sel state per element as the generic engine starts
-/// one per lane.
-#[allow(clippy::too_many_arguments)]
-fn run_fused_scalar(
-    fk: &FusedKernel,
-    dims: &[ConcreteRange],
-    bases: &[i64],
-    strides: &[i64],
-    syms: &[Option<i64>],
-    ins: &[&[f64]],
-    outs: &mut [&mut [f64]],
-    rf: &mut [f64],
-    rb: &mut [bool],
-    ctx: &mut RunCtx<'_>,
-    scratch: (&mut [i64], &mut [f64], &mut [i64]),
-) {
-    let n_dims = dims.len();
-    let inner = n_dims - 1;
-    let inner_r = dims[inner];
-    let n_in = fk.inputs.len();
-    for_each_row(dims, bases, strides, scratch, |row, params| {
-        for j in 0..inner_r.len() {
-            params[inner] = (inner_r.start + j as i64 * inner_r.step) as f64;
-            for (ii, s) in ins.iter().enumerate() {
-                let Some(reg) = fk.in_regs[ii] else { continue };
-                let st = strides[ii * n_dims + inner];
-                rf[reg as usize] = s[(row[ii] + j as i64 * st) as usize];
-            }
-            // Entry coverage once per element: when the inner dimension
-            // is the lane block, only the first lane records.
-            run_fcode(&fk.code, rf, rb, syms, params, fk.lanes == 1 || j == 0, ctx)
-                .expect("precheck resolved symbol");
-            for (oi, acc) in fk.outputs.iter().enumerate() {
-                let (reg, from_bool) = fk.out_regs[oi];
-                let st = strides[(n_in + oi) * n_dims + inner];
-                let off = (row[n_in + oi] + j as i64 * st) as usize;
-                let v = if from_bool {
-                    rb[reg as usize] as u8 as f64
-                } else {
-                    rf[reg as usize]
-                };
-                let out = &mut *outs[oi];
-                out[off] = match acc.wcr {
-                    None => v,
-                    Some(Wcr::Sum) => out[off] + v,
-                    Some(Wcr::Prod) => out[off] * v,
-                    Some(Wcr::Max) => out[off].max(v),
-                    Some(Wcr::Min) => out[off].min(v),
-                };
-            }
-        }
-    });
-}
-
-/// The scalar interpreter of [`FInsn`] code, shared by the per-element
-/// fast path and the fused scalar loop: runs `code` once over the
-/// register files, recording select coverage — and `Cover` entry markers
-/// when `entry_cover` holds — exactly where the generic bytecode records
-/// them. `LoadSymF` reads `syms`, `LoadParamF` reads `params`. An unbound
-/// symbol stops the run and is returned: the fast path reports it as
-/// [`ExecError::UndefinedRef`], the fused precheck rules it out.
-///
-/// Inlined into both callers: tasklet bodies are a handful of
-/// instructions, so a call per lane is a measurable share of the fast
-/// path's per-element cost.
-#[inline(always)]
-fn run_fcode(
-    code: &[FInsn],
-    rf: &mut [f64],
-    rb: &mut [bool],
-    syms: &[Option<i64>],
-    params: &[f64],
-    entry_cover: bool,
-    ctx: &mut RunCtx<'_>,
-) -> Result<(), SymId> {
-    let mut pc = 0usize;
-    let mut site = 0u64;
-    let mut sel = 0u64;
-    while pc < code.len() {
-        match &code[pc] {
-            FInsn::Stmt { site: s } => {
-                site = *s;
-                sel = 0;
-            }
-            FInsn::ConstF { dst, val } => rf[*dst as usize] = *val,
-            FInsn::ConstB { dst, val } => rb[*dst as usize] = *val,
-            FInsn::MovF { dst, src } => rf[*dst as usize] = rf[*src as usize],
-            FInsn::MovB { dst, src } => rb[*dst as usize] = rb[*src as usize],
-            FInsn::LoadSymF { dst, sym } => match syms[sym.idx()] {
-                Some(v) => rf[*dst as usize] = v as f64,
-                None => return Err(*sym),
-            },
-            FInsn::LoadParamF { dst, dim } => rf[*dst as usize] = params[*dim as usize],
-            FInsn::BinF { op, dst, a, b } => {
-                let (x, y) = (rf[*a as usize], rf[*b as usize]);
-                rf[*dst as usize] = match op {
-                    BinOp::Add => x + y,
-                    BinOp::Sub => x - y,
-                    BinOp::Mul => x * y,
-                    BinOp::Div => x / y,
-                    BinOp::Mod => x.rem_euclid(y),
-                    BinOp::Min => x.min(y),
-                    BinOp::Max => x.max(y),
-                    BinOp::Pow => x.powf(y),
-                    BinOp::And | BinOp::Or => unreachable!("lowered to AndB/OrB"),
-                };
-            }
-            FInsn::UnF { op, dst, a } => {
-                let x = rf[*a as usize];
-                rf[*dst as usize] = match op {
-                    UnOp::Neg => -x,
-                    UnOp::Abs => x.abs(),
-                    UnOp::Sqrt => x.sqrt(),
-                    UnOp::Exp => x.exp(),
-                    UnOp::Log => x.ln(),
-                    UnOp::Floor => x.floor(),
-                    UnOp::Ceil => x.ceil(),
-                    UnOp::Tanh => x.tanh(),
-                    UnOp::Not => unreachable!("lowered to NotB"),
-                };
-            }
-            FInsn::CmpF { op, dst, a, b } => {
-                let (x, y) = (rf[*a as usize], rf[*b as usize]);
-                rb[*dst as usize] = match op {
-                    CmpOp::Lt => x < y,
-                    CmpOp::Le => x <= y,
-                    CmpOp::Gt => x > y,
-                    CmpOp::Ge => x >= y,
-                    CmpOp::Eq => x == y,
-                    CmpOp::Ne => x != y,
-                };
-            }
-            FInsn::NotB { dst, a } => rb[*dst as usize] = !rb[*a as usize],
-            FInsn::AndB { dst, a, b } => rb[*dst as usize] = rb[*a as usize] && rb[*b as usize],
-            FInsn::OrB { dst, a, b } => rb[*dst as usize] = rb[*a as usize] || rb[*b as usize],
-            FInsn::BoolFromF { reg } => rb[*reg as usize] = rf[*reg as usize] != 0.0,
-            FInsn::FloatFromB { dst, src } => rf[*dst as usize] = rb[*src as usize] as u8 as f64,
-            FInsn::CoverSel { cond } => {
-                let cv = rb[*cond as usize];
-                sel += 1;
-                ctx.cover_parts(&[site, sel, cv as u64]);
-            }
-            FInsn::JumpIfFalse { cond, target } => {
-                if !rb[*cond as usize] {
-                    pc = *target as usize;
-                    continue;
-                }
-            }
-            FInsn::Jump { target } => {
-                pc = *target as usize;
-                continue;
-            }
-            FInsn::Cover { loc } => {
-                if entry_cover {
-                    ctx.cover(*loc);
-                }
-            }
-        }
-        pc += 1;
-    }
-    Ok(())
 }
 
 /// Postfix evaluation of a compiled symbolic expression, with the same
@@ -5002,7 +4471,7 @@ mod tests {
 
     #[test]
     fn eligible_f64_tasklets_are_specialized() {
-        // The canonical hot-loop shapes must all take the fast path.
+        // The canonical hot-loop shapes must all specialize.
         for body in [
             ScalarExpr::r("x").mul(ScalarExpr::f64(2.0)),
             ScalarExpr::r("x")
@@ -5126,52 +4595,130 @@ mod tests {
         assert_eq!(maps[0].reason, Some("tasklet is not f64-specialized"));
     }
 
+    /// `(container, subscript, connector)` of one tasklet read.
+    type Read = (&'static str, Vec<SymExpr>, &'static str);
+
+    /// One map over `params`, each in `[0, N)`, whose tasklet computes
+    /// `y = body` from `reads` and writes `y` to `write` (container,
+    /// subscript, WCR). Every container is `F64` with one `N` extent per
+    /// subscript dimension.
+    fn one_tasklet_map(
+        params: &'static [&'static str],
+        reads: Vec<Read>,
+        write: (&'static str, Vec<SymExpr>, Option<Wcr>),
+        body: ScalarExpr,
+    ) -> Sdfg {
+        let mut arrays: Vec<(&str, usize)> = Vec::new();
+        for (name, rank) in reads
+            .iter()
+            .map(|r| (r.0, r.1.len()))
+            .chain([(write.0, write.1.len())])
+        {
+            if !arrays.iter().any(|a| a.0 == name) {
+                arrays.push((name, rank));
+            }
+        }
+        let mut b = SdfgBuilder::new("one_tasklet");
+        b.symbol("N");
+        for &(name, rank) in &arrays {
+            b.array(name, DType::F64, &vec!["N"; rank]);
+        }
+        let st = b.start();
+        b.in_state(st, move |df| {
+            let ins: Vec<_> = arrays
+                .iter()
+                .filter(|a| reads.iter().any(|r| r.0 == a.0))
+                .map(|a| df.access(a.0))
+                .collect();
+            let out = df.access(write.0);
+            let ranges = params.iter().map(|_| SymRange::full(sym("N"))).collect();
+            let m = df.map(params, ranges, Schedule::Parallel, move |mb| {
+                let conns = reads.iter().map(|r| r.2).collect();
+                let t = mb.tasklet(Tasklet::simple("t", conns, "y", body));
+                for (name, sub, conn) in reads {
+                    let a = mb.access(name);
+                    mb.read(a, t, Memlet::new(name, Subset::at(sub)).to_conn(conn));
+                }
+                let o = mb.access(write.0);
+                let mut w = Memlet::new(write.0, Subset::at(write.1)).from_conn("y");
+                if let Some(op) = write.2 {
+                    w = w.with_wcr(op);
+                }
+                mb.write(t, o, w);
+            });
+            df.auto_wire(m, &ins, &[out]);
+        });
+        b.build()
+    }
+
+    #[test]
+    fn pointwise_in_place_maps_fuse() {
+        // `A[i] = A[i] * 2`: each element reads its own location before
+        // writing it, and no other element touches that location.
+        let p = Program::compile(&one_tasklet_map(
+            &["i"],
+            vec![("A", vec![sym("i")], "x")],
+            ("A", vec![sym("i")], None),
+            ScalarExpr::r("x").mul(ScalarExpr::f64(2.0)),
+        ));
+        let maps = fusion(&p);
+        assert!(maps[0].fused, "{:?}", maps[0].reason);
+        if cfg!(all(unix, target_arch = "x86_64")) {
+            assert!(maps[0].jit, "{:?}", maps[0].jit_reason);
+        }
+    }
+
     #[test]
     fn read_write_overlap_must_not_fuse() {
-        // In-place A[i] = A[i] * 2: container read and written by the
-        // same scope — the chunked kernel could observe its own writes.
-        let mut b = SdfgBuilder::new("inplace");
-        b.symbol("N");
-        b.array("A", DType::F64, &["N"]);
-        let st = b.start();
-        b.in_state(st, |df| {
-            let a_in = df.access("A");
-            let a_out = df.access("A");
-            let m = df.map(
+        // Containers read and written by one scope where an element can
+        // observe another element's write: fused execution would diverge.
+        let (i, j) = (|| sym("i"), || sym("j"));
+        let x2 = || ScalarExpr::r("x").mul(ScalarExpr::f64(2.0));
+        let shapes = [
+            // Non-injective accumulate: every `j` revisits `s[i]`.
+            one_tasklet_map(
+                &["i", "j"],
+                vec![("s", vec![i()], "x"), ("A", vec![i(), j()], "a")],
+                ("s", vec![i()], None),
+                ScalarExpr::r("x").add(ScalarExpr::r("a")),
+            ),
+            // Shifted read: element `i` reads what element `i - 1` wrote.
+            one_tasklet_map(
                 &["i"],
-                vec![SymRange::full(sym("N"))],
-                Schedule::Parallel,
-                |mb| {
-                    let a = mb.access("A");
-                    let o = mb.access("A");
-                    let t = mb.tasklet(Tasklet::simple(
-                        "t",
-                        vec!["x"],
-                        "y",
-                        ScalarExpr::r("x").mul(ScalarExpr::f64(2.0)),
-                    ));
-                    mb.read(
-                        a,
-                        t,
-                        Memlet::new("A", Subset::at(vec![sym("i")])).to_conn("x"),
-                    );
-                    mb.write(
-                        t,
-                        o,
-                        Memlet::new("A", Subset::at(vec![sym("i")])).from_conn("y"),
-                    );
-                },
+                vec![("A", vec![i() - SymExpr::Int(1)], "x")],
+                ("A", vec![i()], None),
+                x2(),
+            ),
+            // An in-place write with a WCR combiner.
+            one_tasklet_map(
+                &["i"],
+                vec![("A", vec![i()], "x")],
+                ("A", vec![i()], Some(Wcr::Sum)),
+                x2(),
+            ),
+            // The write omits map parameter `j`.
+            one_tasklet_map(
+                &["i", "j"],
+                vec![("A", vec![i()], "x")],
+                ("A", vec![i()], None),
+                x2(),
+            ),
+            // One dimension names two parameters.
+            one_tasklet_map(
+                &["i", "j"],
+                vec![("A", vec![i() + j()], "x")],
+                ("A", vec![i() + j()], None),
+                x2(),
+            ),
+        ];
+        for (k, sdfg) in shapes.iter().enumerate() {
+            let maps = fusion(&Program::compile(sdfg));
+            assert_eq!(
+                maps[0].reason,
+                Some(FuseReject::Overlap.message()),
+                "shape {k}"
             );
-            df.auto_wire(m, &[a_in], &[a_out]);
-        });
-        let p = Program::compile(&b.build());
-        let maps = fusion(&p);
-        assert!(!maps[0].fused);
-        assert!(
-            maps[0].reason.unwrap().contains("overlap"),
-            "{:?}",
-            maps[0].reason
-        );
+        }
     }
 
     /// `A[i*L .. i*L+L]` — the canonical lane-blocked subset.
@@ -5351,7 +4898,7 @@ mod tests {
         let maps = fusion(&p);
         assert!(!maps[0].fused);
         assert_eq!(maps[0].reason, Some("map fusion disabled"));
-        // The f64 fast path is still on.
+        // f64 specialization still runs.
         assert_eq!(p.tasklet_stats().specialized, 1);
     }
 
@@ -5654,8 +5201,6 @@ mod tests {
                 "CmpF",
                 "ConstB",
                 "ConstF",
-                "Cover",
-                "CoverSel",
                 "FloatFromB",
                 "Jump",
                 "JumpIfFalse",
@@ -5665,7 +5210,6 @@ mod tests {
                 "MovF",
                 "NotB",
                 "OrB",
-                "Stmt",
                 "UnF",
             ]
         );

@@ -353,8 +353,8 @@ impl ArrayValue {
     }
 
     /// Borrows the raw payload when the dtype is `F64` — the compiled
-    /// engine's monomorphic fast path reads through this instead of
-    /// boxing every element into a [`Scalar`].
+    /// engine's fused kernels read through this instead of boxing every
+    /// element into a [`Scalar`].
     pub fn as_f64_slice(&self) -> Option<&[f64]> {
         match &self.data {
             Data::F64(v) => Some(&v[GUARD_ELEMS..v.len() - GUARD_ELEMS]),
@@ -362,14 +362,13 @@ impl ArrayValue {
         }
     }
 
-    /// Mutably borrows the shape and raw payload together when the
-    /// dtype is `F64` (split borrow: the fast path linearizes against the
-    /// shape while writing through the buffer).
-    pub fn as_f64_parts_mut(&mut self) -> Option<(&[i64], &mut [f64])> {
+    /// Mutably borrows the raw payload when the dtype is `F64` — what
+    /// the fused kernels write through.
+    pub fn as_f64_slice_mut(&mut self) -> Option<&mut [f64]> {
         match &mut self.data {
             Data::F64(v) => {
                 let n = v.len() - GUARD_ELEMS;
-                Some((&self.shape, &mut v[GUARD_ELEMS..n]))
+                Some(&mut v[GUARD_ELEMS..n])
             }
             _ => None,
         }

@@ -281,11 +281,11 @@ fn input_for(cfg: &Cfg) -> ExecState {
     st
 }
 
-/// Runs all four engines — the tree walk, the generic compiled bytecode
-/// (`specialize_f64 = false`), the per-element f64 fast path
-/// (`fuse_maps = false`) and the default compiled program with fused map
-/// kernels — on identical inputs, asserting bit-identical results, final
-/// states and coverage. Returns the shared outcome.
+/// Runs every engine rung — the tree walk, the generic compiled bytecode
+/// per element (`specialize_f64 = false`; `fuse_maps = false` compiles
+/// the same thing) and the default compiled program with fused map
+/// kernels, JIT on and off — on identical inputs, asserting bit-identical
+/// results, final states and coverage. Returns the shared outcome.
 fn assert_engines_agree(p: &Sdfg, input: &ExecState, max_steps: u64) -> Result<(), ExecError> {
     let opts = ExecOptions {
         max_steps,
@@ -317,20 +317,7 @@ fn assert_engines_agree(p: &Sdfg, input: &ExecState, max_steps: u64) -> Result<(
     assert_eq!(tree_res, gen_res, "generic bytecode diverges");
     assert_states_bit_identical(&tree_state, &gen_state);
 
-    let unfused = Program::compile_with_options(
-        p,
-        &CompileOptions {
-            fuse_maps: false,
-            ..Default::default()
-        },
-    );
-    let mut unf_state = input.clone();
-    let mut unf_cov = CoverageMap::new();
-    let unf_res = unfused.run_with(&mut unf_state, &opts, None, Some(&mut unf_cov));
-    assert_eq!(tree_res, unf_res, "per-element fast path diverges");
-    assert_states_bit_identical(&tree_state, &unf_state);
-
-    // Sixth axis: the default run above had the native JIT tier enabled
+    // The default run above had the native JIT tier enabled
     // (wherever its static and runtime eligibility held); the same fused
     // program with the JIT forced off must stay bit-identical in
     // results, errors, final state, step accounting and coverage.
@@ -342,12 +329,12 @@ fn assert_engines_agree(p: &Sdfg, input: &ExecState, max_steps: u64) -> Result<(
     assert_eq!(tree_res, nj_res, "jit-off fused engine diverges");
     assert_states_bit_identical(&tree_state, &nj_state);
 
-    // Seventh axis: the same jit-on/jit-off pair *without* coverage.
-    // Coverage interleaves per-branch records for select bodies and
-    // blocks the native tier there, so this pair is where select
-    // kernels — scalar `jcc` bodies and the packed tier's unrolled
-    // lane-scalar mode — actually execute native code. Both runs must
-    // stay bit-identical to the tree walk.
+    // The same jit-on/jit-off pair *without* coverage. Coverage
+    // interleaves per-branch records for select bodies, which then run
+    // per element, so this pair is where select kernels — scalar `jcc`
+    // bodies and the packed tier's unrolled lane-scalar mode — actually
+    // execute native code (JIT off, they run per element again). Both
+    // runs must stay bit-identical to the tree walk.
     let mut nc_state = input.clone();
     let nc_res = prog.run_with(&mut nc_state, &opts, None, None);
     assert_eq!(tree_res, nc_res, "no-coverage jit run diverges");
@@ -360,12 +347,10 @@ fn assert_engines_agree(p: &Sdfg, input: &ExecState, max_steps: u64) -> Result<(
     let mut tree_virgin = [0u8; MAP_SIZE];
     let mut comp_virgin = [0u8; MAP_SIZE];
     let mut gen_virgin = [0u8; MAP_SIZE];
-    let mut unf_virgin = [0u8; MAP_SIZE];
     let mut nj_virgin = [0u8; MAP_SIZE];
     tree_cov.merge_into(&mut tree_virgin);
     comp_cov.merge_into(&mut comp_virgin);
     gen_cov.merge_into(&mut gen_virgin);
-    unf_cov.merge_into(&mut unf_virgin);
     nj_cov.merge_into(&mut nj_virgin);
     assert!(
         tree_virgin[..] == nj_virgin[..],
@@ -385,19 +370,12 @@ fn assert_engines_agree(p: &Sdfg, input: &ExecState, max_steps: u64) -> Result<(
         tree_cov.edges_hit(),
         gen_cov.edges_hit()
     );
-    assert!(
-        tree_virgin[..] == unf_virgin[..],
-        "per-element fast-path coverage map diverges ({} vs {} edges)",
-        tree_cov.edges_hit(),
-        unf_cov.edges_hit()
-    );
     // The virgin maps above only compare hit-count buckets; an engine
     // recording one location too many per element can land in the same
     // bucket. The raw per-edge counters must agree exactly.
     for (label, cov) in [
         ("compiled", &comp_cov),
         ("generic", &gen_cov),
-        ("per-element fast-path", &unf_cov),
         ("jit-off", &nj_cov),
     ] {
         assert!(
@@ -406,7 +384,7 @@ fn assert_engines_agree(p: &Sdfg, input: &ExecState, max_steps: u64) -> Result<(
         );
     }
 
-    // Fifth axis: a reused executor must behave exactly like a fresh one
+    // A reused executor must behave exactly like a fresh one
     // (the arena reset is what the trial loop relies on) — results,
     // states, step accounting and coverage stay bit-identical to the tree
     // walk across repeated trials.
@@ -667,10 +645,10 @@ fn overflowing_element_count_is_malformed_in_both_engines() {
     }
 }
 
-// ----- f64 fast-path numeric edges -------------------------------------
+// ----- f64 numeric edges -----------------------------------------------
 
 /// `B[i] = op(A[i])` over a 1-D map, for an arbitrary per-element body —
-/// the canonical fast-path-eligible shape.
+/// the canonical fusion-eligible shape.
 fn elementwise(body: ScalarExpr) -> Sdfg {
     let mut b = SdfgBuilder::new("edge");
     b.symbol("N");
@@ -713,12 +691,12 @@ fn state_with_f64(vals: &[f64]) -> ExecState {
     st
 }
 
-/// Satellite acceptance: NaN payloads must propagate bit-identically
-/// through the fast path — division, Euclidean remainder, min/max (whose
-/// `f64::max` NaN behavior differs from IEEE `maxNum`), sqrt of negative
-/// numbers, and select conditions on NaN (`NaN != 0.0` is true).
+/// NaN payloads must propagate bit-identically through every rung —
+/// division, Euclidean remainder, min/max (whose `f64::max` NaN behavior
+/// differs from IEEE `maxNum`), sqrt of negative numbers, and select
+/// conditions on NaN (`NaN != 0.0` is true).
 #[test]
-fn fast_path_nan_propagation_parity() {
+fn elementwise_nan_propagation_parity() {
     let nan = f64::NAN;
     let inputs = [nan, -nan, 1.0, f64::INFINITY, -f64::INFINITY, 0.0, -2.5];
     let bodies = [
@@ -749,11 +727,11 @@ fn fast_path_nan_propagation_parity() {
     }
 }
 
-/// Satellite acceptance: signed zeros must survive the fast path exactly
-/// — `-0.0` differs from `0.0` only in its bit pattern, which the
-/// bit-identical state comparison in `assert_engines_agree` checks.
+/// Signed zeros must survive every rung exactly — `-0.0` differs from
+/// `0.0` only in its bit pattern, which the bit-identical state
+/// comparison in `assert_engines_agree` checks.
 #[test]
-fn fast_path_signed_zero_parity() {
+fn elementwise_signed_zero_parity() {
     let inputs = [0.0, -0.0, 1.0, -1.0];
     let bodies = [
         ScalarExpr::r("x").neg(),
@@ -786,14 +764,14 @@ fn fast_path_signed_zero_parity() {
     }
 }
 
-/// Satellite acceptance: i64 extremes must behave exactly as
-/// `run_tree_walk`. Two regimes matter: expressions that *operate* on two
-/// integers (wrapping `i64` arithmetic — must be rejected by the
-/// eligibility pass and stay on the generic bytecode) and integer values
-/// flowing into float contexts past 2^53 (where the single `as f64`
-/// conversion must happen at the same abstract moment in both engines).
+/// i64 extremes must behave exactly as `run_tree_walk`. Two regimes
+/// matter: expressions that *operate* on two integers (wrapping `i64`
+/// arithmetic — must be rejected by the eligibility pass and stay on the
+/// generic bytecode) and integer values flowing into float contexts past
+/// 2^53 (where the single `as f64` conversion must happen at the same
+/// abstract moment in both engines).
 #[test]
-fn fast_path_i64_overflow_parity_with_tree_walk() {
+fn i64_overflow_parity_with_tree_walk() {
     let bodies = [
         // Integer + integer: the tree walk wraps (i64::MAX + 1 =
         // i64::MIN); a careless float lowering would produce 2^63.
@@ -837,11 +815,11 @@ fn fast_path_i64_overflow_parity_with_tree_walk() {
     }
 }
 
-/// A tasklet that is statically eligible must still fall back to the
+/// A map that fused at compile time must still run per element on the
 /// generic interpreter when the caller substitutes a non-f64 buffer for a
 /// declared-F64 container at runtime (the dtype guard).
 #[test]
-fn fast_path_runtime_dtype_guard_falls_back() {
+fn runtime_dtype_guard_falls_back() {
     let p = elementwise(ScalarExpr::r("x").mul(ScalarExpr::f64(2.0)));
     // An I64 payload in the declared-F64 container: the tree walk reads
     // I64 scalars (integer semantics); the compiled engine must match.
@@ -856,11 +834,11 @@ fn fast_path_runtime_dtype_guard_falls_back() {
     assert!(res.is_ok(), "{res:?}");
 }
 
-/// Strided and multi-row reads must agree between the dense bulk-copy
-/// route, the per-element route and the tree walk — including the
-/// out-of-bounds error when a row hangs over the edge.
+/// A multi-row block read by one vectorized tasklet outside any map must
+/// agree with the tree walk — including the out-of-bounds error when a
+/// row hangs over the edge.
 #[test]
-fn fast_path_bulk_copy_parity() {
+fn multi_row_block_copy_parity() {
     use fuzzyflow_ir::SymExpr;
     // B[0:N] = A[0:N] via a single full-subset lane tasklet is covered by
     // the proptest; here exercise a 2-D dense block and an OOB variant.
@@ -1211,6 +1189,178 @@ fn fused_kernel_overlap_falls_back_and_agrees() {
     );
 }
 
+/// `(container, subscript, connector)` of one tasklet read.
+type Read = (&'static str, Vec<SymExpr>, &'static str);
+
+/// One map over `params`, each in `[lo, N)` with `N = n`, whose tasklet
+/// computes `y = body` from `reads` and writes `y` to `write` (container,
+/// subscript, WCR), plus an input that fills every container — `F64`,
+/// one `N` extent per subscript dimension — from NaN, −0 and ±1e30.
+fn in_place_case(
+    n: i64,
+    (params, lo): (&'static [&'static str], i64),
+    reads: Vec<Read>,
+    write: (&'static str, Vec<SymExpr>, Option<Wcr>),
+    body: ScalarExpr,
+) -> (Sdfg, ExecState) {
+    let mut arrays: Vec<(&str, usize)> = Vec::new();
+    for (name, rank) in reads
+        .iter()
+        .map(|r| (r.0, r.1.len()))
+        .chain([(write.0, write.1.len())])
+    {
+        if !arrays.iter().any(|a| a.0 == name) {
+            arrays.push((name, rank));
+        }
+    }
+    let mut b = SdfgBuilder::new("in_place");
+    b.symbol("N");
+    let mut input = ExecState::new();
+    input.bind("N", n);
+    let specials = [f64::NAN, -0.0, 1e30, -1e30, 1.5, 0.0, -2.5, 3.0];
+    for (k, &(name, rank)) in arrays.iter().enumerate() {
+        b.array(name, DType::F64, &vec!["N"; rank]);
+        let len = n.pow(rank as u32) as usize;
+        let vals: Vec<f64> = (0..len).map(|e| specials[(e + k) % 8]).collect();
+        input.set_array(name, ArrayValue::from_f64(vec![n; rank], &vals));
+    }
+    let st = b.start();
+    b.in_state(st, move |df| {
+        let ins: Vec<_> = arrays
+            .iter()
+            .filter(|a| reads.iter().any(|r| r.0 == a.0))
+            .map(|a| df.access(a.0))
+            .collect();
+        let out = df.access(write.0);
+        let ranges = params
+            .iter()
+            .map(|_| SymRange::span(SymExpr::Int(lo), sym("N")))
+            .collect();
+        let m = df.map(params, ranges, Schedule::Parallel, move |mb| {
+            let conns = reads.iter().map(|r| r.2).collect();
+            let t = mb.tasklet(Tasklet::simple("t", conns, "y", body));
+            for (name, sub, conn) in reads {
+                let a = mb.access(name);
+                mb.read(a, t, Memlet::new(name, Subset::at(sub)).to_conn(conn));
+            }
+            let o = mb.access(write.0);
+            let mut w = Memlet::new(write.0, Subset::at(write.1)).from_conn("y");
+            if let Some(op) = write.2 {
+                w = w.with_wcr(op);
+            }
+            mb.write(t, o, w);
+        });
+        df.auto_wire(m, &ins, &[out]);
+    });
+    (b.build(), input)
+}
+
+/// Pointwise in-place updates `X[p] = f(X[p], …)` fuse — 1-, 2- and 3-D,
+/// transposed, select-bodied — and their unsafe neighbours (an
+/// accumulate that revisits a location, a shifted read, a WCR write, a
+/// write omitting a parameter) stay `Overlap`; all agree on every rung,
+/// JIT on and off, with NaN, −0 and ±1e30 in the updated containers.
+#[test]
+fn pointwise_in_place_updates_fuse_and_agree() {
+    let (i, j, k) = (|| sym("i"), || sym("j"), || sym("k"));
+    let x2 = || ScalarExpr::r("x").mul(ScalarExpr::f64(2.0));
+    let cases = [
+        (
+            true,
+            in_place_case(
+                5,
+                (&["i"], 0),
+                vec![("A", vec![i()], "x")],
+                ("A", vec![i()], None),
+                x2(),
+            ),
+        ),
+        (
+            true,
+            in_place_case(
+                4,
+                (&["i", "j"], 0),
+                vec![("X", vec![j(), i()], "x"), ("Y", vec![i(), j()], "a")],
+                ("X", vec![j(), i()], None),
+                ScalarExpr::r("x")
+                    .mul(ScalarExpr::r("a"))
+                    .sub(ScalarExpr::r("i")),
+            ),
+        ),
+        (
+            true,
+            in_place_case(
+                3,
+                (&["i", "j", "k"], 0),
+                vec![("X", vec![i(), j(), k()], "x"), ("C", vec![k()], "c")],
+                ("X", vec![i(), j(), k()], None),
+                ScalarExpr::r("x").lt(ScalarExpr::r("c")).select(
+                    ScalarExpr::r("x").neg(),
+                    ScalarExpr::r("x").add(ScalarExpr::r("c")),
+                ),
+            ),
+        ),
+        (
+            false,
+            in_place_case(
+                4,
+                (&["i", "j"], 0),
+                vec![("s", vec![i()], "x"), ("A", vec![i(), j()], "a")],
+                ("s", vec![i()], None),
+                ScalarExpr::r("x").add(ScalarExpr::r("a")),
+            ),
+        ),
+        (
+            false,
+            in_place_case(
+                5,
+                (&["i"], 1),
+                vec![("A", vec![i() - SymExpr::Int(1)], "x")],
+                ("A", vec![i()], None),
+                x2(),
+            ),
+        ),
+        (
+            false,
+            in_place_case(
+                5,
+                (&["i"], 0),
+                vec![("A", vec![i()], "x")],
+                ("A", vec![i()], Some(Wcr::Sum)),
+                x2(),
+            ),
+        ),
+        (
+            false,
+            in_place_case(
+                4,
+                (&["i", "j"], 0),
+                vec![("A", vec![i()], "x")],
+                ("A", vec![i()], None),
+                x2(),
+            ),
+        ),
+    ];
+    let before = jit_native_runs();
+    for (fuses, (p, input)) in &cases {
+        let stats = Program::compile(p).tasklet_stats();
+        assert_eq!(stats.maps[0].fused, *fuses, "{:?}", stats.maps[0].reason);
+        if !fuses {
+            assert_eq!(
+                stats.maps[0].reason,
+                Some("read/write overlap on one container")
+            );
+        }
+        assert_engines_agree(p, input, 1_000_000).unwrap();
+    }
+    if cfg!(all(unix, target_arch = "x86_64")) {
+        assert!(
+            jit_native_runs() > before,
+            "in-place kernels did not run native"
+        );
+    }
+}
+
 /// Interned-name accessors of the executor resolve symbols and arrays the
 /// program knows, and pass through extras it does not.
 #[test]
@@ -1382,8 +1532,7 @@ proptest! {
     /// Tier-2 acceptance: vectorized (`lanes ∈ {2,4,8}`), select-bodied
     /// and multi-tasklet-pipeline maps all compile to fused kernels and
     /// stay bit-identical — results, `ExecError`s, step accounting and
-    /// select-branch coverage ids — across all four engine tiers and
-    /// both reset policies.
+    /// select-branch coverage ids — across every engine rung.
     #[test]
     fn tier2_kernels_match_all_engines(cfg in arb_t2()) {
         let p = tier2_build(&cfg);
@@ -1393,7 +1542,7 @@ proptest! {
 }
 
 /// Every supported lane width fuses and agrees, with and without a
-/// select body (the select forces the per-lane scalar loop in-kernel).
+/// select body (which runs natively or per element, never chunked).
 #[test]
 fn tier2_vectorized_lane_widths_parity() {
     for lanes in [2u32, 4, 8] {
@@ -1576,7 +1725,7 @@ fn jit_verdict(p: &Sdfg) -> (bool, Option<&'static str>) {
 }
 
 /// A straight-line arithmetic kernel is statically eligible, actually
-/// executes native code, and stays bit-identical across all six axes —
+/// executes native code, and stays bit-identical across every rung —
 /// including NaN produced mid-kernel (`sqrt` of negatives).
 #[test]
 fn jit_engages_and_matches_on_straight_line_kernel() {
@@ -1625,8 +1774,8 @@ fn jit_nan_and_signed_zero_parity() {
         f64::MIN_POSITIVE,
     ];
     let input = jit_input(&vals);
-    // All six axes agree (under coverage the select kernel interleaves
-    // per-branch records, so this exercises the runtime fallback)...
+    // Every rung agrees (under coverage the select kernel interleaves
+    // per-branch records, so this exercises the per-element fallback)...
     assert_engines_agree(&p, &input, 1_000_000).unwrap();
     // ...and without coverage the select body runs natively (branches
     // lower to jcc): compare that run against the tree walk directly.
@@ -1937,7 +2086,7 @@ proptest! {
     /// Packed-JIT acceptance sweep: arbitrary lane widths (odd ones
     /// exercise the remainder element), plain / min-max / select
     /// bodies, WCR combiners and special-value inputs stay
-    /// bit-identical across all seven engine axes.
+    /// bit-identical across every engine rung.
     #[test]
     fn packed_jit_parity(
         lanes in 2u32..9,

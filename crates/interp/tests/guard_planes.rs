@@ -28,8 +28,8 @@ fn big_output(storage: Storage) -> DataDesc {
 }
 
 /// `B[i*stride + offset] (=|+=) A[i]` over `i in 0..N`, with `B` a big
-/// engine-allocated container — per-element stores (fused, f64 fast
-/// path, or generic bytecode depending on compile options).
+/// engine-allocated container — per-element stores (fused native, fused
+/// chunk loop, or generic bytecode depending on the options).
 fn scatter_program(wcr: Option<Wcr>, stride: i64, offset: i64, storage: Storage) -> Sdfg {
     let mut b = SdfgBuilder::new("scatter");
     b.symbol("N");
@@ -108,17 +108,21 @@ fn input_for(n: i64) -> ExecState {
     st
 }
 
-fn engine_variants() -> [CompileOptions; 3] {
+/// The three compiled rungs: fused with the JIT on, fused with it off
+/// (the chunk loop), and generic bytecode per element.
+fn engine_variants() -> [(CompileOptions, ExecOptions); 3] {
+    let no_jit = ExecOptions {
+        jit: false,
+        ..Default::default()
+    };
+    let generic = CompileOptions {
+        specialize_f64: false,
+        ..Default::default()
+    };
     [
-        CompileOptions::default(),
-        CompileOptions {
-            fuse_maps: false,
-            ..Default::default()
-        },
-        CompileOptions {
-            specialize_f64: false,
-            ..Default::default()
-        },
+        (CompileOptions::default(), ExecOptions::default()),
+        (CompileOptions::default(), no_jit),
+        (generic, ExecOptions::default()),
     ]
 }
 
@@ -133,7 +137,6 @@ fn payload_bits(arr: &ArrayValue) -> Vec<u64> {
 /// earlier trial behind, in the payload or in the guard planes.
 #[test]
 fn reused_executor_matches_fresh_executor_bitwise() {
-    let opts = ExecOptions::default();
     for storage in [Storage::Host, Storage::Device] {
         let programs = [
             scatter_program(None, 1, 0, storage),
@@ -142,7 +145,7 @@ fn reused_executor_matches_fresh_executor_bitwise() {
             bulk_program(storage),
         ];
         for (pi, p) in programs.iter().enumerate() {
-            for copts in engine_variants() {
+            for (copts, opts) in engine_variants() {
                 let prog = Program::compile_with_options(p, &copts);
                 let mut reused = prog.executor();
                 for n in [40, 7, 23, 40, 1] {
@@ -154,13 +157,15 @@ fn reused_executor_matches_fresh_executor_bitwise() {
                     let f = fresh.array("B").expect("B allocated");
                     assert!(
                         payload_bits(r) == payload_bits(f),
-                        "program {pi}, {storage:?}, {copts:?}: B diverges from a fresh \
-                         executor at n={n}"
+                        "program {pi}, {storage:?}, {copts:?}, jit {}: B diverges from a \
+                         fresh executor at n={n}",
+                        opts.jit
                     );
                     assert!(
                         r.guards_intact() && f.guards_intact(),
-                        "program {pi}, {storage:?}, {copts:?}: guard planes not \
-                         re-poisoned at n={n}"
+                        "program {pi}, {storage:?}, {copts:?}, jit {}: guard planes not \
+                         re-poisoned at n={n}",
+                        opts.jit
                     );
                 }
             }

@@ -1,8 +1,29 @@
-//! The Table-2 instance set shared by the integration suites.
+//! Helpers shared by the integration suites: the Table-2 instance set
+//! and the report fingerprint. Each suite uses a subset.
+#![allow(dead_code)]
 
 use fuzzyflow::ir::{Bindings, Sdfg};
 use fuzzyflow::transforms::{builtin_suite, cloudsc_suite, Transformation};
 use fuzzyflow::workloads;
+use fuzzyflow::CampaignReport;
+
+/// FNV-1a over a report's JSON without the lines of the top-level keys
+/// in `skip` — `"caches"` always (live counter deltas, outside the
+/// byte-identity contract), and `"fusion"` for a host-independent hash
+/// (its JIT-eligibility tallies are host-specific).
+pub fn report_fingerprint(report: &CampaignReport, skip: &[&str]) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for line in report
+        .to_json()
+        .lines()
+        .filter(|l| !skip.iter().any(|k| l.starts_with(&format!("  \"{k}\":"))))
+    {
+        for b in line.bytes().chain([b'\n']) {
+            h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    h
+}
 
 /// npbench + cloudsc + MHA + matmul chain, as the benchmark's Table-2
 /// campaign enumerates them.

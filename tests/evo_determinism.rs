@@ -12,6 +12,8 @@ use fuzzyflow_ir::{
     sym, DType, Memlet, ScalarExpr, Schedule, SdfgBuilder, Subset, SymRange, Tasklet,
 };
 
+mod common;
+
 /// The Fig. 5-style scale loop: `B[i] = 2 * A[i]` over `i < N`.
 /// `Vectorization(4)` reads past the end whenever `N % 4 != 0`, so the
 /// divisible seed passes and evolution has a genuine size-dependent bug
@@ -326,10 +328,11 @@ fn one_shot_reports_have_no_triage_and_stay_byte_compatible() {
 
 /// Cross-commit byte identity in evolution mode: the report (verdicts,
 /// triage buckets, representatives) of a small campaign with sound,
-/// crashing, semantic-change and invalid-code rows hashes to the value
-/// computed at the commit before the verification paths were unified.
-/// FNV-1a over the JSON minus the live `"caches"` line; the `fusion`
-/// line is host-specific, so the constant is pinned for x86_64 unix.
+/// crashing, semantic-change and invalid-code rows hashes to a pinned
+/// value. Without the `fusion` line the hash is host-independent and has
+/// held since the verification paths were unified; with it (JIT
+/// eligibility is host-specific) the constant is pinned for x86_64 unix
+/// hosts and moves only when fusion eligibility does.
 #[test]
 fn pinned_evolve_report_fingerprint() {
     let report = Campaign::new("pinned-evolve")
@@ -367,19 +370,17 @@ fn pinned_evolve_report_fingerprint() {
         assert!(labels.contains(&class), "campaign has no '{class}' row");
     }
     assert!(report.triage.as_ref().is_some_and(|t| t.bucket_count() > 0));
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for line in report
-        .to_json()
-        .lines()
-        .filter(|l| !l.starts_with("  \"caches\":"))
-    {
-        for b in line.bytes().chain([b'\n']) {
-            h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
+    assert_eq!(
+        common::report_fingerprint(&report, &["caches", "fusion"]),
+        PINNED_EVOLVE_VERDICTS
+    );
     if cfg!(all(unix, target_arch = "x86_64")) {
-        assert_eq!(h, PINNED_EVOLVE_FINGERPRINT);
+        assert_eq!(
+            common::report_fingerprint(&report, &["caches"]),
+            PINNED_EVOLVE_FINGERPRINT
+        );
     }
 }
 
-const PINNED_EVOLVE_FINGERPRINT: u64 = 0x26b4_9f5b_8ff3_46f3;
+const PINNED_EVOLVE_VERDICTS: u64 = 0x499f_589d_5dba_4a3d;
+const PINNED_EVOLVE_FINGERPRINT: u64 = 0xb37f_f811_74ea_e12a;

@@ -6,6 +6,8 @@ use fuzzyflow::prelude::*;
 use fuzzyflow::session::{Campaign, CollectingSink, NullSink};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
+mod common;
+
 fn base_campaign() -> Campaign {
     Campaign::new("semantics")
         .with_workload(
@@ -645,27 +647,13 @@ fn panicking_instance_is_a_pipeline_error_not_a_lost_campaign() {
     }
 }
 
-/// FNV-1a over the report JSON minus the `"caches"` line (live counter
-/// deltas, outside the byte-identity contract).
-fn report_fingerprint(report: &CampaignReport) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for line in report
-        .to_json()
-        .lines()
-        .filter(|l| !l.starts_with("  \"caches\":"))
-    {
-        for b in line.bytes().chain([b'\n']) {
-            h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    h
-}
-
 /// Cross-commit byte identity: the one-shot report of a small campaign
 /// with sound, crashing, semantic-change and invalid-code rows hashes to
-/// the value computed at the commit before the verification paths were
-/// unified. (The `fusion` line tallies JIT eligibility, which is
-/// host-specific, so the constant is pinned for x86_64 unix hosts.)
+/// a pinned value. Without the `fusion` line the hash is
+/// host-independent and has held since the verification paths were
+/// unified; with it (JIT eligibility is host-specific) the constant is
+/// pinned for x86_64 unix hosts and moves only when fusion eligibility
+/// does.
 #[test]
 fn pinned_one_shot_report_fingerprint() {
     let _counters = counters_lock();
@@ -702,9 +690,17 @@ fn pinned_one_shot_report_fingerprint() {
     for class in ["ok", "crash", "semantic change", "invalid code"] {
         assert!(labels.contains(&class), "campaign has no '{class}' row");
     }
+    assert_eq!(
+        common::report_fingerprint(&report, &["caches", "fusion"]),
+        PINNED_ONE_SHOT_VERDICTS
+    );
     if cfg!(all(unix, target_arch = "x86_64")) {
-        assert_eq!(report_fingerprint(&report), PINNED_ONE_SHOT_FINGERPRINT);
+        assert_eq!(
+            common::report_fingerprint(&report, &["caches"]),
+            PINNED_ONE_SHOT_FINGERPRINT
+        );
     }
 }
 
-const PINNED_ONE_SHOT_FINGERPRINT: u64 = 0xb44f_e7f0_a8f5_3fec;
+const PINNED_ONE_SHOT_VERDICTS: u64 = 0xcd43_d095_cebb_5b4c;
+const PINNED_ONE_SHOT_FINGERPRINT: u64 = 0xc6b1_edc7_7188_7d67;
