@@ -52,17 +52,32 @@ impl Constraints {
 
     /// Symbols ordered so that sizes are sampled before dependent symbols.
     pub fn sampling_order(&self) -> Vec<String> {
-        let mut sizes: Vec<String> = Vec::new();
-        let mut rest: Vec<String> = Vec::new();
-        for (name, role) in &self.roles {
-            if matches!(role, SymbolRole::Size) {
-                sizes.push(name.clone());
-            } else {
-                rest.push(name.clone());
-            }
+        self.ordered_roles().map(|(name, _)| name.clone()).collect()
+    }
+
+    /// The roles in [`Constraints::sampling_order`], without allocating:
+    /// sizes first, then every other role, each group in name order.
+    pub(crate) fn ordered_roles(&self) -> impl Iterator<Item = (&String, &SymbolRole)> {
+        let sizes = self.roles.iter().filter(|(_, r)| r.is_size());
+        let rest = self.roles.iter().filter(|(_, r)| !r.is_size());
+        sizes.chain(rest)
+    }
+
+    /// True when `earlier` is a role symbol drawn before role symbol
+    /// `name` in [`Constraints::sampling_order`] — that is, bound by the
+    /// time `name`'s bounds are evaluated.
+    pub(crate) fn drawn_before(&self, earlier: &str, name: &str) -> bool {
+        let rank = |s: &str| self.roles.get(s).map(|r| !r.is_size());
+        match (rank(earlier), rank(name)) {
+            (Some(a), Some(b)) => (a, earlier) < (b, name),
+            _ => false,
         }
-        sizes.extend(rest);
-        sizes
+    }
+}
+
+impl SymbolRole {
+    fn is_size(&self) -> bool {
+        matches!(self, SymbolRole::Size)
     }
 }
 
@@ -278,6 +293,16 @@ mod tests {
         let cons = derive_constraints(&c, &p);
         let order = cons.sampling_order();
         assert_eq!(order[0], "N");
+        assert!(cons.drawn_before("N", "k"));
+        assert!(!cons.drawn_before("k", "N"));
+        assert!(
+            !cons.drawn_before("k", "k"),
+            "a symbol is not drawn before itself"
+        );
+        assert!(
+            !cons.drawn_before("Q", "k"),
+            "a role-less symbol is never drawn"
+        );
     }
 
     #[test]

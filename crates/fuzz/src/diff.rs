@@ -3,7 +3,7 @@
 
 use crate::constraints::Constraints;
 use crate::rng::{rng_split, Xoshiro256};
-use crate::sampler::{sample_state, ValueProfile};
+use crate::sampler::{sample_state_into, ValueProfile};
 use crate::testcase::TestCase;
 use fuzzyflow_cutout::Cutout;
 use fuzzyflow_interp::{ExecOptions, ExecState, Executor, ExecutorArena, Program};
@@ -261,7 +261,10 @@ pub fn failure_text(outcome: &CaseOutcome) -> String {
 /// (`cutout.symbol_state`), then system-state contents under
 /// `tolerance`. Every trial loop and replay path judges through here, so
 /// a fault found live replays to the same class. Never returns
-/// [`CaseOutcome::OriginalFailed`]; the passing path allocates nothing.
+/// [`CaseOutcome::OriginalFailed`]. The passing path allocates nothing:
+/// it runs on the executors' retained buffers and compares `F64`
+/// containers as raw payload slices
+/// ([`ArrayValue::first_mismatch`](fuzzyflow_interp::ArrayValue::first_mismatch)).
 pub fn judge(
     cutout: &Cutout,
     state: &ExecState,
@@ -305,6 +308,13 @@ pub struct DiffReport {
 }
 
 /// Differential tester configuration.
+///
+/// [`DiffTester::test_compiled`] runs each trial on one pool
+/// participant's executor pair and scratch input: the sample is drawn
+/// into the scratch with [`sample_state_into`] and [`judge`]d in place. A
+/// passing trial therefore allocates nothing once the drawn shapes
+/// repeat; only a fault clones its input, into the verdict's
+/// [`TestCase`].
 #[derive(Clone, Debug)]
 pub struct DiffTester {
     /// Number of input configurations to try.
@@ -422,22 +432,31 @@ impl DiffTester {
             width,
             // One reusable executor pair per pool participant, retained
             // across every trial that participant steals — and, through
-            // the stash, across calls.
+            // the stash, across calls — plus the participant's scratch
+            // input, which every trial samples into.
             || {
                 let (oa, ta) = stash.take_or_new();
                 (
                     orig_prog.executor_with(oa),
                     trans_prog.executor_with(ta),
+                    ExecState::new(),
                     Vec::new(),
                 )
             },
-            |(orig_exec, trans_exec, local), idx| {
+            |(orig_exec, trans_exec, sample, local), idx| {
                 let trial = idx + 1;
                 if trial > stop_at.load(std::sync::atomic::Ordering::Relaxed) {
                     return;
                 }
-                let result =
-                    self.run_trial(cutout, constraints, &opts, trial, orig_exec, trans_exec);
+                let result = self.run_trial(
+                    cutout,
+                    constraints,
+                    &opts,
+                    trial,
+                    orig_exec,
+                    trans_exec,
+                    sample,
+                );
                 if result.1.is_some() {
                     stop_at.fetch_min(trial, std::sync::atomic::Ordering::Relaxed);
                 }
@@ -446,7 +465,7 @@ impl DiffTester {
                     progress(done.fetch_add(1, std::sync::atomic::Ordering::Relaxed) + 1);
                 }
             },
-            |(orig_exec, trans_exec, local)| {
+            |(orig_exec, trans_exec, _, local)| {
                 stash.put((orig_exec.into_arena(), trans_exec.into_arena()));
                 parts.lock().expect("trial buffers poisoned").push(local);
             },
@@ -462,8 +481,12 @@ impl DiffTester {
         self.finalize(results)
     }
 
-    /// One independent trial: sample until the original cutout accepts an
-    /// input, then [`judge`] the transformed cutout on that same input.
+    /// One independent trial: sample into `sample` until the original
+    /// cutout accepts an input, then [`judge`] the transformed cutout on
+    /// that same input. A passing trial allocates nothing once the
+    /// scratch state and the executor arenas have their shapes; only a
+    /// fault clones the input, into its [`TestCase`].
+    #[allow(clippy::too_many_arguments)]
     fn run_trial(
         &self,
         cutout: &Cutout,
@@ -472,29 +495,28 @@ impl DiffTester {
         trial: usize,
         orig_exec: &mut Executor<'_>,
         trans_exec: &mut Executor<'_>,
+        sample: &mut ExecState,
     ) -> TrialResult {
         let mut rng = Xoshiro256::seed_from(rng_split(self.seed, trial as u64));
         let mut resamples = 0usize;
-        for _ in 0..=self.max_resamples {
-            let Some(sample) = sample_state(cutout, constraints, &self.profile, &mut rng) else {
+        let attempts = self.max_resamples + 1;
+        for _ in 0..attempts {
+            if !sample_state_into(sample, cutout, constraints, &self.profile, &mut rng) {
                 resamples += 1;
                 continue;
-            };
-            if orig_exec.execute(&sample, opts, None, None).is_err() {
+            }
+            if orig_exec.execute(sample, opts, None, None).is_err() {
                 // Uninteresting crash: both sides would fail.
                 resamples += 1;
                 continue;
             }
-            let outcome = judge(cutout, &sample, opts, self.tolerance, orig_exec, trans_exec);
+            let outcome = judge(cutout, sample, opts, self.tolerance, orig_exec, trans_exec);
             return (
                 resamples,
-                outcome.fault_verdict(&cutout.sdfg.name, trial, &sample),
+                outcome.fault_verdict(&cutout.sdfg.name, trial, sample),
             );
         }
-        let reason = format!(
-            "could not sample an accepted input after {} attempts",
-            self.max_resamples
-        );
+        let reason = format!("could not sample an accepted input after {attempts} attempts");
         (resamples, Some(Verdict::Inconclusive { reason }))
     }
 
@@ -557,6 +579,7 @@ type TrialResult = (usize, Option<Verdict>);
 mod tests {
     use super::*;
     use crate::constraints::derive_constraints;
+    use crate::sampler::sample_state;
     use fuzzyflow_cutout::{extract_cutout, SideEffectContext};
     use fuzzyflow_ir::{
         sym, DType, Memlet, ScalarExpr, Schedule, SdfgBuilder, Subset, SymRange, Tasklet,
@@ -872,6 +895,60 @@ mod tests {
             panic!("expected a crash verdict, got {:?}", trap.verdict);
         };
         assert!(error.contains("out-of-bounds"), "{error}");
+    }
+
+    /// An original cutout that rejects every input (its last store is
+    /// always out of bounds) makes the first trial inconclusive after
+    /// exactly `max_resamples + 1` draws, none of which ran the pair.
+    #[test]
+    fn original_rejecting_every_input_is_inconclusive_after_all_attempts() {
+        let (p, st, m) = copy_program(0);
+        let changes = fuzzyflow_transforms::ChangeSet::nodes_in_state(st, [m]);
+        let ctx = SideEffectContext::with_size_symbols(&["N".to_string()], 64);
+        let c = extract_cutout(&p, &changes, &ctx).unwrap();
+        let cons = derive_constraints(&c, &p);
+        let bad = Program::compile(&copy_program(1).0);
+        let tester = DiffTester {
+            max_resamples: 7,
+            threads: 1,
+            ..tester(5, 99)
+        };
+        let pool = WorkerPool::global();
+        let report = tester.test_compiled(pool, &c, &bad, &bad, &cons, &ArenaStash::new(), None);
+        let Verdict::Inconclusive { reason } = &report.verdict else {
+            panic!("expected inconclusive, got {:?}", report.verdict);
+        };
+        assert!(reason.contains("after 8 attempts"), "{reason}");
+        assert_eq!(report.trials_run, 0);
+        assert_eq!(report.resamples, tester.max_resamples + 1);
+        assert_eq!(report.trials_to_detection, None);
+
+        // The same trial on one scratch input: the rejected draws it
+        // leaves behind do not leak into later accepted draws.
+        let opts = tester.exec_options();
+        let mut scratch = ExecState::new();
+        let (mut oe, mut te) = (bad.executor(), bad.executor());
+        let (resamples, verdict) =
+            tester.run_trial(&c, &cons, &opts, 1, &mut oe, &mut te, &mut scratch);
+        assert_eq!(resamples, 8);
+        assert!(matches!(verdict, Some(Verdict::Inconclusive { .. })));
+        for seed in 0..20 {
+            let fresh = sample_state(&c, &cons, &tester.profile, &mut Xoshiro256::seed_from(seed))
+                .expect("sizes always sample");
+            let mut rng = Xoshiro256::seed_from(seed);
+            assert!(sample_state_into(
+                &mut scratch,
+                &c,
+                &cons,
+                &tester.profile,
+                &mut rng
+            ));
+            assert_eq!(format!("{scratch:?}"), format!("{fresh:?}"), "seed {seed}");
+        }
+        let good = Program::compile(&c.sdfg);
+        let (mut oe, mut te) = (good.executor(), good.executor());
+        let passed = tester.run_trial(&c, &cons, &opts, 1, &mut oe, &mut te, &mut scratch);
+        assert_eq!(format!("{passed:?}"), "(0, None)");
     }
 
     /// Reports never depend on the batch width: across thread counts 1,

@@ -33,5 +33,5 @@ pub use coverage_fuzz::{CoverageFuzzer, CoverageReport};
 pub use diff::{failure_text, judge, ArenaStash, CaseOutcome, DiffReport, DiffTester, Verdict};
 pub use json::Json;
 pub use rng::{rng_split, Xoshiro256};
-pub use sampler::{sample_state, ValueProfile};
+pub use sampler::{sample_state, sample_state_into, ValueProfile};
 pub use testcase::{TestCase, TestCaseParseError};

@@ -830,6 +830,9 @@ pub(crate) fn apply_cmp(op: CmpOp, x: Scalar, y: Scalar) -> bool {
     }
 }
 
+/// (Batched) matrix product of row-major operands. The operands are
+/// widened to `f64` once and the inner loop runs on plain slices; every
+/// output element sums its `k` products in index order.
 pub(crate) fn matmul(
     name: &str,
     da: &[i64],
@@ -837,6 +840,7 @@ pub(crate) fn matmul(
     db: &[i64],
     b: &[Scalar],
 ) -> Result<Vec<Scalar>, ExecError> {
+    let widen = |v: &[Scalar]| v.iter().map(|s| s.as_f64()).collect::<Vec<f64>>();
     match (da.len(), db.len()) {
         (2, 2) => {
             let (m, k) = (da[0] as usize, da[1] as usize);
@@ -847,12 +851,13 @@ pub(crate) fn matmul(
                     detail: format!("matmul inner dims differ: {k} vs {k2}"),
                 });
             }
+            let (a, b) = (widen(a), widen(b));
             let mut c = vec![Scalar::F64(0.0); m * n];
             for i in 0..m {
                 for j in 0..n {
                     let mut acc = 0.0;
                     for l in 0..k {
-                        acc += a[i * k + l].as_f64() * b[l * n + j].as_f64();
+                        acc += a[i * k + l] * b[l * n + j];
                     }
                     c[i * n + j] = Scalar::F64(acc);
                 }
@@ -868,14 +873,14 @@ pub(crate) fn matmul(
                     detail: format!("batched matmul dims mismatch: {da:?} @ {db:?}"),
                 });
             }
+            let (a, b) = (widen(a), widen(b));
             let mut c = vec![Scalar::F64(0.0); bs * m * n];
             for t in 0..bs {
                 for i in 0..m {
                     for j in 0..n {
                         let mut acc = 0.0;
                         for l in 0..k {
-                            acc += a[t * m * k + i * k + l].as_f64()
-                                * b[t * k * n + l * n + j].as_f64();
+                            acc += a[t * m * k + i * k + l] * b[t * k * n + l * n + j];
                         }
                         c[t * m * n + i * n + j] = Scalar::F64(acc);
                     }

@@ -2335,6 +2335,8 @@ pub struct ExecutorArena {
     in_vals: Vec<Vec<Scalar>>,
     out_vals: Vec<Vec<Scalar>>,
     lib_dims: Vec<Vec<i64>>,
+    /// Shape scratch of [`Executor::allocate`].
+    alloc_shape: Vec<i64>,
     dims_buf: Vec<ConcreteRange>,
     point: Vec<i64>,
     fk_regs_f: Vec<[f64; LANES]>,
@@ -2689,19 +2691,27 @@ impl<'p> Executor<'p> {
     /// Allocates declared containers the caller did not provide: a
     /// retained buffer of matching dtype/shape from a previous run is
     /// refilled in place (host zeros / device garbage, guards re-poisoned),
-    /// anything else is allocated.
+    /// anything else is allocated. Shapes are evaluated into arena
+    /// scratch, so a run whose buffers all fit allocates nothing here.
     fn allocate(&mut self) -> Result<(), ExecError> {
+        let mut shape = std::mem::take(&mut self.a.alloc_shape);
+        let res = self.allocate_into(&mut shape);
+        self.a.alloc_shape = shape;
+        res
+    }
+
+    fn allocate_into(&mut self, shape: &mut Vec<i64>) -> Result<(), ExecError> {
         let prog = self.prog;
         for ap in &prog.arrays {
             let i = ap.data.idx();
             if self.a.live[i] {
                 continue;
             }
-            let mut shape = Vec::with_capacity(ap.shape.len());
+            shape.clear();
             for ic in &ap.shape {
                 shape.push(self.eval_idx(ic)?);
             }
-            check_alloc_shape(&prog.data.names[i], &shape)?;
+            check_alloc_shape(&prog.data.names[i], shape)?;
             match &mut self.a.arrays[i] {
                 Some(buf) if buf.dtype() == ap.dtype && buf.shape() == shape.as_slice() => {
                     match ap.storage {
@@ -2711,8 +2721,8 @@ impl<'p> Executor<'p> {
                 }
                 slot => {
                     *slot = Some(match ap.storage {
-                        Storage::Host => ArrayValue::zeros(ap.dtype, shape),
-                        Storage::Device => ArrayValue::garbage(ap.dtype, shape),
+                        Storage::Host => ArrayValue::zeros(ap.dtype, shape.clone()),
+                        Storage::Device => ArrayValue::garbage(ap.dtype, shape.clone()),
                     });
                 }
             }
@@ -3134,65 +3144,44 @@ impl<'p> Executor<'p> {
                 .take()
                 .expect("guarded slot holds a buffer")
         }));
-        {
-            // The slice views borrow the executor, so they cannot park in
-            // the arena like the other scratch; they are pointer-sized per
-            // access and rebuilt once per kernel entry, not per element.
-            let in_slices: Vec<&[f64]> = fk
-                .inputs
-                .iter()
-                .zip(&fk.in_place)
-                .map(|(acc, in_place)| match in_place {
-                    Some(_) => &[][..],
-                    None => self.a.arrays[acc.data.idx()]
-                        .as_ref()
-                        .expect("guarded slot holds a buffer")
-                        .as_f64_slice()
-                        .expect("guarded dtype is F64"),
-                })
-                .collect();
-            let mut out_slices: Vec<&mut [f64]> = outs
-                .iter_mut()
-                .map(|arr| arr.as_f64_slice_mut().expect("guarded dtype is F64"))
-                .collect();
-            // Step accounting is already arithmetic, and the precheck's
-            // no-error proof covers the native loop exactly as it covers
-            // the chunk loop.
-            match native {
-                Some((lay, code)) => {
-                    // Packed blobs unroll the synthetic lane dim
-                    // internally; the driver's row is the innermost real
-                    // dim.
-                    let inner = dims.len() - 1 - usize::from(lay.lanes > 1);
-                    run_fused_jit(
-                        fk,
-                        lay,
-                        &code,
-                        inner,
-                        &dims,
-                        &bases,
-                        &strides,
-                        &self.a.syms,
-                        &in_slices,
-                        &mut out_slices,
-                        &mut jframe,
-                        &mut odo,
-                    );
-                    crate::jit::count_native_run(lay.lanes > 1);
-                }
-                None => run_fused_loop(
+        // Step accounting is already arithmetic, and the precheck's
+        // no-error proof covers the native loop exactly as it covers the
+        // chunk loop. The walkers take each access's payload from the
+        // arena slots (reads) or `outs` (writes and in-place reads).
+        match native {
+            Some((lay, code)) => {
+                // Packed blobs unroll the synthetic lane dim internally;
+                // the row walked on the Rust side is the innermost real
+                // dim.
+                let inner = dims.len() - 1 - usize::from(lay.lanes > 1);
+                run_fused_jit(
                     fk,
+                    lay,
+                    &code,
+                    inner,
                     &dims,
                     &bases,
                     &strides,
                     &self.a.syms,
-                    &in_slices,
-                    &mut out_slices,
-                    &mut rf,
-                    &mut rb,
-                    (&mut odo, &mut outer_vals, &mut row),
-                ),
+                    &self.a.arrays,
+                    &mut outs,
+                    &mut jframe,
+                    &mut odo,
+                );
+                crate::jit::count_native_run(lay.lanes > 1);
             }
+            None => run_fused_loop(
+                fk,
+                &dims,
+                &bases,
+                &strides,
+                &self.a.syms,
+                &self.a.arrays,
+                &mut outs,
+                &mut rf,
+                &mut rb,
+                (&mut odo, &mut outer_vals, &mut row),
+            ),
         }
         for (o, arr) in fk.outputs.iter().zip(outs.drain(..)) {
             self.a.arrays[o.data.idx()] = Some(arr);
@@ -3981,8 +3970,8 @@ fn run_fused_jit(
     bases: &[i64],
     strides: &[i64],
     syms: &[Option<i64>],
-    ins: &[&[f64]],
-    outs: &mut [&mut [f64]],
+    arrays: &[Option<ArrayValue>],
+    outs: &mut [ArrayValue],
     frame: &mut Vec<u64>,
     k: &mut [i64],
 ) {
@@ -4020,14 +4009,15 @@ fn run_fused_jit(
         if fk.in_place[ii].is_some() {
             continue;
         }
+        let ins = fused_input(fk, arrays, ii);
         // SAFETY: the row's first element is an accessed element of the
         // box, proven in-bounds by the precheck.
-        frame[lay.ptr_word(*slot)] = unsafe { ins[ii].as_ptr().offset(bases[ii] as isize) } as u64;
+        frame[lay.ptr_word(*slot)] = unsafe { ins.as_ptr().offset(bases[ii] as isize) } as u64;
     }
     for (oi, slot) in lay.out_ptr.iter().enumerate() {
         // One `as_mut_ptr()` per output: its in-place reads derive their
         // pointers from the same borrow as the writes.
-        let buf = outs[oi].as_mut_ptr();
+        let buf = fused_output(&mut outs[oi]).as_mut_ptr();
         // SAFETY: as above, for the write set and its in-place reads.
         frame[lay.ptr_word(*slot)] = unsafe { buf.offset(bases[n_in + oi] as isize) } as u64;
         for (ii, islot) in lay.in_ptr.iter().enumerate() {
@@ -4086,6 +4076,22 @@ fn run_fused_jit(
     }
 }
 
+/// The payload fused input access `ii` reads: its container's arena
+/// slot. In-place inputs read their output's buffer instead (the slot is
+/// empty while the kernel runs).
+fn fused_input<'a>(fk: &FusedKernel, arrays: &'a [Option<ArrayValue>], ii: usize) -> &'a [f64] {
+    arrays[fk.inputs[ii].data.idx()]
+        .as_ref()
+        .expect("guarded slot holds a buffer")
+        .as_f64_slice()
+        .expect("guarded dtype is F64")
+}
+
+/// The payload a fused kernel writes through.
+fn fused_output(arr: &mut ArrayValue) -> &mut [f64] {
+    arr.as_f64_slice_mut().expect("guarded dtype is F64")
+}
+
 /// The row walker of the chunk loop: iterates every dimension but the
 /// innermost with an odometer over the scratch digits `k` (all zero on
 /// entry and on return) and calls `body(row, params)` once per row, in
@@ -4141,8 +4147,8 @@ fn run_fused_loop(
     bases: &[i64],
     strides: &[i64],
     syms: &[Option<i64>],
-    ins: &[&[f64]],
-    outs: &mut [&mut [f64]],
+    arrays: &[Option<ArrayValue>],
+    outs: &mut [ArrayValue],
     rf: &mut [[f64; LANES]],
     rb: &mut [[bool; LANES]],
     scratch: (&mut [i64], &mut [f64], &mut [i64]),
@@ -4160,13 +4166,13 @@ fn run_fused_loop(
             for (l, v) in inner_vals[..cl].iter_mut().enumerate() {
                 *v = (inner_r.start + (j + l) as i64 * inner_r.step) as f64;
             }
-            for (ii, &ins_s) in ins.iter().enumerate() {
+            for ii in 0..n_in {
                 let Some(reg) = fk.in_regs[ii] else { continue };
                 // The whole chunk is read before any of it is written, and
                 // an in-place element's location is its own.
                 let s: &[f64] = match fk.in_place[ii] {
-                    Some(oi) => outs[oi],
-                    None => ins_s,
+                    Some(oi) => outs[oi].as_f64_slice().expect("guarded dtype is F64"),
+                    None => fused_input(fk, arrays, ii),
                 };
                 let st = strides[ii * n_dims + inner];
                 let base = row[ii];
@@ -4188,7 +4194,7 @@ fn run_fused_loop(
                 let (reg, from_bool) = fk.out_regs[oi];
                 let st = strides[(n_in + oi) * n_dims + inner];
                 let base = row[n_in + oi];
-                let out = &mut *outs[oi];
+                let out = fused_output(&mut outs[oi]);
                 if acc.wcr.is_none() && !from_bool && st == 1 {
                     let off = (base + j as i64) as usize;
                     out[off..off + cl].copy_from_slice(&rf[reg as usize][..cl]);

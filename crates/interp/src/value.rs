@@ -11,6 +11,7 @@
 //! slices, comparisons, `Debug`) window the payload — guards are invisible
 //! outside this module except through [`ArrayValue::guards_intact`].
 
+use fuzzyflow_ir::dtype::{f64_approx_eq, f64_bits_eq};
 use fuzzyflow_ir::{DType, Scalar};
 use std::fmt;
 
@@ -382,10 +383,31 @@ impl ArrayValue {
     /// First differing linear index between two arrays under bit-exact
     /// comparison (`tol == 0`) or tolerance comparison. `None` means equal.
     /// Arrays of different dtype/shape differ at index 0 by convention.
+    /// Elements compare as [`Scalar::bits_eq`] / [`Scalar::approx_eq`];
+    /// `F64` payloads are compared as raw slices without boxing.
     pub fn first_mismatch(&self, other: &ArrayValue, tol: f64) -> Option<usize> {
         if self.dtype != other.dtype || self.shape != other.shape {
             return Some(0);
         }
+        if let (Data::F64(a), Data::F64(b)) = (&self.data, &other.data) {
+            let (a, b) = (payload(a), payload(b));
+            // Bit-identical elements are equal under both predicates —
+            // under `approx_eq` only for a tolerance ≥ 0 (a negative or NaN
+            // one fails even `x` against itself), which takes the
+            // element-by-element path below.
+            if tol == 0.0 {
+                return first_f64_mismatch(a, b, |x, y| !f64_bits_eq(x, y));
+            }
+            if tol > 0.0 {
+                return first_f64_mismatch(a, b, |x, y| !f64_approx_eq(x, y, tol));
+            }
+        }
+        self.first_mismatch_scalar(other, tol)
+    }
+
+    /// The element-by-element [`Scalar`] comparison behind
+    /// [`ArrayValue::first_mismatch`]; dtype and shape must already agree.
+    fn first_mismatch_scalar(&self, other: &ArrayValue, tol: f64) -> Option<usize> {
         (0..self.len()).find(|&i| {
             let (a, b) = (self.get(i), other.get(i));
             if tol == 0.0 {
@@ -426,6 +448,26 @@ fn payload<T>(v: &[T]) -> &[T] {
     &v[GUARD_ELEMS..v.len() - GUARD_ELEMS]
 }
 
+/// First index where `differs` holds, for a `differs` that is false on
+/// every bit-identical pair: bit-identical runs are skipped a chunk at a
+/// time with a branch-free (vectorizable) scan, and `differs` runs only
+/// inside chunks that hold a differing bit.
+fn first_f64_mismatch(a: &[f64], b: &[f64], differs: impl Fn(f64, f64) -> bool) -> Option<usize> {
+    const CHUNK: usize = 32;
+    for (k, (ca, cb)) in a.chunks(CHUNK).zip(b.chunks(CHUNK)).enumerate() {
+        let any_bits = ca
+            .iter()
+            .zip(cb)
+            .fold(false, |d, (x, y)| d | (x.to_bits() != y.to_bits()));
+        if any_bits {
+            if let Some(i) = ca.iter().zip(cb).position(|(&x, &y)| differs(x, y)) {
+                return Some(k * CHUNK + i);
+            }
+        }
+    }
+    None
+}
+
 /// Payload-only `Debug`: report byte-identity assertions format states
 /// with `{:?}`, so guard bytes must never leak into the rendering.
 impl fmt::Debug for ArrayValue {
@@ -453,6 +495,7 @@ impl fmt::Debug for ArrayValue {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn zeros_and_len() {
@@ -534,6 +577,85 @@ mod tests {
         let a = ArrayValue::zeros(DType::F64, vec![2]);
         let b = ArrayValue::zeros(DType::F64, vec![3]);
         assert_eq!(a.first_mismatch(&b, 0.0), Some(0));
+    }
+
+    #[test]
+    fn dtype_and_shape_mismatches_differ_at_zero_on_both_paths() {
+        let f = ArrayValue::from_f64(vec![2, 2], &[1.0; 4]);
+        let cases = [
+            ArrayValue::zeros(DType::F32, vec![2, 2]),
+            ArrayValue::zeros(DType::I64, vec![2, 2]),
+            ArrayValue::from_f64(vec![4], &[1.0; 4]),
+            ArrayValue::from_f64(vec![2, 1], &[1.0; 2]),
+        ];
+        for other in &cases {
+            for tol in [0.0, 1e-5] {
+                assert_eq!(f.first_mismatch(other, tol), Some(0), "{other:?}");
+                assert_eq!(other.first_mismatch(&f, tol), Some(0), "{other:?}");
+            }
+        }
+    }
+
+    /// Bit patterns the raw-`f64` compare must treat exactly like
+    /// [`Scalar::bits_eq`] / [`Scalar::approx_eq`] (±1e30 join them in
+    /// [`arb_bits`]).
+    const EDGE_BITS: [u64; 15] = [
+        0x7ff8_0000_0000_0000, // NaN
+        0xfff8_0000_0000_0000, // -NaN
+        0x7ff8_0000_0000_beef, // NaN with a payload
+        0xfff8_0000_0000_beef, // the same payload, sign set
+        0x7ff0_0000_0000_0001, // signalling NaN
+        0x0000_0000_0000_0000, // 0
+        0x8000_0000_0000_0000, // -0
+        0x7ff0_0000_0000_0000, // inf
+        0xfff0_0000_0000_0000, // -inf
+        0x0000_0000_0000_0001, // smallest subnormal
+        0x800f_ffff_ffff_ffff, // largest negative subnormal
+        0x3ff0_0000_0000_0000, // 1
+        0x3ff0_0000_0000_0001, // 1 + ulp
+        0x3ff0_0000_0004_3000, // ≈ 1 + 6e-11, inside the 1e-5 tolerance
+        0x3ff0_0001_4f8b_588e, // ≈ 1 + 2e-5, outside it
+    ];
+
+    fn arb_bits() -> impl Strategy<Value = u64> {
+        prop_oneof![
+            0u64..=u64::MAX,
+            (0usize..EDGE_BITS.len()).prop_map(|i| EDGE_BITS[i]),
+            Just(1e30f64.to_bits()),
+            Just((-1e30f64).to_bits()),
+        ]
+    }
+
+    /// `(a, b)` payloads: `b` mostly repeats `a`'s element, and now and
+    /// then flips its sign, nudges it by one ulp or draws a fresh pattern,
+    /// so first mismatches land anywhere in the array — past the fast
+    /// path's first chunk too — or nowhere.
+    fn arb_pair() -> impl Strategy<Value = (Vec<f64>, Vec<f64>)> {
+        proptest::collection::vec((arb_bits(), 0u8..40, arb_bits()), 0..100).prop_map(|els| {
+            els.into_iter()
+                .map(|(a, how, other)| {
+                    let b = match how {
+                        0 => other,
+                        1 => a ^ (1 << 63),
+                        2 => a.wrapping_add(1),
+                        _ => a,
+                    };
+                    (f64::from_bits(a), f64::from_bits(b))
+                })
+                .unzip()
+        })
+    }
+
+    proptest! {
+        #[test]
+        fn f64_first_mismatch_equals_the_scalar_path((a, b) in arb_pair()) {
+            let shape = vec![a.len() as i64];
+            let (a, b) = (ArrayValue::from_f64(shape.clone(), &a), ArrayValue::from_f64(shape, &b));
+            for tol in [0.0, 1e-5] {
+                prop_assert_eq!(a.first_mismatch(&b, tol), a.first_mismatch_scalar(&b, tol));
+                prop_assert_eq!(b.first_mismatch(&a, tol), b.first_mismatch_scalar(&a, tol));
+            }
+        }
     }
 
     #[test]

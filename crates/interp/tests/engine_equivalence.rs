@@ -764,6 +764,100 @@ fn elementwise_signed_zero_parity() {
     }
 }
 
+/// `C = A @ B` through a `MatMul` library node over `[M, K] @ [K, N]`,
+/// batched over a leading `T` dimension when `batched`. The operands cycle
+/// through NaN payloads and signs, signed zeros and ±1e30, whose
+/// cancellation depends on the order the products are summed in.
+fn matmul_case(batched: bool, [t, m, k, n]: [i64; 4]) -> (Sdfg, ExecState) {
+    let lead: &[&str] = if batched { &["T"] } else { &[] };
+    let dims = |rows: &'static str, cols: &'static str| [lead, &[rows, cols]].concat();
+    let operands = [("A", "M", "K"), ("B", "K", "N"), ("C", "M", "N")];
+    let mut b = SdfgBuilder::new("mm");
+    for s in ["T", "M", "K", "N"] {
+        b.symbol(s);
+    }
+    for (name, rows, cols) in operands {
+        b.array(name, DType::F64, &dims(rows, cols));
+    }
+    let st = b.start();
+    b.in_state(st, |df| {
+        let full =
+            |rows, cols| Subset::full(&dims(rows, cols).into_iter().map(sym).collect::<Vec<_>>());
+        let mm = df.library("gemm", LibraryOp::MatMul);
+        for (name, rows, cols) in operands {
+            let acc = df.access(name);
+            let memlet = Memlet::new(name, full(rows, cols));
+            match name {
+                "C" => df.write(mm, acc, memlet.from_conn(name)),
+                _ => df.read(acc, mm, memlet.to_conn(name)),
+            };
+        }
+    });
+    let pool = [
+        f64::from_bits(0x7ff8_0000_0000_beef),
+        -f64::NAN,
+        -0.0,
+        0.0,
+        1e30,
+        -1e30,
+        1.0,
+        -2.5,
+        3.0,
+    ];
+    let lead_len: &[i64] = if batched { &[t] } else { &[] };
+    let operand = |rows: i64, cols: i64, salt: usize| {
+        let shape = [lead_len, &[rows, cols]].concat();
+        let vals: Vec<f64> = (0..shape.iter().product::<i64>() as usize)
+            .map(|i| pool[(i * 7 + salt) % pool.len()])
+            .collect();
+        ArrayValue::from_f64(shape, &vals)
+    };
+    let mut input = ExecState::new();
+    for (s, v) in [("T", t), ("M", m), ("K", k), ("N", n)] {
+        input.bind(s, v);
+    }
+    input.set_array("A", operand(m, k, 0));
+    input.set_array("B", operand(k, n, 3));
+    (b.build(), input)
+}
+
+/// `MatMul` library nodes: every rung bit-identical to the tree walk on
+/// NaN / −0 / ±1e30 operands, and every output element the sum of its
+/// `k` products taken in index order.
+#[test]
+fn matmul_library_node_parity_on_special_values() {
+    for (batched, dims) in [
+        (false, [1, 2, 3, 2]),
+        (false, [1, 3, 4, 1]),
+        (true, [2, 2, 3, 2]),
+    ] {
+        let (p, input) = matmul_case(batched, dims);
+        let res = assert_engines_agree(&p, &input, 1_000_000);
+        assert!(res.is_ok(), "{dims:?}: {res:?}");
+
+        let [t, m, k, n] = dims.map(|d| d as usize);
+        let (a, b) = (input.array("A").unwrap(), input.array("B").unwrap());
+        let (a, b) = (a.to_f64_vec(), b.to_f64_vec());
+        let mut want = Vec::new();
+        for tt in 0..t {
+            for i in 0..m {
+                for j in 0..n {
+                    let mut acc = 0.0;
+                    for l in 0..k {
+                        acc += a[tt * m * k + i * k + l] * b[tt * k * n + l * n + j];
+                    }
+                    want.push(acc);
+                }
+            }
+        }
+        let mut out = input.clone();
+        Program::compile(&p).run(&mut out).unwrap();
+        let got = out.array("C").unwrap();
+        let want = ArrayValue::from_f64(got.shape().to_vec(), &want);
+        assert_eq!(got.first_mismatch(&want, 0.0), None, "{dims:?}");
+    }
+}
+
 /// i64 extremes must behave exactly as `run_tree_walk`. Two regimes
 /// matter: expressions that *operate* on two integers (wrapping `i64`
 /// arithmetic — must be rejected by the eligibility pass and stay on the

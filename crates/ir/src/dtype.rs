@@ -148,13 +148,7 @@ impl Scalar {
     /// an optimization that swaps a NaN for a different NaN is flagged.
     pub fn bits_eq(self, other: Scalar) -> bool {
         match (self, other) {
-            (Scalar::F64(a), Scalar::F64(b)) => {
-                if a.is_nan() && b.is_nan() {
-                    a.to_bits() | (1 << 63) == b.to_bits() | (1 << 63)
-                } else {
-                    a.to_bits() == b.to_bits()
-                }
-            }
+            (Scalar::F64(a), Scalar::F64(b)) => f64_bits_eq(a, b),
             (Scalar::F32(a), Scalar::F32(b)) => {
                 if a.is_nan() && b.is_nan() {
                     a.to_bits() | (1 << 31) == b.to_bits() | (1 << 31)
@@ -179,15 +173,33 @@ impl Scalar {
         if !self.dtype().is_float() {
             return self.bits_eq(other);
         }
-        let (a, b) = (self.as_f64(), other.as_f64());
-        if a.is_nan() && b.is_nan() {
-            return true;
-        }
-        if a.is_infinite() || b.is_infinite() {
-            return a == b;
-        }
-        (a - b).abs() <= tol * 1.0f64.max(a.abs()).max(b.abs())
+        f64_approx_eq(self.as_f64(), other.as_f64(), tol)
     }
+}
+
+/// [`Scalar::bits_eq`] on two `f64` values: bit equality, NaNs compared
+/// without their sign bit.
+#[inline]
+pub fn f64_bits_eq(a: f64, b: f64) -> bool {
+    if a.is_nan() && b.is_nan() {
+        a.to_bits() | (1 << 63) == b.to_bits() | (1 << 63)
+    } else {
+        a.to_bits() == b.to_bits()
+    }
+}
+
+/// [`Scalar::approx_eq`] on two float values widened to `f64`: NaN equals
+/// NaN, infinities compare exactly, everything else within
+/// `tol * max(1, |a|, |b|)`.
+#[inline]
+pub fn f64_approx_eq(a: f64, b: f64, tol: f64) -> bool {
+    if a.is_nan() && b.is_nan() {
+        return true;
+    }
+    if a.is_infinite() || b.is_infinite() {
+        return a == b;
+    }
+    (a - b).abs() <= tol * 1.0f64.max(a.abs()).max(b.abs())
 }
 
 impl fmt::Display for Scalar {

@@ -67,6 +67,19 @@ impl Bindings {
         self
     }
 
+    /// Sets the value of a symbol by reference: overwrites an existing
+    /// binding in place without allocating, and copies the name only
+    /// when the symbol is new.
+    pub fn set_str(&mut self, name: &str, value: i64) -> &mut Self {
+        match self.map.get_mut(name) {
+            Some(v) => *v = value,
+            None => {
+                self.map.insert(name.to_string(), value);
+            }
+        }
+        self
+    }
+
     /// Looks up a symbol.
     pub fn get(&self, name: &str) -> Option<i64> {
         self.map.get(name).copied()
@@ -242,6 +255,13 @@ mod tests {
         let c = e.concretize(&b(&[("N", 4)]));
         assert_eq!(c.to_string(), "4*M");
         assert_eq!(c.eval(&b(&[("M", 2)])).unwrap(), 8);
+    }
+
+    #[test]
+    fn set_str_overwrites_and_inserts() {
+        let mut bd = b(&[("N", 1)]);
+        bd.set_str("N", 7).set_str("M", 3);
+        assert_eq!(bd, b(&[("M", 3), ("N", 7)]));
     }
 
     #[test]

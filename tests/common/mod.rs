@@ -56,3 +56,12 @@ pub fn table2_passes() -> Vec<Box<dyn Transformation>> {
     passes.extend(cloudsc_suite());
     passes
 }
+
+/// The passes with no seeded bug — the benchmark's `sound_*` workloads
+/// verify the Table-2 programs under these only.
+pub fn sound_passes() -> Vec<Box<dyn Transformation>> {
+    const SOUND: [&str; 4] = ["MapTiling", "MapCollapse", "MapFusion", "StateFusion"];
+    let mut passes = table2_passes();
+    passes.retain(|t| SOUND.contains(&t.name()));
+    passes
+}
