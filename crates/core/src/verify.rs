@@ -7,9 +7,7 @@ use fuzzyflow_fuzz::{
 use fuzzyflow_interp::{compile_shared, Program};
 use fuzzyflow_ir::{validate, Bindings, Sdfg};
 use fuzzyflow_pool::WorkerPool;
-use fuzzyflow_transforms::{
-    apply_to_clone, ChangeSet, TransformError, Transformation, TransformationMatch,
-};
+use fuzzyflow_transforms::{ChangeSet, TransformError, Transformation, TransformationMatch};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -396,8 +394,9 @@ pub(crate) fn prepare_instance(
     cfg: &VerifyConfig,
     cutouts: &CutoutMemo,
 ) -> Result<PreparedInstance, VerifyError> {
-    // 1. Apply to a clone; learn the change set.
-    let (_, changes) = apply_to_clone(analysis.sdfg(), t, m).map_err(VerifyError::Apply)?;
+    // 1. Learn the change set; white-box passes report it without
+    //    rewriting (or cloning) the program.
+    let changes = t.changes(analysis.sdfg(), m).map_err(VerifyError::Apply)?;
 
     // 2–3. The change set's cutout: extracted by its first instance.
     let shared = cutouts.get_or_extract(&changes, || extract_artifacts(analysis, &changes, cfg))?;

@@ -42,7 +42,7 @@ impl fmt::Display for EdgeId {
     }
 }
 
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Hash)]
 struct EdgeSlot<E> {
     src: NodeId,
     dst: NodeId,
@@ -50,7 +50,7 @@ struct EdgeSlot<E> {
 }
 
 /// A directed multigraph with node weights `N` and edge weights `E`.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Hash)]
 pub struct DiGraph<N, E> {
     nodes: Vec<Option<N>>,
     edges: Vec<Option<EdgeSlot<E>>>,

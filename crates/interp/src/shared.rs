@@ -8,6 +8,10 @@
 //!
 //! The cache is a plain locked map with one fill-once slot per key:
 //!
+//! * **The key is a structural fingerprint.** A 128-bit hash of the
+//!   compile options and the whole SDFG, taken in one walk of its derived
+//!   `Hash` before the lock (see [`compile_shared_with`] for the
+//!   collision bound).
 //! * **Probe and insert take one short lock.** The map lock covers a
 //!   hash lookup, an LRU stamp and — on a miss — the insertion of an
 //!   empty slot and the eviction it may force. It is taken once per
@@ -34,6 +38,7 @@
 use crate::program::{CompileOptions, Program};
 use fuzzyflow_ir::Sdfg;
 use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -41,11 +46,11 @@ use std::sync::{Arc, Mutex, OnceLock};
 /// first; everyone else blocks on this slot only.
 type Slot = Arc<OnceLock<Arc<Program>>>;
 
-/// The resident entries, `content key → (slot, LRU stamp)`, and the
-/// clock the stamps are drawn from.
+/// The resident entries, `content fingerprint → (slot, LRU stamp)`, and
+/// the clock the stamps are drawn from.
 #[derive(Default)]
 struct SharedCache {
-    entries: HashMap<Arc<str>, (Slot, u64)>,
+    entries: HashMap<u128, (Slot, u64)>,
     clock: u64,
 }
 
@@ -121,35 +126,35 @@ pub fn compile_shared(sdfg: &Sdfg) -> Arc<Program> {
 /// [`Program::compile_with_options`] through the shared cache: returns
 /// the one `Arc<Program>` this process holds for the given SDFG content
 /// and options, compiling it at most once while resident.
+///
+/// The cache is keyed by a 128-bit structural fingerprint of the options
+/// and the SDFG, taken in one `Hash` walk: structurally equal SDFGs (a
+/// program and its clone, or the same cutout built twice) share a key,
+/// and floating-point constants enter by their bits. Keys are not
+/// compared beyond the fingerprint. Treating it as uniform, two of `n`
+/// resident keys collide with probability below `n² / 2¹²⁹` — under
+/// 10⁻³³ at the default capacity.
 pub fn compile_shared_with(sdfg: &Sdfg, opts: &CompileOptions) -> Arc<Program> {
-    // Content key: options plus the SDFG's complete debug rendering
-    // (structurally equal SDFGs render identically). The map compares
-    // whole keys — no collision risk.
-    let key = format!(
-        "s{}f{}|{sdfg:?}",
-        opts.specialize_f64 as u8, opts.fuse_maps as u8
-    );
+    let key = fingerprint(sdfg, opts);
     let slot = {
         let mut guard = lock(CACHE.get_or_init(Default::default));
         let cache = &mut *guard;
         cache.clock += 1;
-        if let Some((slot, stamp)) = cache.entries.get_mut(key.as_str()) {
+        if let Some((slot, stamp)) = cache.entries.get_mut(&key) {
             HITS.fetch_add(1, Ordering::Relaxed);
             *stamp = cache.clock;
             Arc::clone(slot)
         } else {
             MISSES.fetch_add(1, Ordering::Relaxed);
             let slot = Slot::default();
-            cache
-                .entries
-                .insert(key.into(), (Arc::clone(&slot), cache.clock));
+            cache.entries.insert(key, (Arc::clone(&slot), cache.clock));
             let cap = cache_capacity();
             while cache.entries.len() > cap {
                 let oldest = cache
                     .entries
                     .iter()
                     .min_by_key(|(_, (_, stamp))| *stamp)
-                    .map(|(k, _)| Arc::clone(k))
+                    .map(|(k, _)| *k)
                     .expect("non-empty over-capacity map");
                 cache.entries.remove(&oldest);
                 EVICTIONS.fetch_add(1, Ordering::Relaxed);
@@ -163,10 +168,91 @@ pub fn compile_shared_with(sdfg: &Sdfg, opts: &CompileOptions) -> Arc<Program> {
     }))
 }
 
+/// The program-cache key of `(opts, sdfg)`.
+fn fingerprint(sdfg: &Sdfg, opts: &CompileOptions) -> u128 {
+    // Destructured so a new option cannot be left out of the key.
+    let CompileOptions {
+        specialize_f64,
+        fuse_maps,
+    } = *opts;
+    let mut h = Fingerprint::default();
+    (specialize_f64, fuse_maps, sdfg).hash(&mut h);
+    h.finish128()
+}
+
+/// A two-lane 128-bit [`Hasher`]: every word written is folded into two
+/// independently seeded 64-bit lanes by a 64×64→128 multiply whose halves
+/// are xored together.
+struct Fingerprint {
+    lanes: [u64; 2],
+}
+
+impl Default for Fingerprint {
+    fn default() -> Self {
+        Fingerprint {
+            lanes: [0x243f_6a88_85a3_08d3, 0x1319_8a2e_0370_7344],
+        }
+    }
+}
+
+impl Fingerprint {
+    const MULS: [u64; 2] = [0xa409_3822_299f_31d0, 0x082e_fa98_ec4e_6c89];
+
+    #[inline]
+    fn word(&mut self, x: u64) {
+        for (lane, k) in self.lanes.iter_mut().zip(Self::MULS) {
+            let p = u128::from(*lane ^ x) * u128::from(k);
+            *lane = (p as u64) ^ ((p >> 64) as u64);
+        }
+    }
+
+    fn finish128(&self) -> u128 {
+        (u128::from(self.lanes[0]) << 64) | u128::from(self.lanes[1])
+    }
+}
+
+impl Hasher for Fingerprint {
+    fn write(&mut self, bytes: &[u8]) {
+        // Length first, so zero padding of the tail cannot alias.
+        self.word(bytes.len() as u64);
+        let mut chunks = bytes.chunks_exact(8);
+        for c in &mut chunks {
+            self.word(u64::from_le_bytes(c.try_into().expect("8-byte chunk")));
+        }
+        let tail = chunks.remainder();
+        if !tail.is_empty() {
+            let mut buf = [0u8; 8];
+            buf[..tail.len()].copy_from_slice(tail);
+            self.word(u64::from_le_bytes(buf));
+        }
+    }
+    fn write_u8(&mut self, x: u8) {
+        self.word(x.into());
+    }
+    fn write_u16(&mut self, x: u16) {
+        self.word(x.into());
+    }
+    fn write_u32(&mut self, x: u32) {
+        self.word(x.into());
+    }
+    fn write_u64(&mut self, x: u64) {
+        self.word(x);
+    }
+    fn write_usize(&mut self, x: usize) {
+        self.word(x as u64);
+    }
+    fn finish(&self) -> u64 {
+        self.lanes[0] ^ self.lanes[1]
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fuzzyflow_ir::{DType, Memlet, ScalarExpr, SdfgBuilder, Subset, SymExpr, Tasklet};
+    use crate::{ArrayValue, ExecState};
+    use fuzzyflow_ir::{
+        DType, DfNode, InterstateEdge, Memlet, ScalarExpr, SdfgBuilder, Subset, SymExpr, Tasklet,
+    };
 
     fn sample(name: &str, factor: f64) -> Sdfg {
         let mut b = SdfgBuilder::new(name);
@@ -225,6 +311,82 @@ mod tests {
         assert_eq!(shared_compile_count() - before, 2);
         let stats = shared_cache_stats();
         assert!(stats.hits >= 1 && stats.misses >= 2);
+
+        // A clone shares its program; a change anywhere in the content or
+        // the options gives a distinct one.
+        let keyed = |factor: f64| {
+            let mut s = sample("shared_cache_key", factor);
+            let next = s.add_state("next");
+            s.add_interstate_edge(s.start, next, InterstateEdge::always());
+            s
+        };
+        let base = keyed(0.0);
+        let before = shared_compile_count();
+        let p_base = compile_shared(&base);
+        assert!(Arc::ptr_eq(&p_base, &compile_shared(&base.clone())));
+        let edited = |edit: &dyn Fn(&mut Sdfg)| {
+            let mut s = base.clone();
+            edit(&mut s);
+            compile_shared(&s)
+        };
+        let st = base.start;
+        let variants = [
+            compile_shared(&keyed(-0.0)),
+            edited(&|s| s.arrays.get_mut("A").unwrap().dtype = DType::F32),
+            edited(&|s| {
+                let g = &mut s.state_mut(st).df.graph;
+                let e = g.edge_ids().next().unwrap();
+                g.edge_mut(e).subset = Subset::at(vec![SymExpr::Int(0)]);
+            }),
+            edited(&|s| {
+                let g = &mut s.state_mut(st).df.graph;
+                let t = g.node_ids().find(|&n| g.node(n).as_tasklet().is_some());
+                if let DfNode::Tasklet(t) = g.node_mut(t.unwrap()) {
+                    t.lanes = 4;
+                }
+            }),
+            edited(&|s| {
+                let e = s.states.edge_ids().next().unwrap();
+                let edge = s.states.edge_mut(e);
+                edge.assignments.push(("M".into(), SymExpr::Int(1)));
+            }),
+            edited(&|s| s.name = "shared_cache_key_renamed".into()),
+            compile_shared_with(
+                &base,
+                &CompileOptions {
+                    specialize_f64: false,
+                    ..Default::default()
+                },
+            ),
+        ];
+        let mut ids: Vec<u64> = variants.iter().map(|p| p.id()).collect();
+        ids.push(p_base.id());
+        ids.sort_unstable();
+        ids.dedup();
+        assert_eq!(ids.len(), variants.len() + 1, "every edit keys apart");
+        assert_eq!(shared_compile_count() - before, ids.len() as u64);
+
+        // NaN constants that differ only in payload or sign compile
+        // apart, and each program computes with its own constant's bits.
+        let nans = [
+            0x7ff8_0000_0000_0001_u64,
+            0x7ff8_0000_0000_0002,
+            0xfff8_0000_0000_0001,
+        ];
+        let progs: Vec<_> = nans
+            .iter()
+            .map(|&bits| compile_shared(&sample("shared_cache_nan", f64::from_bits(bits))))
+            .collect();
+        for (i, (p, &bits)) in progs.iter().zip(&nans).enumerate() {
+            assert!(progs[..i].iter().all(|q| !Arc::ptr_eq(p, q)));
+            let mut state = ExecState::new();
+            state.bind("N", 1).bind("i", 0);
+            state.set_array("A", ArrayValue::from_f64(vec![1], &[1.0]));
+            state.set_array("B", ArrayValue::from_f64(vec![1], &[0.0]));
+            p.run(&mut state).unwrap();
+            let out = state.array("B").unwrap().get(0).as_f64();
+            assert_eq!(out.to_bits(), bits, "program {i} ran another constant");
+        }
 
         // Eight threads racing on a fresh key: everyone gets the same
         // program, exactly one compilation, no lost wakeups.

@@ -9,7 +9,7 @@ use fuzzyflow_sym::{Bindings, SymError, SymExpr};
 /// The *parametric* property central to the paper (Sec. 2.1): `shape` holds
 /// symbolic expressions, so a container's size is always expressible in
 /// terms of program parameters (e.g. `[N, N]`), never an opaque pointer.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Hash)]
 pub struct DataDesc {
     /// Element type.
     pub dtype: DType,

@@ -7,7 +7,7 @@ use crate::node::DfNode;
 use fuzzyflow_graph::{DiGraph, EdgeId, NodeId};
 
 /// An acyclic dataflow graph.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, Hash)]
 pub struct Dataflow {
     pub graph: DiGraph<DfNode, Memlet>,
 }

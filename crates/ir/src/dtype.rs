@@ -1,6 +1,7 @@
 //! Element data types and scalar values.
 
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
 /// Element type of a data container or symbol.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -174,6 +175,23 @@ impl Scalar {
             return self.bits_eq(other);
         }
         f64_approx_eq(self.as_f64(), other.as_f64(), tol)
+    }
+}
+
+/// Hashes the variant and the value's exact bits, so `0.0` and `-0.0`,
+/// and NaNs of different payload or sign, hash apart. Finer than `==`
+/// (which equates the zeros and never holds for NaN); structural
+/// fingerprints of programs rely on it.
+impl Hash for Scalar {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        std::mem::discriminant(self).hash(state);
+        match *self {
+            Scalar::F64(v) => v.to_bits().hash(state),
+            Scalar::F32(v) => v.to_bits().hash(state),
+            Scalar::I64(v) => v.hash(state),
+            Scalar::I32(v) => v.hash(state),
+            Scalar::Bool(v) => v.hash(state),
+        }
     }
 }
 

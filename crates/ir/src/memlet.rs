@@ -31,7 +31,7 @@ impl fmt::Display for Wcr {
 /// symbolic subset accessed (paper Sec. 2.3: "each data movement edge is
 /// annotated with the exact data subset being accessed"). Connector names
 /// bind the moved element(s) to tasklet/library-node ports.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Hash)]
 pub struct Memlet {
     /// Name of the data container being accessed.
     pub data: String,

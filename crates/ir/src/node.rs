@@ -30,7 +30,7 @@ pub enum Schedule {
 /// whose body is a nested dataflow graph (paper Sec. 2.3: "constructs like
 /// for-loops are expressed with special scope nodes, where their loop body
 /// forms a nested dataflow graph inside of them").
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Hash)]
 pub struct MapScope {
     /// Iteration parameter names, one per dimension.
     pub params: Vec<String>,
@@ -45,7 +45,7 @@ pub struct MapScope {
 /// Simulated distributed-communication operations (paper Sec. 6.2): these
 /// are the library nodes a cutout must *not* contain for single-node
 /// testing to be possible.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Hash)]
 pub enum CommOp {
     /// Element-wise reduction across all ranks; result replicated.
     AllReduce(Wcr),
@@ -67,7 +67,7 @@ impl fmt::Display for CommOp {
 
 /// Coarse-grained library operations (the stand-in for BLAS/MKL calls in
 /// the paper's workloads).
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Hash)]
 pub enum LibraryOp {
     /// `C = A @ B`. 2-D operands perform a plain GEMM; 3-D operands perform
     /// a batched GEMM over the leading dimension. Connectors: `A`, `B` in,
@@ -112,14 +112,14 @@ impl LibraryOp {
 }
 
 /// A library node: a named instance of a [`LibraryOp`].
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Hash)]
 pub struct LibraryNode {
     pub name: String,
     pub op: LibraryOp,
 }
 
 /// A node of a dataflow graph.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Hash)]
 pub enum DfNode {
     /// An access point of a named data container. Edges out of it read the
     /// container; edges into it write the container.

@@ -14,7 +14,7 @@ use std::fmt;
 pub type StateId = NodeId;
 
 /// One state: a label plus an acyclic dataflow graph.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, Hash)]
 pub struct State {
     pub label: String,
     pub df: Dataflow,
@@ -31,7 +31,7 @@ impl State {
 }
 
 /// Boolean condition over integer symbols, used on inter-state edges.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Hash)]
 pub enum CondExpr {
     /// Always true (unconditional edge).
     True,
@@ -130,7 +130,7 @@ impl fmt::Display for CondExpr {
 /// An inter-state edge: taken when `condition` holds; applies symbol
 /// `assignments` on traversal. Together these express arbitrary structured
 /// and unstructured control flow (paper Sec. 2.3).
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Hash)]
 pub struct InterstateEdge {
     pub condition: CondExpr,
     pub assignments: Vec<(String, SymExpr)>,
@@ -212,7 +212,7 @@ impl fmt::Display for NodeRef {
 }
 
 /// A stateful dataflow program.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Hash)]
 pub struct Sdfg {
     /// Program name.
     pub name: String,

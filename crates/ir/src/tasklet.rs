@@ -53,7 +53,7 @@ pub enum CmpOp {
 }
 
 /// An expression over tasklet connectors, locals, symbols and constants.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Hash)]
 pub enum ScalarExpr {
     /// Literal value.
     Const(Scalar),
@@ -218,14 +218,14 @@ impl fmt::Display for ScalarExpr {
 
 /// One statement of tasklet code: assign an expression to an output
 /// connector or a local variable.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Hash)]
 pub struct TaskletStmt {
     pub dst: String,
     pub value: ScalarExpr,
 }
 
 /// A tasklet node: named ports plus straight-line code.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Hash)]
 pub struct Tasklet {
     /// Human-readable name (used in diagnostics and graph dumps).
     pub name: String,

@@ -2,8 +2,8 @@
 //! collapse (correct inverse).
 
 use crate::framework::{
-    expect_map, single_node, top_level_maps, ChangeSet, MatchSite, TransformError, Transformation,
-    TransformationMatch,
+    expect_map, single_node, top_level_maps, ChangeSet, MapRewrite, MatchSite, TransformError,
+    Transformation, TransformationMatch,
 };
 use fuzzyflow_ir::{Dataflow, DfNode, MapScope, Schedule, Sdfg};
 
@@ -50,8 +50,17 @@ impl Transformation for MapExpansion {
     }
 
     fn apply(&self, sdfg: &mut Sdfg, m: &TransformationMatch) -> Result<ChangeSet, TransformError> {
+        Ok(self.rewrite(sdfg, m)?.commit(sdfg))
+    }
+    fn changes(&self, sdfg: &Sdfg, m: &TransformationMatch) -> Result<ChangeSet, TransformError> {
+        Ok(self.rewrite(sdfg, m)?.change_set())
+    }
+}
+
+impl MapExpansion {
+    fn rewrite(&self, sdfg: &Sdfg, m: &TransformationMatch) -> Result<MapRewrite, TransformError> {
         let (state, node) = single_node(m)?;
-        let map = expect_map(sdfg, state, node)?.clone();
+        let map = expect_map(sdfg, state, node)?;
         if map.params.len() < 2 {
             return Err(TransformError::MatchInvalid(
                 "map expansion needs >= 2 parameters".into(),
@@ -98,8 +107,11 @@ impl Transformation for MapExpansion {
             schedule: map.schedule,
             body: outer_body,
         };
-        *sdfg.state_mut(state).df.graph.node_mut(node) = DfNode::Map(outer);
-        Ok(ChangeSet::nodes_in_state(state, [node]))
+        Ok(MapRewrite {
+            state,
+            node,
+            map: outer,
+        })
     }
 }
 
@@ -137,8 +149,17 @@ impl Transformation for MapCollapse {
     }
 
     fn apply(&self, sdfg: &mut Sdfg, m: &TransformationMatch) -> Result<ChangeSet, TransformError> {
+        Ok(self.rewrite(sdfg, m)?.commit(sdfg))
+    }
+    fn changes(&self, sdfg: &Sdfg, m: &TransformationMatch) -> Result<ChangeSet, TransformError> {
+        Ok(self.rewrite(sdfg, m)?.change_set())
+    }
+}
+
+impl MapCollapse {
+    fn rewrite(&self, sdfg: &Sdfg, m: &TransformationMatch) -> Result<MapRewrite, TransformError> {
         let (state, node) = single_node(m)?;
-        let outer = expect_map(sdfg, state, node)?.clone();
+        let outer = expect_map(sdfg, state, node)?;
         let inner_id = outer
             .body
             .computation_nodes()
@@ -150,16 +171,18 @@ impl Transformation for MapCollapse {
             .graph
             .node(inner_id)
             .as_map()
-            .ok_or_else(|| TransformError::MatchInvalid("body node is not a map".into()))?
-            .clone();
+            .ok_or_else(|| TransformError::MatchInvalid("body node is not a map".into()))?;
         let collapsed = MapScope {
             params: outer.params.iter().chain(&inner.params).cloned().collect(),
             ranges: outer.ranges.iter().chain(&inner.ranges).cloned().collect(),
             schedule: outer.schedule,
-            body: inner.body,
+            body: inner.body.clone(),
         };
-        *sdfg.state_mut(state).df.graph.node_mut(node) = DfNode::Map(collapsed);
-        Ok(ChangeSet::nodes_in_state(state, [node]))
+        Ok(MapRewrite {
+            state,
+            node,
+            map: collapsed,
+        })
     }
 }
 

@@ -1,7 +1,7 @@
 //! The transformation framework: matching, application, change reporting.
 
 use fuzzyflow_graph::NodeId;
-use fuzzyflow_ir::{Dataflow, DfNode, NodeRef, Sdfg, StateId};
+use fuzzyflow_ir::{Dataflow, DfNode, MapScope, NodeRef, Sdfg, StateId};
 use std::fmt;
 
 /// Where a transformation matched.
@@ -98,10 +98,46 @@ pub trait Transformation: Send + Sync {
 
     /// Applies one instance in place, returning the change set.
     fn apply(&self, sdfg: &mut Sdfg, m: &TransformationMatch) -> Result<ChangeSet, TransformError>;
+
+    /// The change set [`apply`](Self::apply) would return for `m` on
+    /// `sdfg`, without modifying `sdfg`: the same nodes in the same order
+    /// (the verification pipeline's cutout memo keys on it), or the same
+    /// error. The default applies the pass to a clone of the whole
+    /// program; white-box passes override it to build their rewrite from
+    /// the borrowed program and report ΔT without committing it.
+    fn changes(&self, sdfg: &Sdfg, m: &TransformationMatch) -> Result<ChangeSet, TransformError> {
+        self.apply(&mut sdfg.clone(), m)
+    }
+}
+
+/// A rewrite of one top-level map scope, built from a borrowed program.
+/// The map passes' `apply` commits it; their `changes` reads its change
+/// set and drops it, so both run the pass's one copy of the logic.
+pub(crate) struct MapRewrite {
+    pub(crate) state: StateId,
+    pub(crate) node: NodeId,
+    /// The scope that replaces the matched one.
+    pub(crate) map: MapScope,
+}
+
+impl MapRewrite {
+    /// ΔT of the rewrite: the rewritten map node.
+    pub(crate) fn change_set(&self) -> ChangeSet {
+        ChangeSet::nodes_in_state(self.state, [self.node])
+    }
+
+    /// Replaces the matched map with the rewritten one.
+    pub(crate) fn commit(self, sdfg: &mut Sdfg) -> ChangeSet {
+        let changes = self.change_set();
+        *sdfg.state_mut(self.state).df.graph.node_mut(self.node) = DfNode::Map(self.map);
+        changes
+    }
 }
 
 /// Applies a transformation to a clone of the program, returning the
-/// transformed program and its change set.
+/// transformed program and its change set. The verification pipeline
+/// learns ΔT through [`Transformation::changes`] instead; tests and
+/// replays that want the whole transformed program use this.
 pub fn apply_to_clone(
     sdfg: &Sdfg,
     t: &dyn Transformation,

@@ -5,8 +5,10 @@ use crate::framework::{
     expect_map, rename_container, single_node, top_level_maps, ChangeSet, MatchSite,
     TransformError, Transformation, TransformationMatch,
 };
+use fuzzyflow_graph::NodeId;
 use fuzzyflow_ir::{
-    analysis, DataDesc, DfNode, LibraryNode, LibraryOp, Memlet, Schedule, Sdfg, Storage, Subset,
+    analysis, DataDesc, DfNode, LibraryNode, LibraryOp, Memlet, Schedule, Sdfg, StateId, Storage,
+    Subset,
 };
 
 /// Extracts parallel maps as (simulated) GPU kernels: device buffers are
@@ -66,38 +68,29 @@ impl Transformation for GpuKernelExtraction {
     }
 
     fn apply(&self, sdfg: &mut Sdfg, m: &TransformationMatch) -> Result<ChangeSet, TransformError> {
-        let (state, node) = single_node(m)?;
+        let KernelPlan {
+            state,
+            node,
+            touched,
+            changes,
+        } = plan_kernel(sdfg, m)?;
         let mut map = expect_map(sdfg, state, node)?.clone();
-        let sets = analysis::node_access_sets(&sdfg.state(state).df, node);
-        let read_containers = sets.read_containers();
-        let write_containers = sets.written_containers();
 
         // Device mirrors for every touched container.
-        let mut touched = read_containers.clone();
-        for w in &write_containers {
-            if !touched.contains(w) {
-                touched.push(w.clone());
-            }
-        }
         for x in &touched {
-            let desc = sdfg
-                .array(x)
-                .ok_or_else(|| TransformError::MatchInvalid(format!("unknown container '{x}'")))?
-                .clone();
+            let desc = sdfg.array(x).expect("planned");
+            let mirror = DataDesc::array(desc.dtype, desc.shape.clone())
+                .transient()
+                .in_storage(Storage::Device);
             let gpu_name = format!("gpu_{x}");
-            sdfg.arrays.entry(gpu_name.clone()).or_insert(
-                DataDesc::array(desc.dtype, desc.shape.clone())
-                    .transient()
-                    .in_storage(Storage::Device),
-            );
+            sdfg.arrays.entry(gpu_name.clone()).or_insert(mirror);
             rename_container(&mut map.body, x, &gpu_name);
         }
         map.schedule = Schedule::GpuKernel;
 
-        let mut changed_nodes = vec![node];
         let shapes: std::collections::BTreeMap<String, Vec<fuzzyflow_ir::SymExpr>> = touched
             .iter()
-            .map(|x| (x.clone(), sdfg.array(x).expect("checked").shape.clone()))
+            .map(|x| (x.clone(), sdfg.array(x).expect("planned").shape.clone()))
             .collect();
 
         let df = &mut sdfg.states.node_mut(state).df;
@@ -111,7 +104,6 @@ impl Transformation for GpuKernelExtraction {
             let gpu_name = format!("gpu_{x}");
             let full_x = Subset::full(&shapes[&x]);
             let src_access = df.graph.src(e);
-            changed_nodes.push(src_access);
             let copy = df.graph.add_node(DfNode::Library(LibraryNode {
                 name: format!("copyin_{x}"),
                 op: LibraryOp::Copy,
@@ -144,7 +136,6 @@ impl Transformation for GpuKernelExtraction {
             let gpu_name = format!("gpu_{x}");
             let full_x = Subset::full(&shapes[&x]);
             let dst_access = df.graph.dst(e);
-            changed_nodes.push(dst_access);
             let copy = df.graph.add_node(DfNode::Library(LibraryNode {
                 name: format!("copyout_{x}"),
                 op: LibraryOp::Copy,
@@ -164,8 +155,54 @@ impl Transformation for GpuKernelExtraction {
         }
 
         *df.graph.node_mut(node) = DfNode::Map(map);
-        Ok(ChangeSet::nodes_in_state(state, changed_nodes))
+        Ok(changes)
     }
+
+    fn changes(&self, sdfg: &Sdfg, m: &TransformationMatch) -> Result<ChangeSet, TransformError> {
+        Ok(plan_kernel(sdfg, m)?.changes)
+    }
+}
+
+/// What extracting one map as a kernel touches, read from the borrowed
+/// program before anything is rewritten.
+struct KernelPlan {
+    state: StateId,
+    node: NodeId,
+    /// Host containers the kernel reads or writes (reads first), each
+    /// declared in the program; each gets a device mirror.
+    touched: Vec<String>,
+    /// ΔT: the map, then the sources of its in-edges, then the
+    /// destinations of its out-edges — the access nodes the copies attach to.
+    changes: ChangeSet,
+}
+
+fn plan_kernel(sdfg: &Sdfg, m: &TransformationMatch) -> Result<KernelPlan, TransformError> {
+    let (state, node) = single_node(m)?;
+    expect_map(sdfg, state, node)?;
+    let df = &sdfg.state(state).df;
+    let sets = analysis::node_access_sets(df, node);
+    let mut touched = sets.read_containers();
+    for w in sets.written_containers() {
+        if !touched.contains(&w) {
+            touched.push(w);
+        }
+    }
+    if let Some(x) = touched.iter().find(|x| sdfg.array(x).is_none()) {
+        return Err(TransformError::MatchInvalid(format!(
+            "unknown container '{x}'"
+        )));
+    }
+    let g = &df.graph;
+    let sources = g.in_edge_ids(node).iter().map(|&e| g.src(e));
+    let sinks = g.out_edge_ids(node).iter().map(|&e| g.dst(e));
+    let changes =
+        ChangeSet::nodes_in_state(state, std::iter::once(node).chain(sources).chain(sinks));
+    Ok(KernelPlan {
+        state,
+        node,
+        touched,
+        changes,
+    })
 }
 
 #[cfg(test)]
@@ -173,7 +210,7 @@ mod tests {
     use super::*;
     use crate::framework::apply_to_clone;
     use fuzzyflow_interp::{run, ArrayValue, ExecState};
-    use fuzzyflow_ir::{sym, validate, DType, ScalarExpr, SdfgBuilder, SymExpr, SymRange, Tasklet};
+    use fuzzyflow_ir::{sym, validate, DType, ScalarExpr, SdfgBuilder, SymRange, Tasklet};
 
     /// Kernel writes B[0:K] of a container of size N (partial when K < N).
     fn program(partial: bool) -> Sdfg {
@@ -283,7 +320,12 @@ mod tests {
         let t = GpuKernelExtraction;
         let m = &t.find_matches(&p)[0];
         let (_, changes) = apply_to_clone(&p, &t, m).unwrap();
-        assert!(changes.nodes.len() >= 3); // map + A access + B access
-        let _ = SymExpr::Int(0);
+        // The map, then its in-edge sources (A), then its out-edge
+        // destinations (B): the order the cutout memo keys on.
+        let df = &p.state(p.start).df;
+        let (a, b) = (df.find_access("A").unwrap(), df.find_access("B").unwrap());
+        let (state, map) = single_node(m).unwrap();
+        assert_eq!(changes, ChangeSet::nodes_in_state(state, [map, a, b]));
+        assert_eq!(t.changes(&p, m), Ok(changes));
     }
 }

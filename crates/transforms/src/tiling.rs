@@ -17,8 +17,8 @@
 //! All three match identical sites, so sweeps can compare them directly.
 
 use crate::framework::{
-    expect_map, single_node, top_level_maps, ChangeSet, MatchSite, TransformError, Transformation,
-    TransformationMatch,
+    expect_map, single_node, top_level_maps, ChangeSet, MapRewrite, MatchSite, TransformError,
+    Transformation, TransformationMatch,
 };
 use fuzzyflow_ir::{DfNode, MapScope, Schedule, Sdfg, SymExpr, SymRange};
 
@@ -46,14 +46,14 @@ fn find_tilable(sdfg: &Sdfg) -> Vec<TransformationMatch> {
 /// Shared tiling rewrite. `inner_end` computes the inner loop's end
 /// expression from `(tile_start, tile, range_end)` — the three variants
 /// differ only here.
-fn apply_tiling(
-    sdfg: &mut Sdfg,
+fn tile_map(
+    sdfg: &Sdfg,
     m: &TransformationMatch,
     tile: i64,
     inner_end: impl Fn(SymExpr, i64, SymExpr) -> SymExpr,
-) -> Result<ChangeSet, TransformError> {
+) -> Result<MapRewrite, TransformError> {
     let (state, node) = single_node(m)?;
-    let map = expect_map(sdfg, state, node)?.clone();
+    let map = expect_map(sdfg, state, node)?;
 
     let mut outer_params = Vec::new();
     let mut outer_ranges = Vec::new();
@@ -86,8 +86,11 @@ fn apply_tiling(
         schedule: map.schedule,
         body: inner_df,
     };
-    *sdfg.state_mut(state).df.graph.node_mut(node) = DfNode::Map(tiled);
-    Ok(ChangeSet::nodes_in_state(state, [node]))
+    Ok(MapRewrite {
+        state,
+        node,
+        map: tiled,
+    })
 }
 
 /// Correct map tiling: inner bound `min(i_t + T, e)`.
@@ -108,6 +111,12 @@ impl MapTiling {
         assert!(tile > 0);
         MapTiling { tile }
     }
+
+    fn rewrite(&self, sdfg: &Sdfg, m: &TransformationMatch) -> Result<MapRewrite, TransformError> {
+        tile_map(sdfg, m, self.tile, |tstart, tile, end| {
+            (tstart + SymExpr::Int(tile)).min(end)
+        })
+    }
 }
 
 impl Transformation for MapTiling {
@@ -121,9 +130,10 @@ impl Transformation for MapTiling {
         find_tilable(sdfg)
     }
     fn apply(&self, sdfg: &mut Sdfg, m: &TransformationMatch) -> Result<ChangeSet, TransformError> {
-        apply_tiling(sdfg, m, self.tile, |tstart, tile, end| {
-            (tstart + SymExpr::Int(tile)).min(end)
-        })
+        Ok(self.rewrite(sdfg, m)?.commit(sdfg))
+    }
+    fn changes(&self, sdfg: &Sdfg, m: &TransformationMatch) -> Result<ChangeSet, TransformError> {
+        Ok(self.rewrite(sdfg, m)?.change_set())
     }
 }
 
@@ -144,6 +154,15 @@ impl MapTilingOffByOne {
         assert!(tile > 0);
         MapTilingOffByOne { tile }
     }
+
+    fn rewrite(&self, sdfg: &Sdfg, m: &TransformationMatch) -> Result<MapRewrite, TransformError> {
+        // BUG (seeded, from paper Fig. 2): `<=` comparison — one extra
+        // iteration per tile, clamped to the global end so it never goes
+        // out of bounds, only double-executes boundary iterations.
+        tile_map(sdfg, m, self.tile, |tstart, tile, end| {
+            (tstart + SymExpr::Int(tile + 1)).min(end)
+        })
+    }
 }
 
 impl Transformation for MapTilingOffByOne {
@@ -157,12 +176,10 @@ impl Transformation for MapTilingOffByOne {
         find_tilable(sdfg)
     }
     fn apply(&self, sdfg: &mut Sdfg, m: &TransformationMatch) -> Result<ChangeSet, TransformError> {
-        // BUG (seeded, from paper Fig. 2): `<=` comparison — one extra
-        // iteration per tile, clamped to the global end so it never goes
-        // out of bounds, only double-executes boundary iterations.
-        apply_tiling(sdfg, m, self.tile, |tstart, tile, end| {
-            (tstart + SymExpr::Int(tile + 1)).min(end)
-        })
+        Ok(self.rewrite(sdfg, m)?.commit(sdfg))
+    }
+    fn changes(&self, sdfg: &Sdfg, m: &TransformationMatch) -> Result<ChangeSet, TransformError> {
+        Ok(self.rewrite(sdfg, m)?.change_set())
     }
 }
 
@@ -184,6 +201,13 @@ impl MapTilingNoRemainder {
         assert!(tile > 0);
         MapTilingNoRemainder { tile }
     }
+
+    fn rewrite(&self, sdfg: &Sdfg, m: &TransformationMatch) -> Result<MapRewrite, TransformError> {
+        // BUG (seeded, from paper Sec. 2.1): inner bound not clamped.
+        tile_map(sdfg, m, self.tile, |tstart, tile, _end| {
+            tstart + SymExpr::Int(tile)
+        })
+    }
 }
 
 impl Transformation for MapTilingNoRemainder {
@@ -197,10 +221,10 @@ impl Transformation for MapTilingNoRemainder {
         find_tilable(sdfg)
     }
     fn apply(&self, sdfg: &mut Sdfg, m: &TransformationMatch) -> Result<ChangeSet, TransformError> {
-        // BUG (seeded, from paper Sec. 2.1): inner bound not clamped.
-        apply_tiling(sdfg, m, self.tile, |tstart, tile, _end| {
-            tstart + SymExpr::Int(tile)
-        })
+        Ok(self.rewrite(sdfg, m)?.commit(sdfg))
+    }
+    fn changes(&self, sdfg: &Sdfg, m: &TransformationMatch) -> Result<ChangeSet, TransformError> {
+        Ok(self.rewrite(sdfg, m)?.change_set())
     }
 }
 

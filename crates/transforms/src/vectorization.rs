@@ -11,8 +11,8 @@
 //! constraint sampling ~1).
 
 use crate::framework::{
-    expect_map, single_node, top_level_maps, ChangeSet, MatchSite, TransformError, Transformation,
-    TransformationMatch,
+    expect_map, single_node, top_level_maps, ChangeSet, MapRewrite, MatchSite, TransformError,
+    Transformation, TransformationMatch,
 };
 use fuzzyflow_ir::{DfNode, Sdfg, Subset, SymExpr, SymRange};
 
@@ -120,6 +120,15 @@ impl Transformation for Vectorization {
     }
 
     fn apply(&self, sdfg: &mut Sdfg, m: &TransformationMatch) -> Result<ChangeSet, TransformError> {
+        Ok(self.rewrite(sdfg, m)?.commit(sdfg))
+    }
+    fn changes(&self, sdfg: &Sdfg, m: &TransformationMatch) -> Result<ChangeSet, TransformError> {
+        Ok(self.rewrite(sdfg, m)?.change_set())
+    }
+}
+
+impl Vectorization {
+    fn rewrite(&self, sdfg: &Sdfg, m: &TransformationMatch) -> Result<MapRewrite, TransformError> {
         let (state, node) = single_node(m)?;
         let mut map = expect_map(sdfg, state, node)?.clone();
         if map.params.is_empty() {
@@ -161,8 +170,7 @@ impl Transformation for Vectorization {
             }
         }
 
-        *sdfg.state_mut(state).df.graph.node_mut(node) = DfNode::Map(map);
-        Ok(ChangeSet::nodes_in_state(state, [node]))
+        Ok(MapRewrite { state, node, map })
     }
 }
 
