@@ -1,10 +1,12 @@
 //! Shared helpers for the benchmark harnesses.
 //!
 //! Each bench target regenerates one table or figure of the paper's
-//! evaluation (Sec. 6); see DESIGN.md §4 for the experiment index and
-//! EXPERIMENTS.md for paper-vs-measured results.
+//! evaluation (Sec. 6) or guards one engine tier, and the guards write
+//! their numbers as `BENCH_*.json` records through
+//! [`write_bench_record`].
 
 use fuzzyflow::prelude::*;
+use fuzzyflow_fuzz::json::quote;
 use fuzzyflow_fuzz::{derive_constraints, Constraints};
 
 /// Builds `(cutout, transformed-cutout, constraints)` for one
@@ -31,21 +33,6 @@ pub fn prepare_pair(
     (cutout, transformed, constraints)
 }
 
-/// Strips characters that would need JSON escaping from a config value.
-fn sanitize(s: String) -> String {
-    s.chars()
-        .map(|c| {
-            if c == '"' || c == '\\' || c.is_control() {
-                ' '
-            } else {
-                c
-            }
-        })
-        .collect::<String>()
-        .trim()
-        .to_string()
-}
-
 /// First line of a command's stdout, or "unknown".
 fn cmd_line(cmd: &str, args: &[&str]) -> String {
     std::process::Command::new(cmd)
@@ -56,9 +43,8 @@ fn cmd_line(cmd: &str, args: &[&str]) -> String {
         .and_then(|o| {
             String::from_utf8(o.stdout)
                 .ok()
-                .and_then(|s| s.lines().next().map(str::to_string))
+                .and_then(|s| s.lines().next().map(|l| l.trim().to_string()))
         })
-        .map(sanitize)
         .filter(|s| !s.is_empty())
         .unwrap_or_else(|| "unknown".to_string())
 }
@@ -79,14 +65,16 @@ pub fn config_json(trials: usize) -> String {
         })
         .filter(|s| !s.is_empty())
         .unwrap_or_else(|| "unknown".to_string());
-    let cpu = sanitize(cpu);
     let git_rev = cmd_line("git", &["rev-parse", "--short=12", "HEAD"]);
     let rustc = cmd_line("rustc", &["--version"]);
     format!(
-        "{{\"threads\": {threads}, \"cpu\": \"{cpu}\", \"os\": \"{}\", \"arch\": \"{}\", \
-         \"git_rev\": \"{git_rev}\", \"rustc\": \"{rustc}\", \"trials\": {trials}}}",
-        std::env::consts::OS,
-        std::env::consts::ARCH,
+        "{{\"threads\": {threads}, \"cpu\": {}, \"os\": {}, \"arch\": {}, \
+         \"git_rev\": {}, \"rustc\": {}, \"trials\": {trials}}}",
+        quote(&cpu),
+        quote(std::env::consts::OS),
+        quote(std::env::consts::ARCH),
+        quote(&git_rev),
+        quote(&rustc),
     )
 }
 
@@ -98,11 +86,11 @@ pub fn config_json(trials: usize) -> String {
 /// downstream tooling greps for — uniform.
 pub fn write_bench_record(file: &str, bench: &str, trials: usize, fields: &[(&str, String)]) {
     let mut json = String::from("{\n");
-    json.push_str(&format!("  \"bench\": \"{bench}\",\n"));
+    json.push_str(&format!("  \"bench\": {},\n", quote(bench)));
     json.push_str(&format!("  \"config\": {},\n", config_json(trials)));
     for (i, (key, value)) in fields.iter().enumerate() {
         let sep = if i + 1 == fields.len() { "" } else { "," };
-        json.push_str(&format!("  \"{key}\": {value}{sep}\n"));
+        json.push_str(&format!("  {}: {value}{sep}\n", quote(key)));
     }
     json.push_str("}\n");
     // Anchor the record at the workspace root regardless of bench cwd.

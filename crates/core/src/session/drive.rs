@@ -1,12 +1,7 @@
-//! Streaming, resumable session execution for long-running verification
-//! campaigns.
-//!
-//! The paper's workflow is a *campaign*: thousands of transformation
-//! instances × fuzzing trials over whole benchmark suites. This crate is
-//! the generic substrate under `fuzzyflow::session`: it schedules an
-//! indexed work list onto the shared [`WorkerPool`] while honoring
-//! item/cost/time budgets and a cooperative [`CancelToken`], and it
-//! upholds one central contract:
+//! The deterministic-prefix driver under [`Session::run`](super::Session::run):
+//! it schedules an indexed work list onto the shared [`WorkerPool`] while
+//! honoring item/cost/time budgets and a cooperative [`CancelToken`], and
+//! it upholds one central contract:
 //!
 //! > **Deterministic prefix.** Whatever stops the session — budget
 //! > exhaustion, cancellation, or plain completion — the set of
@@ -149,14 +144,14 @@ impl std::fmt::Display for StopReason {
 
 /// Outcome of one [`drive`] call.
 #[derive(Debug)]
-pub struct DriveOutcome<R> {
+pub(crate) struct DriveOutcome<R> {
     /// Results of the completed prefix, in index order: `results[i]` is
     /// item `i`'s result, and `results.len()` is the prefix length `m`.
-    pub results: Vec<R>,
+    pub(crate) results: Vec<R>,
     /// Why the run stopped.
-    pub stop: StopReason,
+    pub(crate) stop: StopReason,
     /// Total accumulated cost of the completed prefix.
-    pub cost_spent: u64,
+    pub(crate) cost_spent: u64,
 }
 
 const FLAG_TIME: u8 = 1;
@@ -172,7 +167,7 @@ const FLAG_COST: u8 = 2;
 /// prefix (see the module docs). `item` must derive everything about
 /// item `i` from `i` itself; then `results[i]` is byte-identical for
 /// every `width`, pool size and schedule, interrupted or not.
-pub fn drive<R, F>(
+pub(crate) fn drive<R, F>(
     pool: &WorkerPool,
     len: usize,
     width: usize,

@@ -14,8 +14,8 @@
 //! every interleaving. Sinks must therefore be `Sync`, cheap, and must
 //! never block for long (they run inside the verification hot path).
 
+use super::StopReason;
 use crate::verify::VerifyError;
-use fuzzyflow_session::StopReason;
 use std::sync::Mutex;
 
 /// One structured progress event of a running session.

@@ -72,12 +72,13 @@
 //! assert_eq!(a, b);
 //! ```
 
+mod drive;
 mod event;
 mod report;
 
+pub use drive::{CancelToken, SessionBudget, StopReason};
 pub use event::{CollectingSink, Event, EventSink, NullSink};
 pub use fuzzyflow_evo::EvolveConfig;
-pub use fuzzyflow_session::{CancelToken, SessionBudget, StopReason};
 pub use report::{
     BucketRecord, CacheTally, CampaignReport, ErrorRecord, FaultRecord, FusionTally,
     InstanceReport, ReportConfig, ReportParseError, TableRow, TriageReport,
@@ -394,7 +395,7 @@ impl Session {
 
         let n = self.specs.len();
         sink.on_event(&Event::SessionStarted { instances: n });
-        let outcome = fuzzyflow_session::drive(
+        let outcome = drive::drive(
             pool,
             n,
             resolve_threads(self.campaign.threads),

@@ -14,10 +14,10 @@
 //! raw bit patterns (see [`TestCase::to_json`]), so a replayed fault
 //! reproduces the identical verdict.
 
+use super::StopReason;
 use crate::verify::VerifyConfig;
 use fuzzyflow_fuzz::json::{quote, Json};
 use fuzzyflow_fuzz::{TestCase, Verdict};
-use fuzzyflow_session::StopReason;
 use std::fmt;
 
 /// A structured pipeline error: which stage failed, and why.

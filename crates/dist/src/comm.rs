@@ -1,6 +1,5 @@
 //! The rank-simulating communicator.
 
-use crate::rng::DistRng;
 use fuzzyflow_interp::{ArrayValue, CommHandler, ExecError};
 use fuzzyflow_ir::{CommOp, Scalar, Wcr};
 use std::sync::{Condvar, Mutex};
@@ -25,7 +24,6 @@ pub(crate) const ABORT_PREFIX: &str = "collective aborted";
 /// collected the current one).
 pub struct SimComm {
     nranks: usize,
-    seed: u64,
     state: Mutex<Rendezvous>,
     cv: Condvar,
 }
@@ -51,17 +49,11 @@ struct Rendezvous {
 }
 
 impl SimComm {
-    /// Communicator for `nranks` ranks with the default seed.
+    /// Communicator for `nranks` ranks.
     pub fn new(nranks: usize) -> Self {
-        Self::with_seed(nranks, 0x5EED)
-    }
-
-    /// Communicator whose per-rank PRNG streams derive from `seed`.
-    pub fn with_seed(nranks: usize, seed: u64) -> Self {
         assert!(nranks > 0, "SimComm needs at least one rank");
         SimComm {
             nranks,
-            seed,
             state: Mutex::new(Rendezvous {
                 contribs: vec![None; nranks],
                 collected: vec![false; nranks],
@@ -80,12 +72,6 @@ impl SimComm {
     /// Completed collective rounds so far.
     pub fn rounds(&self) -> u64 {
         self.state.lock().unwrap().rounds
-    }
-
-    /// Deterministic PRNG stream for one rank; the same communicator
-    /// seed always yields bit-identical streams.
-    pub fn rank_rng(&self, rank: usize) -> DistRng {
-        DistRng::for_rank(self.seed, rank)
     }
 
     /// Marks the communicator as failed: every rank currently blocked in
@@ -510,14 +496,17 @@ mod tests {
 
     #[test]
     fn deterministic_results_across_reruns() {
-        // Same seed and inputs => bit-identical outputs, independent of
-        // thread interleaving.
+        // Same inputs => bit-identical outputs, independent of thread
+        // interleaving.
         let run_once = || {
-            let comm = SimComm::with_seed(4, 1234);
+            let comm = SimComm::new(4);
+            // Golden-ratio fractions: a closed-form sequence of
+            // full-mantissa values, distinct per rank.
             let ins: Vec<ArrayValue> = (0..4)
                 .map(|r| {
-                    let mut rng = comm.rank_rng(r);
-                    let vals: Vec<f64> = (0..16).map(|_| rng.next_f64()).collect();
+                    let vals: Vec<f64> = (0..16)
+                        .map(|i| ((r * 16 + i + 1) as f64 * 0.618_033_988_749_895).fract())
+                        .collect();
                     f64s(&vals)
                 })
                 .collect();

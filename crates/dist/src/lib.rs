@@ -15,17 +15,17 @@
 //!   SDFG, including inside nested map scopes. A FuzzyFlow cutout must
 //!   be communication-free to be testable on a single rank; data that
 //!   arrived through collectives is exposed as a plain input instead.
-//! * [`run_distributed`] — lock-step SPMD execution: one thread per
-//!   rank, each with `rank`/`nranks` bound, all sharing one [`SimComm`].
+//! * [`run_distributed`] — lock-step SPMD execution: the ranks run as a
+//!   co-scheduled gang on the shared worker pool, each with
+//!   `rank`/`nranks` bound and its own executor of one compiled program,
+//!   all sharing one [`SimComm`].
 //!
 //! [`CommHandler`]: fuzzyflow_interp::CommHandler
 
 pub mod comm;
 pub mod detect;
-pub mod rng;
 pub mod run;
 
 pub use comm::SimComm;
 pub use detect::{communication_nodes, has_communication};
-pub use rng::DistRng;
 pub use run::run_distributed;

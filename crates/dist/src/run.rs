@@ -1,19 +1,10 @@
 //! Lock-step SPMD execution of a distributed SDFG.
 
 use crate::comm::{SimComm, ABORT_PREFIX};
-use fuzzyflow_interp::{ExecError, ExecOptions, ExecState, ExecutorArena, Program};
+use fuzzyflow_interp::{ExecError, ExecOptions, ExecState, Program};
 use fuzzyflow_ir::Sdfg;
-use fuzzyflow_pool::{WorkerCache, WorkerPool};
+use fuzzyflow_pool::WorkerPool;
 use std::sync::Mutex;
-
-/// Per-worker cache of rank-executor arenas, keyed by compiled-program
-/// identity: repeated distributed runs of the same SPMD program (the
-/// fig6 trial loop) reuse each worker's warm arena instead of building a
-/// fresh executor per rank per run.
-fn rank_arena_cache() -> &'static WorkerCache<ExecutorArena> {
-    static CACHE: std::sync::OnceLock<WorkerCache<ExecutorArena>> = std::sync::OnceLock::new();
-    CACHE.get_or_init(|| WorkerCache::new(2))
-}
 
 /// Runs one SPMD program on every rank of a simulated communicator, as a
 /// co-scheduled gang on the process-wide [`WorkerPool`], all ranks
@@ -57,10 +48,7 @@ pub fn run_distributed(
         let mut cell = cells[rank].lock().expect("rank cell poisoned");
         let (st, slot) = &mut *cell;
         st.bind("rank", rank as i64).bind("nranks", nranks as i64);
-        let arena = rank_arena_cache().checkout_or(program.id(), ExecutorArena::new);
-        let mut exec = program.executor_with(arena);
-        let res = exec.run_in_place(st, opts, Some(&comm), None);
-        rank_arena_cache().store(program.id(), exec.into_arena());
+        let res = program.executor().run_in_place(st, opts, Some(&comm), None);
         if let Err(e) = &res {
             comm.poison(&format!("{ABORT_PREFIX}: rank {rank} failed: {e}"));
         }
@@ -205,8 +193,11 @@ mod tests {
         let mk = || {
             (0..4)
                 .map(|r| {
-                    let mut rng = crate::DistRng::for_rank(99, r);
-                    let vals: Vec<f64> = (0..8).map(|_| rng.next_f64()).collect();
+                    // Golden-ratio fractions: a closed-form sequence of
+                    // full-mantissa values, distinct per rank.
+                    let vals: Vec<f64> = (0..8)
+                        .map(|i| ((r * 8 + i + 1) as f64 * 0.618_033_988_749_895).fract())
+                        .collect();
                     state_with(8, &vals)
                 })
                 .collect::<Vec<_>>()

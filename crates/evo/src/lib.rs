@@ -231,9 +231,9 @@ mod tests {
         let trans = Program::compile(&transformed);
         let tester = fuzzyflow_fuzz::DiffTester::default();
         for b in &outcome.buckets {
-            // Round-trip the representative through its serialized forms
+            // Round-trip the representative through its serialized form
             // first — replay must work from a parsed report.
-            let parsed = fuzzyflow_fuzz::TestCase::from_text(&b.representative.to_text()).unwrap();
+            let parsed = fuzzyflow_fuzz::TestCase::from_json(&b.representative.to_json()).unwrap();
             let replay = tester.replay_on(
                 &c,
                 &parsed.state,

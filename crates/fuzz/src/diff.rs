@@ -700,8 +700,7 @@ mod tests {
             panic!("expected semantic change, got {:?}", report.verdict);
         };
         // Replaying the captured input must reproduce the divergence.
-        let text = case.to_text();
-        let replay = TestCase::from_text(&text).unwrap();
+        let replay = TestCase::from_json(&case.to_json()).unwrap();
         let mut a = replay.state.clone();
         let mut b = replay.state.clone();
         fuzzyflow_interp::run(&c.sdfg, &mut a).unwrap();

@@ -6,8 +6,9 @@
 //! (paper Sec. 9). Values are stored as hexadecimal bit patterns, so
 //! floating-point inputs replay bit-exactly.
 //!
-//! The format is a small self-describing text format (see `to_text`);
-//! a hand-rolled parser keeps the core library dependency-free.
+//! A case has one serialized form, the JSON object of
+//! [`TestCase::to_json`]: campaign reports embed it, and
+//! [`TestCase::save`] / [`TestCase::load`] write and read it as a file.
 
 use fuzzyflow_interp::{ArrayValue, ExecState};
 use fuzzyflow_ir::{DType, Scalar};
@@ -66,16 +67,25 @@ fn scalar_to_hex(s: Scalar) -> String {
     }
 }
 
+/// Parses one hex token. A value wider than `dtype` is an error, not a
+/// truncation, and a bool is only ever 0 or 1.
 fn scalar_from_hex(dtype: DType, text: &str) -> Result<Scalar, TestCaseParseError> {
-    let parse_u64 = |t: &str| {
-        u64::from_str_radix(t, 16).map_err(|e| TestCaseParseError(format!("bad hex '{t}': {e}")))
+    let bits = u64::from_str_radix(text, 16)
+        .map_err(|e| TestCaseParseError(format!("bad hex '{text}': {e}")))?;
+    let narrow = || {
+        u32::try_from(bits)
+            .map_err(|_| TestCaseParseError(format!("hex '{text}' overflows {dtype:?}")))
     };
     Ok(match dtype {
-        DType::F64 => Scalar::F64(f64::from_bits(parse_u64(text)?)),
-        DType::F32 => Scalar::F32(f32::from_bits(parse_u64(text)? as u32)),
-        DType::I64 => Scalar::I64(parse_u64(text)? as i64),
-        DType::I32 => Scalar::I32(parse_u64(text)? as u32 as i32),
-        DType::Bool => Scalar::Bool(parse_u64(text)? != 0),
+        DType::F64 => Scalar::F64(f64::from_bits(bits)),
+        DType::F32 => Scalar::F32(f32::from_bits(narrow()?)),
+        DType::I64 => Scalar::I64(bits as i64),
+        DType::I32 => Scalar::I32(narrow()? as i32),
+        DType::Bool => match bits {
+            0 => Scalar::Bool(false),
+            1 => Scalar::Bool(true),
+            _ => return Err(TestCaseParseError(format!("bad bool '{text}'"))),
+        },
     })
 }
 
@@ -89,149 +99,11 @@ impl TestCase {
         }
     }
 
-    /// Serializes to the text format.
-    pub fn to_text(&self) -> String {
-        let mut out = String::new();
-        out.push_str("fuzzyflow-testcase v1\n");
-        out.push_str(&format!("program {}\n", self.program));
-        out.push_str(&format!("failure {}\n", self.failure));
-        for (name, value) in self.state.symbols.iter() {
-            out.push_str(&format!("symbol {name} {value}\n"));
-        }
-        for (name, arr) in &self.state.arrays {
-            let dims: Vec<String> = arr.shape().iter().map(|d| d.to_string()).collect();
-            out.push_str(&format!(
-                "array {name} {} [{}]\n",
-                dtype_name(arr.dtype()),
-                dims.join(",")
-            ));
-            let mut line = String::from(" ");
-            for i in 0..arr.len() {
-                line.push(' ');
-                line.push_str(&scalar_to_hex(arr.get(i)));
-                if line.len() > 100 {
-                    out.push_str(&line);
-                    out.push('\n');
-                    line = String::from(" ");
-                }
-            }
-            if line.trim().is_empty() {
-                continue;
-            }
-            out.push_str(&line);
-            out.push('\n');
-        }
-        out
-    }
-
-    /// Parses the text format.
-    pub fn from_text(text: &str) -> Result<Self, TestCaseParseError> {
-        let mut lines = text.lines().peekable();
-        let header = lines
-            .next()
-            .ok_or_else(|| TestCaseParseError("empty input".into()))?;
-        if header.trim() != "fuzzyflow-testcase v1" {
-            return Err(TestCaseParseError(format!("bad header '{header}'")));
-        }
-        let mut program = String::new();
-        let mut failure = String::new();
-        let mut state = ExecState::new();
-
-        while let Some(line) = lines.next() {
-            let line = line.trim_end();
-            if line.trim().is_empty() {
-                continue;
-            }
-            if let Some(rest) = line.strip_prefix("program ") {
-                program = rest.to_string();
-            } else if let Some(rest) = line.strip_prefix("failure ") {
-                failure = rest.to_string();
-            } else if let Some(rest) = line.strip_prefix("symbol ") {
-                let mut it = rest.split_whitespace();
-                let name = it
-                    .next()
-                    .ok_or_else(|| TestCaseParseError("symbol without name".into()))?;
-                let value: i64 = it
-                    .next()
-                    .ok_or_else(|| TestCaseParseError("symbol without value".into()))?
-                    .parse()
-                    .map_err(|e| TestCaseParseError(format!("bad symbol value: {e}")))?;
-                state.symbols.set(name, value);
-            } else if let Some(rest) = line.strip_prefix("array ") {
-                let mut it = rest.split_whitespace();
-                let name = it
-                    .next()
-                    .ok_or_else(|| TestCaseParseError("array without name".into()))?
-                    .to_string();
-                let dtype = dtype_from(
-                    it.next()
-                        .ok_or_else(|| TestCaseParseError("array without dtype".into()))?,
-                )
-                .ok_or_else(|| TestCaseParseError("unknown dtype".into()))?;
-                let dims_text = it
-                    .next()
-                    .ok_or_else(|| TestCaseParseError("array without shape".into()))?;
-                let dims_text = dims_text
-                    .strip_prefix('[')
-                    .and_then(|t| t.strip_suffix(']'))
-                    .ok_or_else(|| TestCaseParseError("malformed shape".into()))?;
-                let shape: Vec<i64> = if dims_text.is_empty() {
-                    Vec::new()
-                } else {
-                    dims_text
-                        .split(',')
-                        .map(|d| {
-                            d.parse()
-                                .map_err(|e| TestCaseParseError(format!("bad dim: {e}")))
-                        })
-                        .collect::<Result<_, _>>()?
-                };
-                if shape.iter().any(|&d| d < 0) {
-                    return Err(TestCaseParseError(format!(
-                        "negative dimension in shape {shape:?}"
-                    )));
-                }
-                // Each element needs at least three bytes of input (two
-                // hex digits plus a separator), so a count beyond the
-                // document length is unsatisfiable — reject it before
-                // allocating anything.
-                let elems = ArrayValue::element_count(&shape)
-                    .ok_or_else(|| TestCaseParseError(format!("shape {shape:?} overflows")))?;
-                if elems > text.len() {
-                    return Err(TestCaseParseError("truncated array data".into()));
-                }
-                let mut arr = ArrayValue::zeros(dtype, shape);
-                let mut idx = 0usize;
-                while idx < arr.len() {
-                    let data_line = lines
-                        .next()
-                        .ok_or_else(|| TestCaseParseError("truncated array data".into()))?;
-                    for tok in data_line.split_whitespace() {
-                        if idx >= arr.len() {
-                            return Err(TestCaseParseError("too many array values".into()));
-                        }
-                        arr.set(idx, scalar_from_hex(dtype, tok)?);
-                        idx += 1;
-                    }
-                }
-                state.arrays.insert(name, arr);
-            } else {
-                return Err(TestCaseParseError(format!("unexpected line '{line}'")));
-            }
-        }
-        Ok(TestCase {
-            program,
-            failure,
-            state,
-        })
-    }
-
     /// Serializes to a JSON object with bit-exact value encoding: every
-    /// element is stored as its raw bit pattern in hex (the same encoding
-    /// as [`TestCase::to_text`]), so floating-point inputs replay
-    /// bit-identically — NaN payloads, signed zeros and subnormals
-    /// included. This is the representation embedded in campaign reports
-    /// (`fuzzyflow::session::CampaignReport`).
+    /// element is stored as its raw bit pattern in hex, so floating-point
+    /// inputs replay bit-identically — NaN payloads, signed zeros and
+    /// subnormals included. This is the representation embedded in
+    /// campaign reports (`fuzzyflow::session::CampaignReport`).
     pub fn to_json(&self) -> String {
         use crate::json::quote;
         let mut out = String::from("{");
@@ -365,15 +237,15 @@ impl TestCase {
         })
     }
 
-    /// Writes the case to a file.
+    /// Writes the case to a file as [`TestCase::to_json`].
     pub fn save(&self, path: &std::path::Path) -> std::io::Result<()> {
-        std::fs::write(path, self.to_text())
+        std::fs::write(path, self.to_json())
     }
 
-    /// Loads a case from a file.
+    /// Loads a case written by [`TestCase::save`].
     pub fn load(path: &std::path::Path) -> Result<Self, Box<dyn std::error::Error>> {
         let text = std::fs::read_to_string(path)?;
-        Ok(Self::from_text(&text)?)
+        Ok(Self::from_json(&text)?)
     }
 }
 
@@ -394,9 +266,15 @@ mod tests {
 
     #[test]
     fn roundtrip_bit_exact() {
+        // Through a file: `save` and `load` carry the JSON form.
         let tc = sample_case();
-        let text = tc.to_text();
-        let back = TestCase::from_text(&text).unwrap();
+        let path = std::env::temp_dir().join(format!(
+            "fuzzyflow_testcase_roundtrip_{}.json",
+            std::process::id()
+        ));
+        tc.save(&path).unwrap();
+        let back = TestCase::load(&path).unwrap();
+        std::fs::remove_file(&path).unwrap();
         assert_eq!(back.program, "prog_cutout");
         assert_eq!(back.failure, "semantic change at V[2]");
         assert_eq!(back.state.symbols.get("N"), Some(4));
@@ -433,19 +311,6 @@ mod tests {
     fn json_rejects_malformed_cases() {
         assert!(TestCase::from_json("{}").is_err());
         assert!(TestCase::from_json("not json").is_err());
-        // Wrong format tag.
-        assert!(TestCase::from_json(
-            "{\"format\": \"v0\", \"program\": \"p\", \"failure\": \"f\", \
-             \"symbols\": {}, \"arrays\": {}}"
-        )
-        .is_err());
-        // Element count must match the shape exactly.
-        assert!(TestCase::from_json(
-            "{\"format\": \"fuzzyflow-testcase-v1\", \"program\": \"p\", \
-             \"failure\": \"f\", \"symbols\": {}, \"arrays\": {\"A\": \
-             {\"dtype\": \"f64\", \"shape\": [2], \"bits\": \"3ff0000000000000\"}}}"
-        )
-        .is_err());
         // Negative dimensions are rejected.
         assert!(TestCase::from_json(
             "{\"format\": \"fuzzyflow-testcase-v1\", \"program\": \"p\", \
@@ -474,24 +339,27 @@ mod tests {
              {\"dtype\": \"f64\", \"shape\": [1073741824, 8], \"bits\": \"00\"}}}"
         )
         .is_err());
-        // Same guards on the text format.
-        let text = "fuzzyflow-testcase v1\nprogram p\nfailure f\narray A f64 [1073741824,8]\n 00\n";
-        assert!(TestCase::from_text(text).is_err());
-        let overflow =
-            "fuzzyflow-testcase v1\nprogram p\nfailure f\narray A f64 [4611686018427387904,8]\n";
-        assert!(TestCase::from_text(overflow).is_err());
     }
 
     #[test]
     fn rejects_bad_header() {
-        assert!(TestCase::from_text("nope\n").is_err());
+        // Wrong format tag.
+        assert!(TestCase::from_json(
+            "{\"format\": \"v0\", \"program\": \"p\", \"failure\": \"f\", \
+             \"symbols\": {}, \"arrays\": {}}"
+        )
+        .is_err());
     }
 
     #[test]
     fn rejects_truncated_data() {
-        let text =
-            "fuzzyflow-testcase v1\nprogram p\nfailure f\narray A f64 [4]\n  3ff0000000000000\n";
-        assert!(TestCase::from_text(text).is_err());
+        // Element count must match the shape exactly.
+        assert!(TestCase::from_json(
+            "{\"format\": \"fuzzyflow-testcase-v1\", \"program\": \"p\", \
+             \"failure\": \"f\", \"symbols\": {}, \"arrays\": {\"A\": \
+             {\"dtype\": \"f64\", \"shape\": [4], \"bits\": \"3ff0000000000000\"}}}"
+        )
+        .is_err());
     }
 
     #[test]
@@ -500,24 +368,8 @@ mod tests {
         st.set_array("s", ArrayValue::scalar(Scalar::F64(2.5)));
         st.set_array("empty", ArrayValue::zeros(DType::I32, vec![0]));
         let tc = TestCase::capture("p", "f", &st);
-        let back = TestCase::from_text(&tc.to_text()).unwrap();
+        let back = TestCase::from_json(&tc.to_json()).unwrap();
         assert_eq!(back.state.array("s").unwrap().get(0), Scalar::F64(2.5));
         assert_eq!(back.state.array("empty").unwrap().len(), 0);
-    }
-
-    #[test]
-    fn large_array_multiline() {
-        let vals: Vec<f64> = (0..100).map(|i| i as f64 * 1.1).collect();
-        let mut st = ExecState::new();
-        st.set_array("big", ArrayValue::from_f64(vec![100], &vals));
-        let tc = TestCase::capture("p", "f", &st);
-        let back = TestCase::from_text(&tc.to_text()).unwrap();
-        assert_eq!(
-            back.state
-                .array("big")
-                .unwrap()
-                .first_mismatch(st.array("big").unwrap(), 0.0),
-            None
-        );
     }
 }

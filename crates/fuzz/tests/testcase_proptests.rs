@@ -1,13 +1,12 @@
-//! Property-based tests for the test-case serialization formats.
+//! Property-based tests for the test-case JSON codec.
 //!
-//! The replayability story of the whole stack rests on these encodings
+//! The replayability story of the whole stack rests on this encoding
 //! being lossless: a fault's captured input must replay bit-exactly
-//! from either the text format or the JSON embedded in campaign
-//! reports. The properties below drive both codecs with arbitrary
-//! states — NaN payloads, negative zeros, subnormals and extreme
-//! integers included — and feed both parsers arbitrary garbage to
-//! check that malformed input always yields a
-//! [`TestCaseParseError`], never a panic.
+//! from the JSON embedded in campaign reports. The properties below
+//! drive the codec with arbitrary states — NaN payloads, negative
+//! zeros, subnormals and extreme integers included — and feed the
+//! parser arbitrary garbage to check that malformed input always
+//! yields a [`TestCaseParseError`], never a panic.
 
 use fuzzyflow_fuzz::{TestCase, TestCaseParseError};
 use fuzzyflow_interp::{ArrayValue, ExecState};
@@ -76,15 +75,15 @@ fn arb_name() -> impl Strategy<Value = String> {
     })
 }
 
-/// Free text without newlines or trailing whitespace — the text
-/// format's `program`/`failure` lines are line-oriented and
-/// right-trimmed, so that's the loss-free domain for both codecs.
-/// Words of printable ASCII (quotes and backslashes included, to
-/// exercise JSON escaping) joined by single spaces.
+/// Free text: arbitrary strings — quotes, backslashes, newlines, other
+/// control characters, trailing whitespace and non-ASCII included — so
+/// the round trip covers every escape the JSON codec relies on.
 fn arb_text() -> impl Strategy<Value = String> {
-    let word = pvec(0x21u8..0x7F, 1..10)
-        .prop_map(|bytes| bytes.into_iter().map(|b| b as char).collect::<String>());
-    pvec(word, 1..5).prop_map(|words| words.join(" "))
+    // Every Unicode scalar value: ASCII (controls and DEL included), the
+    // rest of the BMP around the surrogate gap, and the astral planes.
+    let ch = prop_oneof![0u32..0x80, 0x80u32..0xD800, 0xE000u32..0x11_0000]
+        .prop_map(|c| char::from_u32(c).expect("surrogates are excluded"));
+    pvec(ch, 0..24).prop_map(|chars| chars.into_iter().collect::<String>())
 }
 
 fn arb_array() -> impl Strategy<Value = ArrayValue> {
@@ -146,17 +145,6 @@ fn lossless_diff(back: &TestCase, tc: &TestCase) -> Option<String> {
 }
 
 proptest! {
-    /// Text round trip is lossless and canonical: parse(to_text())
-    /// reproduces every field bit-exactly, and re-serializing is
-    /// byte-identical.
-    #[test]
-    fn text_roundtrip_is_lossless(tc in arb_case()) {
-        let text = tc.to_text();
-        let back = TestCase::from_text(&text).unwrap();
-        prop_assert_eq!(lossless_diff(&back, &tc), None);
-        prop_assert_eq!(back.to_text(), text, "canonical text encoding");
-    }
-
     /// JSON round trip is lossless and canonical.
     #[test]
     fn json_roundtrip_is_lossless(tc in arb_case()) {
@@ -166,20 +154,11 @@ proptest! {
         prop_assert_eq!(back.to_json(), json, "canonical JSON encoding");
     }
 
-    /// The two codecs agree: a case serialized as text and re-encoded
-    /// as JSON equals the direct JSON encoding.
-    #[test]
-    fn codecs_agree(tc in arb_case()) {
-        let via_text = TestCase::from_text(&tc.to_text()).unwrap();
-        prop_assert_eq!(via_text.to_json(), tc.to_json());
-    }
-
-    /// Arbitrary garbage never panics either parser — it returns a
+    /// Arbitrary garbage never panics the parser — it returns a
     /// structured [`TestCaseParseError`].
     #[test]
     fn malformed_input_errors_instead_of_panicking(bytes in pvec(0u8..=255, 0..200)) {
         let s = String::from_utf8_lossy(&bytes);
-        let _: Result<TestCase, TestCaseParseError> = TestCase::from_text(&s);
         let _: Result<TestCase, TestCaseParseError> = TestCase::from_json(&s);
     }
 
@@ -187,13 +166,35 @@ proptest! {
     /// every prefix either parses or errors cleanly.
     #[test]
     fn truncated_documents_error_cleanly(tc in arb_case(), permille in 0usize..1000) {
-        for doc in [tc.to_text(), tc.to_json()] {
-            let mut cut = doc.len() * permille / 1000;
-            while cut < doc.len() && !doc.is_char_boundary(cut) {
-                cut += 1;
-            }
-            let _ = TestCase::from_text(&doc[..cut]);
-            let _ = TestCase::from_json(&doc[..cut]);
+        let doc = tc.to_json();
+        let mut cut = doc.len() * permille / 1000;
+        while cut < doc.len() && !doc.is_char_boundary(cut) {
+            cut += 1;
         }
+        let _ = TestCase::from_json(&doc[..cut]);
+    }
+}
+
+/// A one-element case of `dtype` whose only value is the hex `token`.
+fn one_value_case(dtype: &str, token: &str) -> String {
+    format!(
+        "{{\"format\": \"fuzzyflow-testcase-v1\", \"program\": \"p\", \
+         \"failure\": \"f\", \"symbols\": {{}}, \"arrays\": {{\"A\": \
+         {{\"dtype\": \"{dtype}\", \"shape\": [1], \"bits\": \"{token}\"}}}}}}"
+    )
+}
+
+/// A token whose value does not fit the dtype is an error, not a
+/// silently truncated value.
+#[test]
+fn over_wide_hex_tokens_are_rejected() {
+    for (dtype, token) in [
+        ("f32", "100000000"),
+        ("i32", "1ffffffff"),
+        ("bool", "ff"),
+        ("bool", "0100"),
+    ] {
+        let parsed = TestCase::from_json(&one_value_case(dtype, token));
+        assert!(parsed.is_err(), "{dtype} '{token}' parsed as {parsed:?}");
     }
 }

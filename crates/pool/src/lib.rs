@@ -30,8 +30,7 @@
 //! * **Determinism contract.** Scheduling *never* influences results.
 //!   [`WorkerPool::parallel_for`] hands each participant a private
 //!   scratch value and each index exactly once; callers assemble results
-//!   keyed by index ([`WorkerPool::map_indexed`] does this merge
-//!   already), so the output is byte-identical for every worker count,
+//!   keyed by index, so the output is byte-identical for every worker count,
 //!   pool size and interleaving. Work that needs randomness derives it
 //!   from the index — the differential tester seeds trial `i` with
 //!   `splitmix64(seed, i)`, which is what makes "trial 17" the same trial
@@ -49,10 +48,6 @@
 //!   the job drains — the same observable behavior as the scoped
 //!   `join().expect(...)` threads the pool replaced — and never leaves a
 //!   queued ticket pointing at a dead stack frame.
-
-pub mod cache;
-
-pub use cache::{Checkout, WorkerCache};
 
 use std::collections::VecDeque;
 use std::marker::PhantomData;
@@ -355,36 +350,6 @@ impl WorkerPool {
         guard.finish();
     }
 
-    /// Maps `f` over `0..len` on the pool and returns the results in
-    /// index order. Participants buffer `(index, result)` pairs locally
-    /// — no shared collection lock on the per-item path — and the
-    /// per-participant buffers are merged by index afterwards, so the
-    /// returned vector is identical for every `width`.
-    pub fn map_indexed<R, F>(&self, len: usize, width: usize, f: F) -> Vec<R>
-    where
-        R: Send,
-        F: Fn(usize) -> R + Sync,
-    {
-        let parts: Mutex<Vec<Vec<(usize, R)>>> = Mutex::new(Vec::new());
-        self.parallel_for(
-            len,
-            width,
-            Vec::new,
-            |buf: &mut Vec<(usize, R)>, i| buf.push((i, f(i))),
-            |buf| parts.lock().expect("result buffers poisoned").push(buf),
-        );
-        let mut out: Vec<Option<R>> = Vec::with_capacity(len);
-        out.resize_with(len, || None);
-        for buf in parts.into_inner().expect("result buffers poisoned") {
-            for (i, r) in buf {
-                out[i] = Some(r);
-            }
-        }
-        out.into_iter()
-            .map(|r| r.expect("every index produced a result"))
-            .collect()
-    }
-
     /// Runs `f(member)` for every member in `0..n`, guaranteeing that all
     /// `n` members can be live *simultaneously* — required when members
     /// block on each other (collective rendezvous in the simulated
@@ -590,25 +555,33 @@ mod tests {
         }
     }
 
-    #[test]
-    fn map_indexed_returns_results_in_index_order() {
-        let pool = WorkerPool::new(4);
-        for width in [1, 2, 4, 9] {
-            let out = pool.map_indexed(100, width, |i| i * i);
-            assert_eq!(out, (0..100).map(|i| i * i).collect::<Vec<_>>());
-        }
-    }
-
-    #[test]
-    fn map_indexed_is_identical_across_widths_and_pools() {
-        let small = WorkerPool::new(1);
-        let big = WorkerPool::new(8);
-        let f = |i: usize| format!("item-{}", i * 7 % 13);
-        let a = small.map_indexed(50, 1, f);
-        let b = big.map_indexed(50, 8, f);
-        let c = big.map_indexed(50, 3, f);
-        assert_eq!(a, b);
-        assert_eq!(a, c);
+    /// Runs `f` over `0..len` on `pool` and returns the results in index
+    /// order. Panics unless every index ran exactly once.
+    fn run_indexed(
+        pool: &WorkerPool,
+        len: usize,
+        width: usize,
+        f: impl Fn(usize) -> usize + Sync,
+    ) -> Vec<usize> {
+        let out: Vec<Mutex<Option<usize>>> = (0..len).map(|_| Mutex::new(None)).collect();
+        pool.parallel_for(
+            len,
+            width,
+            || (),
+            |_, i| {
+                let prev = out[i].lock().unwrap().replace(f(i));
+                assert!(prev.is_none(), "index {i} ran twice");
+            },
+            |_| {},
+        );
+        out.into_iter()
+            .enumerate()
+            .map(|(i, slot)| {
+                slot.into_inner()
+                    .unwrap()
+                    .unwrap_or_else(|| panic!("index {i} produced no result"))
+            })
+            .collect()
     }
 
     #[test]
@@ -657,8 +630,8 @@ mod tests {
         // submitter-participates rule keeps this deadlock-free even when
         // the pool is smaller than the nesting demands.
         let pool = WorkerPool::new(2);
-        let out = pool.map_indexed(8, 4, |i| {
-            let inner = pool.map_indexed(16, 4, move |j| i * 100 + j);
+        let out = run_indexed(&pool, 8, 4, |i| {
+            let inner = run_indexed(&pool, 16, 4, |j| i * 100 + j);
             inner.iter().sum::<usize>()
         });
         let expect: Vec<usize> = (0..8).map(|i| (0..16).map(|j| i * 100 + j).sum()).collect();
@@ -679,7 +652,7 @@ mod tests {
             |_| {},
         );
         assert!(!ran.load(Ordering::Relaxed));
-        assert!(pool.map_indexed(0, 4, |i| i).is_empty());
+        assert!(run_indexed(&pool, 0, 4, |i| i).is_empty());
     }
 
     #[test]
@@ -748,7 +721,7 @@ mod tests {
         }));
         assert!(res.is_err(), "panic must propagate to the submitter");
         // Workers survived the panic and keep serving jobs.
-        let out = pool.map_indexed(10, 4, |i| i * 3);
+        let out = run_indexed(&pool, 10, 4, |i| i * 3);
         assert_eq!(out, (0..10).map(|i| i * 3).collect::<Vec<_>>());
     }
 
@@ -768,7 +741,7 @@ mod tests {
         for (id, c) in ran.iter().enumerate() {
             assert_eq!(c.load(Ordering::Relaxed), 1, "member {id} ran");
         }
-        let out = pool.map_indexed(5, 2, |i| i);
+        let out = run_indexed(&pool, 5, 2, |i| i);
         assert_eq!(out, vec![0, 1, 2, 3, 4]);
     }
 
@@ -799,8 +772,8 @@ mod tests {
     #[test]
     fn dropping_a_pool_joins_its_workers() {
         let pool = WorkerPool::new(3);
-        let out = pool.map_indexed(10, 4, |i| i + 1);
-        assert_eq!(out.len(), 10);
+        let out = run_indexed(&pool, 10, 4, |i| i + 1);
+        assert_eq!(out, (1..=10).collect::<Vec<_>>());
         drop(pool); // must not hang
     }
 
@@ -808,10 +781,9 @@ mod tests {
     fn global_pool_is_shared_and_sized() {
         let g = WorkerPool::global();
         assert_eq!(g.workers(), resolve_threads(0));
-        let out = g.map_indexed(17, 0, |i| i);
-        assert_eq!(out.len(), 17);
+        let want: Vec<usize> = (0..17).collect();
+        assert_eq!(run_indexed(g, 17, 0, |i| i), want);
         // `width` larger than the pool is fine: tickets are capped.
-        let out = g.map_indexed(17, 10_000, |i| i);
-        assert_eq!(out.len(), 17);
+        assert_eq!(run_indexed(g, 17, 10_000, |i| i), want);
     }
 }

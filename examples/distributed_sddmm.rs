@@ -9,7 +9,7 @@
 //! Run with: `cargo run --example distributed_sddmm`
 
 use fuzzyflow::cutout::{extract_cutout, SideEffectContext};
-use fuzzyflow::dist::{has_communication, run_distributed, SimComm};
+use fuzzyflow::dist::{has_communication, run_distributed};
 use fuzzyflow::prelude::*;
 
 fn main() {
@@ -42,7 +42,6 @@ fn main() {
         nranks,
         out[0].array("out").unwrap().to_f64_vec()
     );
-    let _ = SimComm::new(nranks); // (the runtime used underneath)
 
     // Cutout around the SDDMM map: communication-free.
     let tiling = MapTiling::new(4);

@@ -41,7 +41,7 @@ fn main() {
             case,
         } => {
             println!("FAULT after {trial} trial(s): {mismatch}");
-            let path = std::env::temp_dir().join("fuzzyflow_quickstart_case.txt");
+            let path = std::env::temp_dir().join("fuzzyflow_quickstart_case.json");
             case.save(&path).expect("writable temp dir");
             println!("replayable test case written to {}", path.display());
             // Demonstrate replay: load and re-run both sides.

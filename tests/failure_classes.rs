@@ -180,8 +180,7 @@ fn failing_cases_replay_bit_exactly() {
     let Verdict::SemanticChange { case, .. } = &report.verdict else {
         panic!("expected semantic change: {:?}", report.verdict);
     };
-    let text = case.to_text();
-    let reparsed = TestCase::from_text(&text).unwrap();
+    let reparsed = TestCase::from_json(&case.to_json()).unwrap();
     assert_eq!(reparsed.state, case.state, "bit-exact round trip");
 }
 
