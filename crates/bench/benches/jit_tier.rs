@@ -287,7 +287,7 @@ fn main() {
         warm_report.caches.code_bytes,
     );
     row(
-        "warm campaign code-cache hits",
+        "warm campaign native-code reuses",
         warm_report.caches.code_hits,
     );
     assert_eq!(

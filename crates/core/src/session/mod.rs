@@ -380,7 +380,7 @@ impl Session {
     ) -> CampaignReport {
         let _exclusive = self.run_lock.lock().expect("session run lock poisoned");
         let prog0 = fuzzyflow_interp::shared_cache_stats();
-        let code0 = fuzzyflow_interp::code_cache_stats();
+        let code0 = fuzzyflow_interp::jit_emissions();
         let jit0 = fuzzyflow_interp::jit_native_runs_split();
 
         // One dataflow analysis per workload, built by the first of its
@@ -438,20 +438,25 @@ impl Session {
         // into the tally (see `CacheTally`); the run lock keeps this
         // session's own runs serialized.
         let prog1 = fuzzyflow_interp::shared_cache_stats();
-        let code1 = fuzzyflow_interp::code_cache_stats();
+        let code1 = fuzzyflow_interp::jit_emissions();
         let jit1 = fuzzyflow_interp::jit_native_runs_split();
+        // Kernels own their native code, so a native run either emits
+        // (a miss) or reuses its kernel's code (a hit), and nothing is
+        // ever evicted.
+        let emissions = code1.0 - code0.0;
+        let (jit_scalar_runs, jit_packed_runs) = (jit1.0 - jit0.0, jit1.1 - jit0.1);
         let caches = CacheTally {
             program_hits: prog1.hits - prog0.hits,
             program_misses: prog1.misses - prog0.misses,
             program_evictions: prog1.evictions - prog0.evictions,
             program_compiles: prog1.compiles - prog0.compiles,
-            code_hits: code1.hits - code0.hits,
-            code_misses: code1.misses - code0.misses,
-            code_evictions: code1.evictions - code0.evictions,
-            code_compiles: code1.compiles - code0.compiles,
-            code_bytes: code1.bytes - code0.bytes,
-            jit_scalar_runs: jit1.0 - jit0.0,
-            jit_packed_runs: jit1.1 - jit0.1,
+            code_hits: (jit_scalar_runs + jit_packed_runs).saturating_sub(emissions),
+            code_misses: emissions,
+            code_evictions: 0,
+            code_compiles: emissions,
+            code_bytes: code1.1 - code0.1,
+            jit_scalar_runs,
+            jit_packed_runs,
         };
         // Evolution mode: fold every instance's triage buckets, in
         // index order, into the report's campaign-wide triage object.

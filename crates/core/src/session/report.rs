@@ -173,10 +173,10 @@ impl FusionTally {
 }
 
 /// Process-wide cache activity attributed to one session run: the deltas
-/// of the shared program cache and the native code cache counters taken
-/// around the run. Deterministic for a given warm/cold state, but — the
-/// counters being process-global — attributes a concurrent session's
-/// traffic to whichever run observes it.
+/// of the shared program cache and the native-code emission and run
+/// counters taken around the run. Deterministic for a given warm/cold
+/// state, but — the counters being process-global — attributes a
+/// concurrent session's traffic to whichever run observes it.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CacheTally {
     /// Shared program cache: snapshot probes that found a live entry.
@@ -187,15 +187,17 @@ pub struct CacheTally {
     pub program_evictions: u64,
     /// Shared program cache: programs actually compiled.
     pub program_compiles: u64,
-    /// Native code cache: probes that found live code.
+    /// Native code: runs that reused their kernel's emitted code (native
+    /// runs minus emissions).
     pub code_hits: u64,
-    /// Native code cache: probes that missed.
+    /// Native code: runs that had to emit first (equals `code_compiles`).
     pub code_misses: u64,
-    /// Native code cache: blobs dropped by LRU bounding.
+    /// Native code: always 0 — a kernel keeps its code while its program
+    /// lives. The field stays for the report layout.
     pub code_evictions: u64,
-    /// Native code cache: kernels lowered and published.
+    /// Native code: kernels lowered and published.
     pub code_compiles: u64,
-    /// Native code cache: instruction bytes emitted (0 on a warm run).
+    /// Native code: instruction bytes emitted (0 on a warm run).
     pub code_bytes: u64,
     /// Native tier: fused-kernel invocations that ran a scalar blob.
     pub jit_scalar_runs: u64,

@@ -16,18 +16,12 @@ pub enum ExecError {
         point: Vec<i64>,
         shape: Vec<i64>,
     },
-    /// A poisoned guard plane was found corrupted after a run: an
-    /// out-of-bounds write landed in the slop bytes around `data`'s
-    /// payload instead of trapping (the compiled engine's opt-in slop
-    /// mode, or an engine defect caught by the always-on post-trial
-    /// verification). `point` is the faulting element when the engine
-    /// recorded the wild store; empty when only the corruption itself
-    /// was observed.
-    GuardViolation {
-        data: String,
-        point: Vec<i64>,
-        shape: Vec<i64>,
-    },
+    /// A poisoned guard plane was found corrupted after a run: a write
+    /// landed in the slop bytes around `data`'s payload instead of trapping.
+    /// Every checked access traps first, so this is an engine defect
+    /// caught by the always-on post-trial verification — the tripwire
+    /// under the JIT's unchecked native stores.
+    GuardViolation { data: String, shape: Vec<i64> },
     /// A referenced container has no allocation and no descriptor.
     UnknownData(String),
     /// Symbolic evaluation failed (unbound symbol, overflow, bad step).
@@ -62,21 +56,11 @@ impl fmt::Display for ExecError {
                 f,
                 "out-of-bounds access on '{data}': index {point:?} outside shape {shape:?}"
             ),
-            ExecError::GuardViolation { data, point, shape } => {
-                if point.is_empty() {
-                    write!(
-                        f,
-                        "guard-plane violation on '{data}': poisoned slop bytes corrupted \
-                         (shape {shape:?})"
-                    )
-                } else {
-                    write!(
-                        f,
-                        "guard-plane violation on '{data}': out-of-bounds write at {point:?} \
-                         landed in the guard plane (shape {shape:?})"
-                    )
-                }
-            }
+            ExecError::GuardViolation { data, shape } => write!(
+                f,
+                "guard-plane violation on '{data}': poisoned slop bytes corrupted \
+                 (shape {shape:?})"
+            ),
             ExecError::UnknownData(d) => write!(f, "unknown data container '{d}'"),
             ExecError::Sym(e) => write!(f, "symbolic evaluation error: {e}"),
             ExecError::StepLimitExceeded { limit } => {

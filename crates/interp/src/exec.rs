@@ -28,19 +28,6 @@ pub struct ExecOptions {
     pub max_steps: u64,
     /// Between-trial reset of reused executors; see [`ResetPolicy`].
     pub reset: ResetPolicy,
-    /// Out-of-bounds *slop* mode for the compiled engine: a plain
-    /// (non-WCR) store whose subscript fails its bounds check is modeled
-    /// like a native wild store instead of trapping immediately — it
-    /// lands at its row-major linear offset, corrupting a poisoned guard
-    /// plane (reported after the run as
-    /// [`ExecError::GuardViolation`] with the faulting container and
-    /// element) or, when the offset
-    /// folds back into the payload, silently corrupting a neighboring
-    /// element exactly as native code would. Offsets beyond the guard
-    /// windows still trap ([`ExecError::OutOfBounds`] — the "far
-    /// segfault"). Off by default: the default trap mode is what the
-    /// cross-engine equivalence suite pins, and reads always trap.
-    pub oob_slop: bool,
     /// Whether fused kernels may execute natively-emitted machine code
     /// (see [`crate::jit`]). On by default; bit-identical to the bytecode
     /// rungs wherever it engages, so turning it off only trades speed —
@@ -59,7 +46,6 @@ impl Default for ExecOptions {
         ExecOptions {
             max_steps: Self::DEFAULT_MAX_STEPS,
             reset: ResetPolicy::default(),
-            oob_slop: false,
             jit: true,
         }
     }

@@ -13,8 +13,8 @@
 //! elements. Everything that varies per trial or per row (row pointers,
 //! strides, outer parameter values, symbol values) is read from the
 //! frame, so one compiled blob is valid for every shape a kernel ever
-//! runs with — the property that makes the process-wide code cache
-//! effective.
+//! runs with — the property that lets each kernel emit its code once
+//! and keep it for every later trial.
 //!
 //! # Frame layout (u64 words)
 //!

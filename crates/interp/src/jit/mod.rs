@@ -55,32 +55,28 @@
 //!    `mprotect` before the entry pointer ever escapes. A failed flip
 //!    unmaps and reports emission failure (the caller falls back to
 //!    bytecode).
-//! 3. The mapping is `munmap`ed when the last `Arc<JitCode>` drops —
-//!    executors clone the `Arc` for the duration of a kernel run, so an
-//!    eviction from the code cache can never unmap code that is still
-//!    executing.
+//! 3. The mapping is `munmap`ed when the last `Arc<JitCode>` drops. The
+//!    kernel that emitted it holds it, so it lives exactly as long as
+//!    the last clone of its `Program`; executors borrow the program for
+//!    the whole run, so code is never unmapped while it executes.
 //!
 //! The `jit_wx` smoke test asserts process-wide (via `/proc/self/maps`)
 //! that no `rwx` mapping exists after compilation.
 //!
-//! # Cache contract
+//! # Code ownership
 //!
 //! Compiled blobs are shape-independent: strides, pointers, symbol and
 //! parameter values are read from a per-call frame, so one compilation
-//! serves every trial of a kernel. Blobs are keyed by the kernel's
-//! process-unique `jit_key` in a process-wide `CodeCache` that
-//! follows the shared program cache's lock-only-on-insert design —
-//! probes are lock-free, the insert mutex is taken only to publish, and
-//! coarse LRU eviction (bounded by
-//! [`cache_capacity`](crate::cache_capacity)) drops the
-//! least-recently-probed entry. Warm campaigns therefore compile zero
-//! programs and emit zero bytes of native code.
+//! serves every trial of a kernel. Each fused kernel owns a write-once
+//! slot for its code: the first native-eligible run emits and publishes
+//! into it (concurrent first runs wait for that one emission), and every
+//! later run borrows the code with one acquire load. Programs served
+//! from the shared program cache bring their emitted code with them, so
+//! warm campaigns compile zero programs and emit zero bytes of native
+//! code. Code memory is bounded by the programs that are alive.
 
-pub(crate) mod cache;
 pub(crate) mod encoder;
 pub(crate) mod lower;
-
-pub use cache::{code_cache_stats, CodeCacheStats};
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -228,12 +224,24 @@ pub(crate) fn count_native_run(packed: bool) {
     }
 }
 
-/// Process-unique key generator for kernels' code-cache entries (clones
-/// of a kernel share the key assigned at fuse time).
-static NEXT_JIT_KEY: AtomicU64 = AtomicU64::new(1);
+/// Counts kernels lowered to native code and mapped, process wide, and
+/// their instruction bytes. Warm campaign re-runs leave both unchanged.
+static EMISSIONS: AtomicU64 = AtomicU64::new(0);
+static EMITTED_BYTES: AtomicU64 = AtomicU64::new(0);
 
-pub(crate) fn next_jit_key() -> u64 {
-    NEXT_JIT_KEY.fetch_add(1, Ordering::Relaxed)
+/// `(kernels, bytes)` of native code emitted so far in this process.
+/// Every emission serves its kernel's first native run, so native runs
+/// minus emissions is the number of runs that reused code.
+pub fn jit_emissions() -> (u64, u64) {
+    (
+        EMISSIONS.load(Ordering::Relaxed),
+        EMITTED_BYTES.load(Ordering::Relaxed),
+    )
+}
+
+pub(crate) fn count_emission(bytes: usize) {
+    EMISSIONS.fetch_add(1, Ordering::Relaxed);
+    EMITTED_BYTES.fetch_add(bytes as u64, Ordering::Relaxed);
 }
 
 // ----- W^X executable pages ----------------------------------------------

@@ -44,9 +44,7 @@ pub use exec::{
     run, run_tree_walk, run_with, run_with_tree_walk, CommHandler, ExecOptions, ExecState,
     ResetPolicy, StateMismatch,
 };
-pub use jit::{
-    code_cache_stats, jit_native_runs, jit_native_runs_split, CodeCacheStats, JitReject,
-};
+pub use jit::{jit_emissions, jit_native_runs, jit_native_runs_split, JitReject};
 pub use program::{
     fresh_arena_count, CompileOptions, Executor, ExecutorArena, FuseReject, MapFusionInfo, Program,
     TaskletStats,

@@ -30,6 +30,7 @@ use fuzzyflow_ir::{
 };
 use fuzzyflow_sym::{ConcreteRange, SymError};
 use std::collections::BTreeMap;
+use std::sync::{Arc, OnceLock};
 
 /// Dense id of an interned data container name.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -613,10 +614,11 @@ pub(crate) struct FusedKernel {
     /// Containers that must be live with dtype `F64` (same contract as
     /// [`FastTasklet::guards`]).
     guards: Vec<DataId>,
-    /// Process-unique key of this kernel's native code in the shared
-    /// [`code cache`](crate::jit::cache). Clones (and cached `Program`s)
-    /// share the key, so warm campaigns re-use the blob.
-    pub(crate) jit_key: u64,
+    /// This kernel's native code, emitted by its first native-eligible
+    /// run (`None` when the OS refused executable pages). Clones of an
+    /// emitted kernel share the mapping, which is unmapped when the last
+    /// of them drops.
+    native_code: OnceLock<Option<Arc<crate::jit::JitCode>>>,
     /// Static native-lowering eligibility: the frame layout when every
     /// instruction can be emitted bit-exactly, else the rejection reason
     /// (see [`JitReject`]). Filled in by [`fuse_map`]'s caller.
@@ -2260,7 +2262,7 @@ fn fuse_map(mp: &MapPlan) -> Result<FusedKernel, FuseReject> {
         code,
         n_regs,
         guards,
-        jit_key: crate::jit::next_jit_key(),
+        native_code: OnceLock::new(),
         jit: Err(JitReject::UnsupportedArch),
     };
     fk.jit = crate::jit::lower::analyze(&fk, mp.ranges.len());
@@ -2268,13 +2270,12 @@ fn fuse_map(mp: &MapPlan) -> Result<FusedKernel, FuseReject> {
 }
 
 /// Per-run execution context: step budget, collectives, coverage, and
-/// the out-of-bounds slop switch (see [`ExecOptions::oob_slop`]).
+/// the JIT switch.
 struct RunCtx<'a> {
     steps: u64,
     max_steps: u64,
     comm: Option<&'a dyn CommHandler>,
     cov: Option<&'a mut CoverageMap>,
-    oob_slop: bool,
     /// Fused kernels may enter the native tier (see [`ExecOptions::jit`]).
     jit: bool,
 }
@@ -2353,10 +2354,6 @@ pub struct ExecutorArena {
     fouts: Vec<ArrayValue>,
     /// Native-kernel call frame (see [`crate::jit::lower::JitLayout`]).
     jframe: Vec<u64>,
-    /// First wild store of the run under [`ExecOptions::oob_slop`]
-    /// (slot index + faulting point), reported after the run as
-    /// [`ExecError::GuardViolation`].
-    guard_fault: Option<(usize, Vec<i64>)>,
 }
 
 impl ExecutorArena {
@@ -2396,7 +2393,6 @@ impl<'p> Executor<'p> {
         a.live.resize(prog.data.len(), false);
         a.extra_syms.clear();
         a.extra_arrays.clear();
-        a.guard_fault = None;
         Executor { prog, a }
     }
 
@@ -2622,10 +2618,8 @@ impl<'p> Executor<'p> {
             max_steps: opts.max_steps,
             comm,
             cov,
-            oob_slop: opts.oob_slop,
             jit: opts.jit,
         };
-        self.a.guard_fault = None;
         self.allocate()?;
         let prog = self.prog;
         let mut current = prog.start;
@@ -2653,24 +2647,12 @@ impl<'p> Executor<'p> {
         }
     }
 
-    /// Post-trial guard-plane verification: reports the wild store the
-    /// slop mode recorded during the run, then checks every live buffer's
+    /// Post-trial guard-plane verification: checks every live buffer's
     /// poison bytes (defense-in-depth against engine defects — a handful
-    /// of element compares per container, no ticks, no coverage; in the
-    /// default trap mode this can only fail on an engine bug, so the
-    /// engines stay bit-identical).
+    /// of element compares per container, no ticks, no coverage; every
+    /// checked access traps first, so this can only fail on an engine
+    /// bug, and the engines stay bit-identical).
     fn verify_guards(&mut self) -> Result<(), ExecError> {
-        if let Some((i, point)) = self.a.guard_fault.take() {
-            let shape = self.a.arrays[i]
-                .as_ref()
-                .map(|arr| arr.shape().to_vec())
-                .unwrap_or_default();
-            return Err(ExecError::GuardViolation {
-                data: self.prog.data.names[i].clone(),
-                point,
-                shape,
-            });
-        }
         for (i, slot) in self.a.arrays.iter().enumerate() {
             if !self.a.live[i] {
                 continue;
@@ -2679,7 +2661,6 @@ impl<'p> Executor<'p> {
                 if !arr.guards_intact() {
                     return Err(ExecError::GuardViolation {
                         data: self.prog.data.names[i].clone(),
-                        point: Vec::new(),
                         shape: arr.shape().to_vec(),
                     });
                 }
@@ -3093,10 +3074,7 @@ impl<'p> Executor<'p> {
     fn exec_fused(
         &mut self,
         fk: &'p FusedKernel,
-        native: Option<(
-            &'p crate::jit::lower::JitLayout,
-            std::sync::Arc<crate::jit::JitCode>,
-        )>,
+        native: Option<(&'p crate::jit::lower::JitLayout, &'p crate::jit::JitCode)>,
         elems: u64,
         ticks: u64,
         ctx: &mut RunCtx<'_>,
@@ -3157,7 +3135,7 @@ impl<'p> Executor<'p> {
                 run_fused_jit(
                     fk,
                     lay,
-                    &code,
+                    code,
                     inner,
                     &dims,
                     &bases,
@@ -3635,47 +3613,7 @@ impl<'p> Executor<'p> {
                 }
             })();
         self.a.arrays[i] = Some(arr);
-        self.slop_rescue(res, plan, i, point, ctx, vals.first().copied())
-    }
-
-    /// Out-of-bounds slop mode ([`ExecOptions::oob_slop`]): re-model a
-    /// trapped single-element, non-WCR store as a native wild store. A
-    /// write that folds back into the payload silently corrupts a
-    /// neighbouring element; one landing in a guard plane records the
-    /// faulting element for post-run [`ExecError::GuardViolation`]
-    /// reporting; anything further out keeps the
-    /// [`ExecError::OutOfBounds`] trap.
-    fn slop_rescue(
-        &mut self,
-        res: Result<(), ExecError>,
-        plan: &MemPlan,
-        i: usize,
-        point: &[i64],
-        ctx: &RunCtx<'_>,
-        val: Option<Scalar>,
-    ) -> Result<(), ExecError> {
-        if !ctx.oob_slop
-            || plan.wcr.is_some()
-            || !matches!(&plan.kind, MemKind::Single(_))
-            || !matches!(res, Err(ExecError::OutOfBounds { .. }))
-        {
-            return res;
-        }
-        let Some(val) = val else { return res };
-        let arr = self.a.arrays[i]
-            .as_mut()
-            .expect("slot restored after the store attempt");
-        let Some(off) = signed_linearize(arr.shape(), point) else {
-            return res;
-        };
-        if !arr.poke_linear(off, val) {
-            return res;
-        }
-        let in_payload = off >= 0 && (off as usize) < arr.len();
-        if !in_payload && self.a.guard_fault.is_none() {
-            self.a.guard_fault = Some((i, point.to_vec()));
-        }
-        Ok(())
+        res
     }
 
     /// Per-dimension block lengths of a memlet's concrete subset
@@ -3794,22 +3732,6 @@ impl<'p> Executor<'p> {
     }
 }
 
-/// Row-major linear offset of `point` against `shape` *without* bounds
-/// checks — where a wild store would land natively. `None` on rank
-/// mismatch or `i64` overflow.
-fn signed_linearize(shape: &[i64], point: &[i64]) -> Option<i64> {
-    if shape.len() != point.len() {
-        return None;
-    }
-    let mut off = 0i128;
-    let mut stride = 1i128;
-    for d in (0..shape.len()).rev() {
-        off += point[d] as i128 * stride;
-        stride *= shape[d] as i128;
-    }
-    i64::try_from(off).ok()
-}
-
 /// Row-major iteration over the points of concrete ranges, reusing the
 /// caller's point buffer (no per-point allocation). Calls `f` for every
 /// covered multi-index; empty ranges yield no points, a zero-rank subset
@@ -3902,21 +3824,21 @@ fn analyze_fused_idx(
     Some((base as i64, lo, hi))
 }
 
-/// Cached (or freshly published) native code for a statically eligible
-/// kernel. `None` when the OS refuses executable pages — the caller
-/// falls back to the chunk loop (or per element). Probing is lock-free; concurrent
-/// first-compilers may both emit, the insert keeps one copy.
-fn jit_code_for(
-    fk: &FusedKernel,
+/// The native code of a statically eligible kernel, emitted by the
+/// first run that asks (concurrent first runs wait for that one emission)
+/// and borrowed by every later run. `None` when the OS refused executable
+/// pages — the caller falls back to the chunk loop (or per element).
+fn jit_code_for<'p>(
+    fk: &'p FusedKernel,
     lay: &crate::jit::lower::JitLayout,
-) -> Option<std::sync::Arc<crate::jit::JitCode>> {
-    if let Some(code) = crate::jit::cache::lookup(fk.jit_key) {
-        return Some(code);
-    }
-    let bytes = crate::jit::lower::emit(fk, lay);
-    crate::jit::cache::count_emission(bytes.len());
-    let code = crate::jit::JitCode::publish(&bytes)?;
-    Some(crate::jit::cache::insert(fk.jit_key, code))
+) -> Option<&'p crate::jit::JitCode> {
+    fk.native_code
+        .get_or_init(|| {
+            let code = crate::jit::JitCode::publish(&crate::jit::lower::emit(fk, lay))?;
+            crate::jit::count_emission(code.code_len());
+            Some(Arc::new(code))
+        })
+        .as_deref()
 }
 
 /// Runtime half of packed-JIT eligibility: the emitted lane-pair loads
@@ -4033,7 +3955,8 @@ fn run_fused_jit(
         frame[lay.param_word(d)] = (dims[d].start as f64).to_bits();
     }
     // SAFETY: the entry was emitted for exactly this layout (the kernel
-    // carries both), and the mapping stays RX while `code`'s Arc lives.
+    // carries both), and the mapping stays RX while the kernel that owns
+    // it lives — the executor borrows its program for the whole run.
     let f = unsafe { code.entry() };
     'rows: loop {
         // SAFETY: every pointer slot addresses live, in-bounds f64

@@ -54,7 +54,8 @@ struct SharedCache {
     clock: u64,
 }
 
-/// Default capacity of the process-wide caches (see [`cache_capacity`]).
+/// Default capacity of the program cache and the arena stashes (see
+/// [`cache_capacity`]).
 pub const DEFAULT_CACHE_CAPACITY: usize = 256;
 
 static CACHE: OnceLock<Mutex<SharedCache>> = OnceLock::new();
@@ -64,10 +65,10 @@ static HITS: AtomicU64 = AtomicU64::new(0);
 static MISSES: AtomicU64 = AtomicU64::new(0);
 static EVICTIONS: AtomicU64 = AtomicU64::new(0);
 
-/// The shared capacity knob of every process-wide stash: the program
-/// cache here, the native-code cache ([`crate::jit`]), the fuzzing
-/// layer's per-instance arena stashes. Entries, not
-/// bytes; defaults to [`DEFAULT_CACHE_CAPACITY`].
+/// The shared capacity knob of the program cache here and of the fuzzing
+/// layer's per-instance arena stashes. Entries, not bytes; defaults to
+/// [`DEFAULT_CACHE_CAPACITY`]. Native code needs no bound of its own: it
+/// lives exactly as long as the program whose kernels emitted it.
 pub fn cache_capacity() -> usize {
     CAPACITY.load(Ordering::Relaxed)
 }

@@ -224,27 +224,6 @@ impl ArrayValue {
         }
     }
 
-    /// Stores `value` at a *signed* payload-relative linear offset,
-    /// allowed to land in either guard plane — the "slop" model of a
-    /// native out-of-bounds store. Returns `false` (storing nothing)
-    /// when the offset falls outside `payload ∪ guards`, the analogue of
-    /// a far store hitting unmapped memory.
-    pub fn poke_linear(&mut self, off: i64, value: Scalar) -> bool {
-        let n = self.len() as i64;
-        if off < -(GUARD_ELEMS as i64) || off >= n + GUARD_ELEMS as i64 {
-            return false;
-        }
-        let raw = (off + GUARD_ELEMS as i64) as usize;
-        match &mut self.data {
-            Data::F64(v) => v[raw] = value.as_f64(),
-            Data::F32(v) => v[raw] = value.as_f64() as f32,
-            Data::I64(v) => v[raw] = value.as_i64(),
-            Data::I32(v) => v[raw] = value.as_i64() as i32,
-            Data::Bool(v) => v[raw] = value.as_bool(),
-        }
-        true
-    }
-
     /// Makes `self` a payload-identical copy of `src`, reusing the
     /// existing element buffer when the dtypes match (the compiled
     /// engine's trial loop resets inputs in place with this instead of
@@ -496,6 +475,28 @@ impl fmt::Debug for ArrayValue {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    impl ArrayValue {
+        /// Stores `value` at a *signed* payload-relative linear offset,
+        /// allowed to land in either guard plane — a stray store that
+        /// corrupts the padding. Returns `false` (storing nothing) when
+        /// the offset falls outside `payload ∪ guards`.
+        fn poke_linear(&mut self, off: i64, value: Scalar) -> bool {
+            let n = self.len() as i64;
+            if off < -(GUARD_ELEMS as i64) || off >= n + GUARD_ELEMS as i64 {
+                return false;
+            }
+            let raw = (off + GUARD_ELEMS as i64) as usize;
+            match &mut self.data {
+                Data::F64(v) => v[raw] = value.as_f64(),
+                Data::F32(v) => v[raw] = value.as_f64() as f32,
+                Data::I64(v) => v[raw] = value.as_i64(),
+                Data::I32(v) => v[raw] = value.as_i64() as i32,
+                Data::Bool(v) => v[raw] = value.as_bool(),
+            }
+            true
+        }
+    }
 
     #[test]
     fn zeros_and_len() {
