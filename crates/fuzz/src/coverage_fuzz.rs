@@ -399,10 +399,11 @@ mod tests {
     use fuzzyflow_ir::{
         sym, DType, Memlet, ScalarExpr, Schedule, SdfgBuilder, Subset, SymRange, Tasklet,
     };
-    use fuzzyflow_transforms::{apply_to_clone, Transformation, Vectorization};
+    use fuzzyflow_transforms::{apply_to_clone, MapTiling, Transformation, Vectorization};
 
-    /// The Fig. 5-style scale loop, vectorized (input-size-dependent bug).
-    fn vectorized_pair() -> (Cutout, Sdfg) {
+    /// The Fig. 5-style scale loop `B[i] = 2 A[i]`, cut to the map `t`
+    /// rewrites.
+    fn scale_pair(t: &dyn Transformation) -> (Cutout, Sdfg) {
         let mut b = SdfgBuilder::new("scale");
         b.symbol("N");
         b.array("A", DType::F64, &["N"]);
@@ -439,15 +440,61 @@ mod tests {
             df.auto_wire(m, &[a], &[o]);
         });
         let p = b.build();
-        let v = Vectorization::new(4);
-        let m = &v.find_matches(&p)[0];
-        let (_, changes) = apply_to_clone(&p, &v, m).unwrap();
+        let m = &t.find_matches(&p)[0];
+        let (_, changes) = apply_to_clone(&p, t, m).unwrap();
         let ctx = SideEffectContext::with_size_symbols(&["N".to_string()], 64);
         let c = extract_cutout(&p, &changes, &ctx).unwrap();
         let translated = fuzzyflow_cutout::translate_match(&c, m).unwrap();
         let mut transformed = c.sdfg.clone();
-        v.apply(&mut transformed, &translated).unwrap();
+        t.apply(&mut transformed, &translated).unwrap();
         (c, transformed)
+    }
+
+    /// The scale loop vectorized by 4: an input-size-dependent bug.
+    fn vectorized_pair() -> (Cutout, Sdfg) {
+        scale_pair(&Vectorization::new(4))
+    }
+
+    /// Verdict label, trials run, trial of detection, corpus size, edges
+    /// hit and summed hits.
+    fn shape(r: &CoverageReport) -> (&'static str, usize, Option<usize>, usize, usize, u64) {
+        (
+            r.verdict.label(),
+            r.trials_run,
+            r.trials_to_detection,
+            r.corpus_size,
+            r.edge_hits.len(),
+            r.edge_hits.iter().map(|&(_, h)| h).sum(),
+        )
+    }
+
+    /// The campaign's draws, pinned: the vectorized pair at seed 4242 and
+    /// at the default seed (both detect at the first bit flip of `N`),
+    /// and a sound (tiled) pair whose 200 trials run the havoc stage.
+    #[test]
+    fn campaigns_are_pinned() {
+        let shipped = Bindings::from_pairs([("N", 16)]);
+        let (c, vectorized) = vectorized_pair();
+        let (s, tiled) = scale_pair(&MapTiling::new(4));
+        let fuzzer = |seed, max_trials| CoverageFuzzer {
+            seed,
+            max_trials,
+            ..Default::default()
+        };
+        let default_seed = CoverageFuzzer::default().seed;
+        let found = ("crash", 2, Some(2), 2, 4, 37);
+        assert_eq!(
+            shape(&fuzzer(4242, 5000).run(&c, &vectorized, &shipped)),
+            found
+        );
+        assert_eq!(
+            shape(&fuzzer(default_seed, 2000).run(&c, &vectorized, &shipped)),
+            found
+        );
+        assert_eq!(
+            shape(&fuzzer(default_seed, 200).run(&s, &tiled, &shipped)),
+            ("ok", 200, None, 4, 4, 3615)
+        );
     }
 
     #[test]
