@@ -1,8 +1,9 @@
 //! Coverage-guided mutation fuzzing (the AFL++-style baseline of paper
 //! Secs. 5.1 and 6.1).
 //!
-//! The cutout pair is driven like an AFL target: the input configuration
-//! is flattened into a byte buffer, a corpus of buffers is mutated with
+//! The cutout pair is driven like an AFL target, as a byte-level input
+//! source of the one trial loop ([`Trials`]): the input configuration is
+//! flattened into a byte buffer, a corpus of buffers is mutated with
 //! havoc-style operations, each execution records edge coverage in the
 //! instrumented interpreter, and inputs reaching new `(edge, bucket)`
 //! pairs join the corpus. Detection works exactly as in the paper's
@@ -16,14 +17,13 @@
 //! why the paper measures ~157 trials for AFL++ vs ~1 for gray-box
 //! sampling on the size-dependent vectorization bug.
 
-use crate::diff::judge;
 use crate::rng::Xoshiro256;
-use crate::Verdict;
+use crate::sampler::seed_input;
+use crate::trials::{CoverageTally, Draw, InputSource, Trials};
+use crate::{CaseOutcome, DiffTester, Verdict};
 use fuzzyflow_cutout::Cutout;
-use fuzzyflow_interp::coverage::MAP_SIZE;
-use fuzzyflow_interp::ArrayValue;
-use fuzzyflow_interp::{CoverageMap, ExecOptions, ExecState, Executor, Program};
-use fuzzyflow_ir::{validate, Bindings, Sdfg};
+use fuzzyflow_interp::{ArrayValue, CoverageMap, ExecState, Program};
+use fuzzyflow_ir::{validate, Bindings, DType, Scalar, Sdfg};
 
 /// Report of a coverage-guided fuzzing campaign.
 #[derive(Clone, Debug)]
@@ -35,12 +35,10 @@ pub struct CoverageReport {
     pub trials_to_detection: Option<usize>,
     /// Corpus entries retained for new coverage.
     pub corpus_size: usize,
-    /// Distinct virgin-map bits set over the campaign.
+    /// Distinct edges hit over the campaign.
     pub edges_seen: usize,
     /// Cumulative per-edge hit counts over every instrumented execution,
-    /// as `(edge id, total hits)` pairs in edge-id order — the raw
-    /// material for novelty scoring (rare-edge weighting), exposed here
-    /// so schedulers don't need a side channel next to the covered set.
+    /// as `(edge id, total hits)` pairs in edge-id order.
     pub edge_hits: Vec<(u32, u64)>,
 }
 
@@ -73,23 +71,16 @@ impl Default for CoverageFuzzer {
 fn encode(cutout: &Cutout, st: &ExecState) -> Vec<u8> {
     let mut buf = Vec::new();
     for s in &cutout.input_symbols {
-        let v = st.symbols.get(s).unwrap_or(1);
-        buf.extend_from_slice(&v.to_le_bytes());
+        buf.extend(st.symbols.get(s).unwrap_or(1).to_le_bytes());
     }
-    for name in &cutout.input_config {
-        if let Some(arr) = st.array(name) {
-            for i in 0..arr.len() {
-                match arr.get(i) {
-                    fuzzyflow_ir::Scalar::F64(v) => {
-                        buf.extend_from_slice(&v.to_bits().to_le_bytes())
-                    }
-                    fuzzyflow_ir::Scalar::F32(v) => {
-                        buf.extend_from_slice(&v.to_bits().to_le_bytes())
-                    }
-                    fuzzyflow_ir::Scalar::I64(v) => buf.extend_from_slice(&v.to_le_bytes()),
-                    fuzzyflow_ir::Scalar::I32(v) => buf.extend_from_slice(&v.to_le_bytes()),
-                    fuzzyflow_ir::Scalar::Bool(v) => buf.push(v as u8),
-                }
+    for arr in cutout.input_config.iter().filter_map(|name| st.array(name)) {
+        for i in 0..arr.len() {
+            match arr.get(i) {
+                Scalar::F64(v) => buf.extend(v.to_bits().to_le_bytes()),
+                Scalar::F32(v) => buf.extend(v.to_bits().to_le_bytes()),
+                Scalar::I64(v) => buf.extend(v.to_le_bytes()),
+                Scalar::I32(v) => buf.extend(v.to_le_bytes()),
+                Scalar::Bool(v) => buf.push(v as u8),
             }
         }
     }
@@ -99,23 +90,18 @@ fn encode(cutout: &Cutout, st: &ExecState) -> Vec<u8> {
 /// Decodes a (possibly mutated) byte buffer into an input state. Symbol
 /// bytes decode first and determine container shapes; size-like values are
 /// clamped into `[1, size_max]` the way an AFL harness would sanitize
-/// header fields. Missing bytes read as zero.
+/// header fields, and non-finite floats into `[0, 1000)` so comparisons
+/// are not trivially poisoned. Every element but a `Bool` (one byte) reads
+/// eight; missing bytes read as zero.
 fn decode(cutout: &Cutout, buf: &[u8], size_max: i64) -> Option<ExecState> {
+    let mut bytes = buf.iter().chain(std::iter::repeat(&0));
+    let mut word =
+        |n: usize| (0..n).fold(0u64, |w, k| w | (*bytes.next().unwrap() as u64) << (8 * k));
     let mut st = ExecState::new();
-    let mut pos = 0usize;
-    let take8 = |buf: &[u8], pos: &mut usize| -> i64 {
-        let mut b = [0u8; 8];
-        for (i, slot) in b.iter_mut().enumerate() {
-            *slot = buf.get(*pos + i).copied().unwrap_or(0);
-        }
-        *pos += 8;
-        i64::from_le_bytes(b)
-    };
     for s in &cutout.input_symbols {
-        let raw = take8(buf, &mut pos);
-        // Clamp into [1, size_max], inverse of `encode` for in-range
-        // values so unmutated seeds replay exactly.
-        let v = (raw.wrapping_sub(1)).rem_euclid(size_max) + 1;
+        // The inverse of `encode` for in-range values, so unmutated seeds
+        // replay exactly.
+        let v = (word(8) as i64).wrapping_sub(1).rem_euclid(size_max) + 1;
         st.symbols.set(s.clone(), v);
     }
     for name in &cutout.input_config {
@@ -126,41 +112,30 @@ fn decode(cutout: &Cutout, buf: &[u8], size_max: i64) -> Option<ExecState> {
         }
         let mut arr = ArrayValue::zeros(desc.dtype, shape);
         for i in 0..arr.len() {
-            match desc.dtype {
-                fuzzyflow_ir::DType::F64 => {
-                    let bits = take8(buf, &mut pos) as u64;
+            let v = match desc.dtype {
+                DType::Bool => Scalar::Bool(word(1) & 1 == 1),
+                DType::I64 => Scalar::I64(word(8) as i64),
+                DType::I32 => Scalar::I32(word(8) as i32),
+                DType::F64 => {
+                    let bits = word(8);
                     let v = f64::from_bits(bits);
-                    // Sanitize NaN/inf like a fuzzing harness would, to
-                    // avoid trivially poisoned comparisons.
-                    let v = if v.is_finite() {
+                    Scalar::F64(if v.is_finite() {
                         v
                     } else {
                         (bits % 1000) as f64
-                    };
-                    arr.set(i, fuzzyflow_ir::Scalar::F64(v));
+                    })
                 }
-                fuzzyflow_ir::DType::F32 => {
-                    let bits = take8(buf, &mut pos) as u64 as u32;
+                DType::F32 => {
+                    let bits = word(8) as u32;
                     let v = f32::from_bits(bits);
-                    let v = if v.is_finite() {
+                    Scalar::F32(if v.is_finite() {
                         v
                     } else {
                         (bits % 1000) as f32
-                    };
-                    arr.set(i, fuzzyflow_ir::Scalar::F32(v));
+                    })
                 }
-                fuzzyflow_ir::DType::I64 => {
-                    arr.set(i, fuzzyflow_ir::Scalar::I64(take8(buf, &mut pos)));
-                }
-                fuzzyflow_ir::DType::I32 => {
-                    arr.set(i, fuzzyflow_ir::Scalar::I32(take8(buf, &mut pos) as i32));
-                }
-                fuzzyflow_ir::DType::Bool => {
-                    let b = buf.get(pos).copied().unwrap_or(0);
-                    pos += 1;
-                    arr.set(i, fuzzyflow_ir::Scalar::Bool(b & 1 == 1));
-                }
-            }
+            };
+            arr.set(i, v);
         }
         st.arrays.insert(name.clone(), arr);
     }
@@ -237,159 +212,98 @@ impl CoverageFuzzer {
             };
         }
 
-        // Compile both sides once; the campaign loop only executes.
-        let orig_prog = Program::compile(&cutout.sdfg);
-        let trans_prog = Program::compile(transformed);
-        self.campaign(
-            cutout,
-            seed_bindings,
-            &mut orig_prog.executor(),
-            &mut trans_prog.executor(),
-        )
-    }
-
-    /// The campaign loop of [`CoverageFuzzer::run`], over a prepared
-    /// executor pair.
-    fn campaign(
-        &self,
-        cutout: &Cutout,
-        seed_bindings: &Bindings,
-        orig_exec: &mut Executor<'_>,
-        trans_exec: &mut Executor<'_>,
-    ) -> CoverageReport {
-        let mut rng = Xoshiro256::seed_from(self.seed);
-        let opts = ExecOptions {
-            max_steps: self.max_steps,
-            ..ExecOptions::default()
-        };
-
         // Seed input: shipped sizes, deterministic pseudo-random payload.
-        let seed_state = {
-            let mut st = ExecState::new();
-            for s in &cutout.input_symbols {
-                let v = seed_bindings.get(s).unwrap_or(1);
-                st.symbols.set(s.clone(), v);
-            }
-            for name in &cutout.input_config {
-                if let Some(desc) = cutout.sdfg.array(name) {
-                    if let Ok(shape) =
-                        desc.concrete_shape(&st.symbols)
-                            .map_err(|_| ())
-                            .and_then(|s| {
-                                if s.iter().all(|&d| d >= 0) {
-                                    Ok(s)
-                                } else {
-                                    Err(())
-                                }
-                            })
-                    {
-                        let mut arr = ArrayValue::zeros(desc.dtype, shape);
-                        for i in 0..arr.len() {
-                            arr.set(
-                                i,
-                                fuzzyflow_ir::Scalar::F64(rng.range_f64(-10.0, 10.0))
-                                    .cast(desc.dtype),
-                            );
-                        }
-                        st.arrays.insert(name.clone(), arr);
-                    }
-                }
-            }
-            st
+        let mut rng = Xoshiro256::seed_from(self.seed);
+        let seed = seed_input(cutout, |_, s| seed_bindings.get(s).unwrap_or(1), &mut rng);
+        let mut source = Bytes {
+            cutout,
+            size_max: self.size_max,
+            rng,
+            corpus: vec![encode(cutout, &seed)],
+            buf: Vec::new(),
+            tally: CoverageTally::default(),
         };
-        let mut corpus: Vec<Vec<u8>> = vec![encode(cutout, &seed_state)];
-        let mut virgin_store = vec![0u8; MAP_SIZE];
-        let virgin: &mut [u8; MAP_SIZE] =
-            (&mut virgin_store[..]).try_into().expect("MAP_SIZE slice");
-        let mut edges_seen = 0usize;
-        let mut hits = vec![0u64; MAP_SIZE];
-
-        // AFL-style deterministic stage: single-bit flips walking the seed
-        // buffer from the front (this is how AFL++ quickly perturbs header
-        // fields such as sizes before switching to havoc mutations).
-        let det_flips = corpus[0].len().saturating_mul(8);
-
-        for trial in 1..=self.max_trials {
-            // Pick and mutate (the very first trial runs the seed as-is).
-            let mut buf;
-            if trial == 1 {
-                buf = corpus[0].clone();
-            } else if trial - 2 < det_flips {
-                let bit = trial - 2;
-                buf = corpus[0].clone();
-                buf[bit / 8] ^= 1 << (bit % 8);
-            } else {
-                buf = corpus[rng.index(corpus.len())].clone();
-                mutate(&mut buf, &mut rng);
-            }
-            let Some(sample) = decode(cutout, &buf, self.size_max) else {
-                continue;
-            };
-
-            // Original run, instrumented.
-            let mut cov = CoverageMap::new();
-            let orig_result = orig_exec.execute(&sample, &opts, None, Some(&mut cov));
-            for (edge, count) in cov.hits() {
-                hits[edge] += count as u64;
-            }
-            if orig_result.is_err() {
-                // Uninteresting crash (both sides fail) — but still feed
-                // coverage so the fuzzer learns path-triggering inputs.
-                if cov.merge_into(virgin) {
-                    corpus.push(buf);
-                }
-                continue;
-            }
-
-            // Transformed run on the same input, through the shared
-            // differential oracle.
-            let outcome = judge(
-                cutout,
-                &sample,
-                &opts,
-                self.tolerance,
-                orig_exec,
-                trans_exec,
-            );
-            if let Some(verdict) = outcome.fault_verdict(&cutout.sdfg.name, trial, &sample) {
-                return CoverageReport {
-                    verdict,
-                    trials_run: trial,
-                    trials_to_detection: Some(trial),
-                    corpus_size: corpus.len(),
-                    edges_seen,
-                    edge_hits: compress_hits(&hits),
-                };
-            }
-
-            // Coverage feedback.
-            if cov.merge_into(virgin) {
-                corpus.push(buf);
-                edges_seen = virgin.iter().filter(|&&b| b != 0).count();
-            }
-        }
-
+        let tester = DiffTester {
+            trials: self.max_trials,
+            tolerance: self.tolerance,
+            max_steps: self.max_steps,
+            ..DiffTester::default()
+        };
+        let (orig, trans) = (
+            Program::compile(&cutout.sdfg),
+            Program::compile(transformed),
+        );
+        let trials = Trials::new(&tester, cutout, 1);
+        let run = trials.run(&mut source, &mut orig.executor(), &mut trans.executor());
+        let report = run.report(&cutout.sdfg.name);
         CoverageReport {
-            verdict: Verdict::Equivalent {
-                trials: self.max_trials,
-            },
-            trials_run: self.max_trials,
-            trials_to_detection: None,
-            corpus_size: corpus.len(),
-            edges_seen,
-            edge_hits: compress_hits(&hits),
+            verdict: report.verdict,
+            trials_run: report.trials_run,
+            trials_to_detection: report.trials_to_detection,
+            corpus_size: source.corpus.len(),
+            edges_seen: source.tally.edges_seen(),
+            edge_hits: source.tally.edge_hits(),
         }
     }
 }
 
-/// Compresses a dense per-edge hit-count table into the nonzero
-/// `(edge id, total hits)` pairs, in edge-id order.
-fn compress_hits(hits: &[u64]) -> Vec<(u32, u64)> {
-    hits.iter()
-        .enumerate()
-        .filter(|(_, &h)| h > 0)
-        .map(|(i, &h)| (i as u32, h))
-        .collect()
+/// The campaign as an input source: trial 1 decodes the seed buffer, the
+/// next `8 × len` trials each flip one of its bits, front to back (how
+/// AFL++ perturbs header fields such as sizes before its havoc stage),
+/// and later trials havoc-mutate a random corpus buffer. A buffer whose
+/// original run reaches new coverage joins the corpus unless it faulted,
+/// which ends the campaign.
+struct Bytes<'a> {
+    cutout: &'a Cutout,
+    size_max: i64,
+    rng: Xoshiro256,
+    /// Buffers kept for new coverage; the seed's first.
+    corpus: Vec<Vec<u8>>,
+    /// The buffer of the current draw.
+    buf: Vec<u8>,
+    tally: CoverageTally,
+}
+
+impl InputSource for Bytes<'_> {
+    fn next(&mut self, trial: usize, state: &mut ExecState) -> Draw {
+        let seed = &self.corpus[0];
+        match trial.checked_sub(2) {
+            None => self.buf.clone_from(seed),
+            Some(bit) if bit < seed.len().saturating_mul(8) => {
+                self.buf.clone_from(seed);
+                self.buf[bit / 8] ^= 1 << (bit % 8);
+            }
+            Some(_) => {
+                self.buf
+                    .clone_from(&self.corpus[self.rng.index(self.corpus.len())]);
+                mutate(&mut self.buf, &mut self.rng);
+            }
+        }
+        match decode(self.cutout, &self.buf, self.size_max) {
+            Some(decoded) => {
+                *state = decoded;
+                Draw::Input
+            }
+            None => Draw::Skip,
+        }
+    }
+
+    fn observe(
+        &mut self,
+        _: usize,
+        _: &ExecState,
+        outcome: &CaseOutcome,
+        cov: Option<&CoverageMap>,
+    ) {
+        let cov = cov.expect("the byte-level source takes feedback");
+        if self.tally.record(cov) && !outcome.is_fault() {
+            self.corpus.push(self.buf.clone());
+        }
+    }
+
+    fn feedback(&self) -> bool {
+        true
+    }
 }
 
 #[cfg(test)]

@@ -57,6 +57,37 @@ fn sample_scalar(dtype: DType, rng: &mut Xoshiro256, profile: &ValueProfile) -> 
     }
 }
 
+/// The seed input of a feedback source: each input symbol bound to
+/// `value(symbols bound so far, symbol)`, then each input container shaped
+/// by those bindings and filled from `rng` with values in `[-10, 10)`.
+/// Containers whose shape does not evaluate, or is negative, stay out.
+pub fn seed_input(
+    cutout: &Cutout,
+    mut value: impl FnMut(&Bindings, &str) -> i64,
+    rng: &mut Xoshiro256,
+) -> ExecState {
+    let mut st = ExecState::new();
+    for s in &cutout.input_symbols {
+        let v = value(&st.symbols, s);
+        st.symbols.set(s.clone(), v);
+    }
+    for name in &cutout.input_config {
+        let Some(desc) = cutout.sdfg.array(name) else {
+            continue;
+        };
+        let shape = desc.concrete_shape(&st.symbols).ok();
+        let Some(shape) = shape.filter(|s| s.iter().all(|&d| d >= 0)) else {
+            continue;
+        };
+        let mut arr = ArrayValue::zeros(desc.dtype, shape);
+        for i in 0..arr.len() {
+            arr.set(i, Scalar::F64(rng.range_f64(-10.0, 10.0)).cast(desc.dtype));
+        }
+        st.arrays.insert(name.clone(), arr);
+    }
+    st
+}
+
 /// Samples one complete input configuration for a cutout: symbol values
 /// honoring the constraint roles, then array contents for every
 /// input-configuration container.
@@ -224,16 +255,6 @@ fn sample_array(
         }
     }
     true
-}
-
-/// Samples symbol bindings only (used for concretizing min-cut capacities).
-pub fn sample_bindings(
-    cutout: &Cutout,
-    constraints: &Constraints,
-    profile: &ValueProfile,
-    rng: &mut Xoshiro256,
-) -> Option<Bindings> {
-    sample_state(cutout, constraints, profile, rng).map(|s| s.symbols)
 }
 
 #[cfg(test)]

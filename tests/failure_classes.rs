@@ -328,3 +328,77 @@ fn all_fuzzing_loops_agree_on_symbol_state_and_crash_faults() {
         check("coverage fuzzer", covered.label(), &case_of(&covered));
     }
 }
+
+/// Both sources that keep coverage — evo's corpus and the byte-level
+/// baseline — count each edge they hit once: `edges_seen` equals the
+/// number of edges with hits when the campaign ends at a fault, and when
+/// the original cutout rejects the seed input and every draw after it.
+/// (The gray-box random source runs uninstrumented and keeps none.)
+#[test]
+fn coverage_sources_count_every_edge_they_hit() {
+    use fuzzyflow::evo::EvolutionFuzzer;
+    use fuzzyflow_fuzz::derive_constraints;
+    use fuzzyflow_transforms::ChangeSet;
+
+    // `off = 1` stores one element past the end of `B` on every input.
+    let [(sound_program, region), (oob_program, _)] = [0, 1].map(|off| copy_then_assign(off, 0));
+    let ctx = SideEffectContext::with_size_symbols(&sound_program.free_symbols(), 16);
+    let cut = |p: &fuzzyflow::ir::Sdfg| {
+        extract_cutout(p, &ChangeSet::of_states(region.clone()), &ctx).unwrap()
+    };
+    let (sound, oob) = (cut(&sound_program), cut(&oob_program));
+    let seed = Bindings::from_pairs([("N", 4)]);
+    let pairs = [
+        (&sound, &sound_program, &oob, "faulting transformed cutout"),
+        (&oob, &oob_program, &sound, "original rejects every input"),
+    ];
+    for (original, program, transformed, case) in pairs {
+        let bytes = CoverageFuzzer {
+            max_trials: 50,
+            ..Default::default()
+        }
+        .run(original, &transformed.sdfg, &seed);
+        assert!(
+            bytes.edges_seen > 0,
+            "{case}: the byte-level runs hit no edge"
+        );
+        assert_eq!(
+            bytes.edges_seen,
+            bytes.edge_hits.len(),
+            "{case}: byte-level"
+        );
+
+        let constraints = derive_constraints(original, program);
+        let (orig, trans) = (
+            Program::compile(&original.sdfg),
+            Program::compile(&transformed.sdfg),
+        );
+        let evolved = EvolutionFuzzer {
+            trials: 50,
+            ..Default::default()
+        }
+        .evolve(
+            original,
+            &orig,
+            &trans,
+            &constraints,
+            &seed,
+            None,
+            &mut |_| {},
+        );
+        assert!(evolved.edges_seen > 0, "{case}: evolution hit no edge");
+        assert_eq!(
+            evolved.edges_seen,
+            evolved.edge_hits.len(),
+            "{case}: evolution"
+        );
+        let rejected = std::ptr::eq(original, &oob);
+        assert_eq!(evolved.seed_rejected, rejected, "{case}");
+        assert_eq!(
+            bytes.verdict.is_fault(),
+            !rejected,
+            "{case}: {:?}",
+            bytes.verdict
+        );
+    }
+}
