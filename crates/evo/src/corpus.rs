@@ -28,7 +28,7 @@ impl CorpusEntry {
     /// Summed rarity of the entry's edges under `tally`'s hit totals.
     /// Deterministic integer arithmetic — scheduling is byte-reproducible
     /// across platforms.
-    pub fn energy(&self, tally: &CoverageTally) -> u64 {
+    pub(crate) fn energy(&self, tally: &CoverageTally) -> u64 {
         let rarity = |&edge: &u32| 1 + SCALE / tally.hits(edge as usize).max(1);
         self.edges.iter().map(rarity).sum::<u64>().max(1)
     }
@@ -36,7 +36,11 @@ impl CorpusEntry {
 
 /// Draws an entry index weighted by [`CorpusEntry::energy`]: entries on
 /// rare edges are favored, and cool down as their edges' totals grow.
-pub fn select(entries: &[CorpusEntry], tally: &CoverageTally, rng: &mut Xoshiro256) -> usize {
+pub(crate) fn select(
+    entries: &[CorpusEntry],
+    tally: &CoverageTally,
+    rng: &mut Xoshiro256,
+) -> usize {
     debug_assert!(!entries.is_empty());
     let weights: Vec<u64> = entries.iter().map(|e| e.energy(tally)).collect();
     let mut r = rng.next_u64() % weights.iter().sum::<u64>().max(1);
@@ -76,7 +80,7 @@ pub struct Corpus<'a> {
 impl<'a> Corpus<'a> {
     /// An empty corpus over `seed`, drawing from `rng`; `events` hears of
     /// novelty and corpus growth as they happen.
-    pub fn new(
+    pub(crate) fn new(
         cutout: &'a Cutout,
         constraints: &'a Constraints,
         mutator: Mutator,

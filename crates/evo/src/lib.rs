@@ -31,7 +31,7 @@ pub mod evolve;
 pub mod mutate;
 pub mod triage;
 
-pub use corpus::{select, Corpus, CorpusEntry};
+pub use corpus::{Corpus, CorpusEntry};
 pub use evolve::{EvoEvent, EvoFault, EvoOutcome, EvolutionFuzzer, EvolveConfig};
 pub use fuzzyflow_fuzz::rng_split;
 pub use mutate::{scalar_bits, scalar_from_bits, symbol_bounds, MutOp, Mutator};
@@ -40,6 +40,7 @@ pub use triage::{bisect, materialize, triage, FaultBucket};
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::corpus::select;
     use fuzzyflow_cutout::{extract_cutout, Cutout, SideEffectContext};
     use fuzzyflow_fuzz::{derive_constraints, CaseOutcome, Constraints, InputSource, Xoshiro256};
     use fuzzyflow_interp::Program;

@@ -94,9 +94,9 @@ fn encode(cutout: &Cutout, st: &ExecState) -> Vec<u8> {
 /// are not trivially poisoned. Every element but a `Bool` (one byte) reads
 /// eight; missing bytes read as zero.
 fn decode(cutout: &Cutout, buf: &[u8], size_max: i64) -> Option<ExecState> {
-    let mut bytes = buf.iter().chain(std::iter::repeat(&0));
-    let mut word =
-        |n: usize| (0..n).fold(0u64, |w, k| w | (*bytes.next().unwrap() as u64) << (8 * k));
+    let mut bytes = buf.iter();
+    let mut byte = || bytes.next().map_or(0, |&b| b as u64);
+    let mut word = |n: usize| (0..n).fold(0, |w, k| w | (byte() << (8 * k)));
     let mut st = ExecState::new();
     for s in &cutout.input_symbols {
         // The inverse of `encode` for in-range values, so unmutated seeds
