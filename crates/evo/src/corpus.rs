@@ -139,7 +139,7 @@ impl InputSource for Corpus<'_> {
     fn observe(
         &mut self,
         trial: usize,
-        state: &ExecState,
+        state: &mut ExecState,
         outcome: &CaseOutcome,
         cov: Option<&CoverageMap>,
     ) {
@@ -157,7 +157,7 @@ impl InputSource for Corpus<'_> {
         } else if novel {
             let lineage = std::mem::take(&mut self.lineage);
             let edges = cov.hits().map(|(e, _)| e as u32).collect();
-            let state = state.clone();
+            let state = std::mem::take(state);
             self.entries.push(CorpusEntry {
                 state,
                 lineage,

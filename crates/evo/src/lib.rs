@@ -275,9 +275,9 @@ mod tests {
         cov_b.record(4);
         // A's edges get hammered; B's stay rare. The first passing run of
         // each path joins the corpus.
-        let input = fuzzyflow_interp::ExecState::new();
+        let mut input = fuzzyflow_interp::ExecState::new();
         for cov in std::iter::repeat_n(&cov_a, 50).chain([&cov_b]) {
-            corpus.observe(2, &input, &CaseOutcome::Pass, Some(cov));
+            corpus.observe(2, &mut input, &CaseOutcome::Pass, Some(cov));
         }
         assert_eq!(corpus.entries.len(), 2);
         let energy = |i: usize| corpus.entries[i].energy(&corpus.tally);

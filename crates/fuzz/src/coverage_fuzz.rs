@@ -291,13 +291,13 @@ impl InputSource for Bytes<'_> {
     fn observe(
         &mut self,
         _: usize,
-        _: &ExecState,
+        _: &mut ExecState,
         outcome: &CaseOutcome,
         cov: Option<&CoverageMap>,
     ) {
         let cov = cov.expect("the byte-level source takes feedback");
         if self.tally.record(cov) && !outcome.is_fault() {
-            self.corpus.push(self.buf.clone());
+            self.corpus.push(std::mem::take(&mut self.buf));
         }
     }
 

@@ -51,12 +51,13 @@ impl ArenaStash {
             .unwrap_or_else(|| (ExecutorArena::new(), ExecutorArena::new()))
     }
 
-    /// Parks an arena pair back into the stash, bounded by the same
-    /// process-wide capacity knob as the program cache: a surplus pair
-    /// (a wide one-off batch, a lowered knob) is dropped, not parked
-    /// forever.
+    /// Parks an arena pair back into the stash (bounded by the
+    /// process-wide cache-capacity knob; surplus pairs are dropped).
     pub fn put(&self, pair: (ExecutorArena, ExecutorArena)) {
         let mut pairs = self.pairs.lock().expect("arena stash poisoned");
+        // Bounded by the same process-wide capacity knob as the
+        // program cache: a surplus pair (wide one-off batch, lowered
+        // knob) is dropped rather than parked forever.
         if pairs.len() < fuzzyflow_interp::cache_capacity() {
             pairs.push(pair);
         }

@@ -40,8 +40,10 @@ pub trait InputSource {
     fn next(&mut self, trial: usize, state: &mut ExecState) -> Draw;
 
     /// Sees every executed draw, rejected ones too, with the original
-    /// run's coverage when the source takes [`InputSource::feedback`].
-    fn observe(&mut self, _: usize, _: &ExecState, _: &CaseOutcome, _: Option<&CoverageMap>) {}
+    /// run's coverage when the source takes [`InputSource::feedback`]. The
+    /// source may keep the input (`std::mem::take`), unless it faulted:
+    /// every input is drawn afresh.
+    fn observe(&mut self, _: usize, _: &mut ExecState, _: &CaseOutcome, _: Option<&CoverageMap>) {}
 
     /// Draws depend on earlier outcomes: the trials run in order
     /// ([`Trials::run`]), each original run instrumented.
@@ -157,8 +159,9 @@ impl<'a> Trials<'a> {
 
     /// Trial `trial`: draws into `state` until an input runs or the
     /// source skips or stops, and [`Trials::step`]s it; returns its
-    /// resamples and how it ended. Allocates nothing on a passing trial
-    /// once `state` and the executors have their shapes.
+    /// resamples and how it ended; a fault takes the input out of `state`.
+    /// Allocates nothing on a passing trial once `state` and the
+    /// executors have their shapes.
     pub fn trial<S: InputSource>(
         &self,
         source: &mut S,
@@ -191,7 +194,7 @@ impl<'a> Trials<'a> {
             let fault = outcome.is_fault().then(|| Fault {
                 trial,
                 outcome,
-                state: state.clone(),
+                state: std::mem::take(state),
             });
             return (resamples, Ok(fault));
         }
@@ -341,18 +344,24 @@ impl InputSource for Random<'_> {
 
 /// A feedback source's coverage over every recorded run: the AFL-style
 /// virgin map of `(edge, hit bucket)` bits and each edge's total hits.
-/// [`CoverageTally::record`] updates both, so `edges_seen` always equals
-/// the number of edges in `edge_hits`.
+/// [`CoverageTally::record`] is the only way in and updates both, and the
+/// count of edges seen with them, so `edges_seen` always equals the
+/// number of edges in `edge_hits`.
 #[derive(Debug)]
 pub struct CoverageTally {
     virgin: Vec<u8>,
     hits: Vec<u64>,
+    edges_seen: usize,
 }
 
 impl Default for CoverageTally {
     fn default() -> Self {
         let (virgin, hits) = (vec![0; MAP_SIZE], vec![0; MAP_SIZE]);
-        CoverageTally { virgin, hits }
+        CoverageTally {
+            virgin,
+            hits,
+            edges_seen: 0,
+        }
     }
 }
 
@@ -362,7 +371,11 @@ impl CoverageTally {
         for (edge, count) in cov.hits() {
             self.hits[edge] += count as u64;
         }
-        cov.merge_into((&mut self.virgin[..]).try_into().expect("MAP_SIZE"))
+        let novel = cov.merge_into((&mut self.virgin[..]).try_into().expect("MAP_SIZE"));
+        if novel {
+            self.edges_seen = self.virgin.iter().filter(|&&b| b != 0).count();
+        }
+        novel
     }
 
     /// Total hits of `edge`.
@@ -372,7 +385,7 @@ impl CoverageTally {
 
     /// Distinct edges hit so far.
     pub fn edges_seen(&self) -> usize {
-        self.virgin.iter().filter(|&&b| b != 0).count()
+        self.edges_seen
     }
 
     /// `(edge id, total hits)` of every edge hit, in edge order.
