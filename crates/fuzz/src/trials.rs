@@ -31,8 +31,8 @@ pub enum Draw {
 
 /// Where the trials' inputs come from.
 pub trait InputSource {
-    /// An input the original cutout rejects is redrawn within its trial,
-    /// as a resample, instead of ending the trial.
+    /// True when an input the original cutout rejects is redrawn within
+    /// its trial, as a resample, instead of ending the trial.
     const RESAMPLES_REJECTED: bool = false;
 
     /// Draws 1-based trial `trial`'s input into `state`; called again for
@@ -40,9 +40,9 @@ pub trait InputSource {
     fn next(&mut self, trial: usize, state: &mut ExecState) -> Draw;
 
     /// Sees every executed draw, rejected ones too, with the original
-    /// run's coverage when the source takes [`InputSource::feedback`]. The
-    /// source may keep the input (`std::mem::take`), unless it faulted:
-    /// every input is drawn afresh.
+    /// run's coverage when the source takes [`InputSource::feedback`].
+    /// `next` draws every input afresh, so the source may take a passing
+    /// input out of `state`; the loop keeps a faulting one.
     fn observe(&mut self, _: usize, _: &mut ExecState, _: &CaseOutcome, _: Option<&CoverageMap>) {}
 
     /// Draws depend on earlier outcomes: the trials run in order
