@@ -90,7 +90,7 @@ use crate::verify::{
 };
 use fuzzyflow_cutout::ProgramAnalysis;
 use fuzzyflow_evo::{EvoEvent, EvolutionFuzzer};
-use fuzzyflow_fuzz::{rng_split, DiffReport};
+use fuzzyflow_fuzz::{rng_split, DiffReport, Verdict};
 use fuzzyflow_ir::{Bindings, Sdfg};
 use fuzzyflow_pool::{resolve_threads, WorkerPool};
 use fuzzyflow_transforms::{Transformation, TransformationMatch};
@@ -632,9 +632,9 @@ impl Session {
     }
 }
 
-/// Runs one prepared instance in evolution mode: the trial loop over
-/// evo's corpus source, with bisection triage, in place of the one-shot
-/// random source. Each instance derives its own evolution seed from the
+/// Runs one prepared instance in evolution mode: a coverage-guided
+/// mutation loop with bisection triage, in place of the one-shot trial
+/// batch. Each instance derives its own evolution seed from the
 /// campaign's evolve+verify seeds and its work-list index, and the loop
 /// itself is sequential and deterministic — so reports stay
 /// byte-identical for every thread count, exactly like the one-shot
@@ -699,7 +699,24 @@ fn run_evolved(
         &mut observe,
     );
 
-    let diff = out.report(&prepared.shared.cutout.sdfg.name);
+    let verdict = match &out.first_fault {
+        _ if out.seed_rejected => Verdict::Inconclusive {
+            reason: "original cutout rejected the seed input".to_string(),
+        },
+        Some(f) => f
+            .outcome
+            .fault_verdict(&prepared.shared.cutout.sdfg.name, f.trial, &f.state)
+            .expect("collected faults are faults"),
+        None => Verdict::Equivalent {
+            trials: out.trials_run,
+        },
+    };
+    let diff = DiffReport {
+        verdict,
+        trials_run: out.trials_run,
+        resamples: 0,
+        trials_to_detection: out.first_fault.as_ref().map(|f| f.trial),
+    };
     let triage = TriageReport {
         faults_found: out.faults_found,
         buckets: out

@@ -1,13 +1,18 @@
-//! The evolving corpus: evolution's input source of the one trial loop.
+//! The evolving corpus: retained test cases scheduled by coverage
+//! novelty.
+//!
+//! Inputs that discover a new `(edge, bucket)` pair in the AFL-style
+//! virgin map are *admitted*; each entry remembers its full mutation
+//! lineage (for triage bisection) and the set of edges its execution
+//! touched. Scheduling is energy-weighted: an entry's energy is the sum
+//! of rarity scores of its edges under the *global* per-edge hit totals,
+//! so entries exercising paths the campaign rarely sees are mutated
+//! more often — sfuzz-style rare-edge seed scheduling.
 
-use crate::evolve::EvoEvent;
-use crate::mutate::{MutOp, Mutator};
-use fuzzyflow_cutout::Cutout;
-use fuzzyflow_fuzz::{CaseOutcome, Constraints, CoverageTally, Draw, InputSource, Xoshiro256};
+use crate::mutate::MutOp;
+use fuzzyflow_fuzz::Xoshiro256;
+use fuzzyflow_interp::coverage::MAP_SIZE;
 use fuzzyflow_interp::{CoverageMap, ExecState};
-
-/// The campaign-ending reason of a seed the original cutout rejects.
-pub(crate) const SEED_REJECTED: &str = "original cutout rejected the seed input";
 
 /// One retained corpus member.
 #[derive(Clone, Debug)]
@@ -20,155 +25,121 @@ pub struct CorpusEntry {
     pub edges: Vec<u32>,
 }
 
+/// The corpus plus the campaign-global coverage bookkeeping.
+#[derive(Debug)]
+pub struct Corpus {
+    entries: Vec<CorpusEntry>,
+    /// AFL virgin map: discovered `(edge, bucket)` bits.
+    virgin: Vec<u8>,
+    /// Cumulative per-edge hit totals over every instrumented run.
+    hits: Vec<u64>,
+    edges_seen: usize,
+}
+
 /// Rarity scale: an edge the campaign has hit only once contributes
 /// `1 + SCALE`, a saturated edge contributes ~1.
 const SCALE: u64 = 1024;
 
-impl CorpusEntry {
-    /// Summed rarity of the entry's edges under `tally`'s hit totals.
-    /// Deterministic integer arithmetic — scheduling is byte-reproducible
-    /// across platforms.
-    pub(crate) fn energy(&self, tally: &CoverageTally) -> u64 {
-        let rarity = |&edge: &u32| 1 + SCALE / tally.hits(edge as usize).max(1);
-        self.edges.iter().map(rarity).sum::<u64>().max(1)
+impl Default for Corpus {
+    fn default() -> Self {
+        Self::new()
     }
 }
 
-/// Draws an entry index weighted by [`CorpusEntry::energy`]: entries on
-/// rare edges are favored, and cool down as their edges' totals grow.
-pub(crate) fn select(
-    entries: &[CorpusEntry],
-    tally: &CoverageTally,
-    rng: &mut Xoshiro256,
-) -> usize {
-    debug_assert!(!entries.is_empty());
-    let weights: Vec<u64> = entries.iter().map(|e| e.energy(tally)).collect();
-    let mut r = rng.next_u64() % weights.iter().sum::<u64>().max(1);
-    for (i, w) in weights.iter().enumerate() {
-        if r < *w {
-            return i;
-        }
-        r -= w;
-    }
-    entries.len() - 1
-}
-
-/// The evolving corpus as an input source. Trial 1 runs the seed input
-/// as-is; later trials mutate an entry drawn by novelty energy
-/// (sfuzz-style rare-edge scheduling), with another random entry as the
-/// splice donor, or the seed itself while the corpus is empty. Every
-/// executed draw feeds the coverage tally, and a passing draw that
-/// discovers a new `(edge, bucket)` pair joins the corpus with its
-/// mutation lineage (the input of triage bisection). A seed the original
-/// rejects ends the campaign.
-pub struct Corpus<'a> {
-    cutout: &'a Cutout,
-    constraints: &'a Constraints,
-    mutator: Mutator,
-    rng: Xoshiro256,
-    pub(crate) seed: ExecState,
-    pub(crate) entries: Vec<CorpusEntry>,
-    pub(crate) tally: CoverageTally,
-    /// Mutation ops from the seed to the current draw.
-    lineage: Vec<MutOp>,
-    /// The lineage of each fault, in trial order.
-    pub(crate) fault_lineages: Vec<Vec<MutOp>>,
-    pub(crate) seed_rejected: bool,
-    pub(crate) events: &'a mut dyn FnMut(&EvoEvent),
-}
-
-impl<'a> Corpus<'a> {
-    /// An empty corpus over `seed`, drawing from `rng`; `events` hears of
-    /// novelty and corpus growth as they happen.
-    pub(crate) fn new(
-        cutout: &'a Cutout,
-        constraints: &'a Constraints,
-        mutator: Mutator,
-        rng: Xoshiro256,
-        seed: ExecState,
-        events: &'a mut dyn FnMut(&EvoEvent),
-    ) -> Self {
-        let (entries, tally, lineage) = (Vec::new(), CoverageTally::default(), Vec::new());
-        let (fault_lineages, seed_rejected) = (Vec::new(), false);
+impl Corpus {
+    /// An empty corpus.
+    pub fn new() -> Self {
         Corpus {
-            cutout,
-            constraints,
-            mutator,
-            rng,
-            seed,
-            entries,
-            tally,
-            lineage,
-            fault_lineages,
-            seed_rejected,
-            events,
+            entries: Vec::new(),
+            virgin: vec![0u8; MAP_SIZE],
+            hits: vec![0u64; MAP_SIZE],
+            edges_seen: 0,
         }
     }
-}
 
-impl InputSource for Corpus<'_> {
-    fn next(&mut self, trial: usize, state: &mut ExecState) -> Draw {
-        if self.seed_rejected {
-            return Draw::Stop(SEED_REJECTED.to_string());
-        }
-        self.lineage.clear();
-        if trial == 1 {
-            state.clone_from(&self.seed);
-            return Draw::Input;
-        }
-        let (base, donor) = match self.entries.is_empty() {
-            true => (&self.seed, None),
-            false => {
-                let pick = select(&self.entries, &self.tally, &mut self.rng);
-                let donor = self.rng.index(self.entries.len());
-                self.lineage.clone_from(&self.entries[pick].lineage);
-                let donor = (donor != pick).then(|| &self.entries[donor].state);
-                (&self.entries[pick].state, donor)
-            }
-        };
-        let (cutout, constraints) = (self.cutout, self.constraints);
-        let op = self
-            .mutator
-            .generate(&mut self.rng, cutout, constraints, base, donor);
-        state.clone_from(base);
-        op.apply(cutout, state);
-        self.lineage.push(op);
-        Draw::Input
+    /// Number of retained entries.
+    pub fn len(&self) -> usize {
+        self.entries.len()
     }
 
-    fn observe(
-        &mut self,
-        trial: usize,
-        state: &mut ExecState,
-        outcome: &CaseOutcome,
-        cov: Option<&CoverageMap>,
-    ) {
-        let cov = cov.expect("the corpus takes feedback");
-        let novel = self.tally.record(cov);
+    /// True before any entry is admitted.
+    pub fn is_empty(&self) -> bool {
+        self.entries.is_empty()
+    }
+
+    /// The retained entries, in admission order.
+    pub fn entries(&self) -> &[CorpusEntry] {
+        &self.entries
+    }
+
+    /// Distinct virgin-map bytes touched so far.
+    pub fn edges_seen(&self) -> usize {
+        self.edges_seen
+    }
+
+    /// Nonzero cumulative per-edge hit totals, in edge-id order.
+    pub fn edge_hits(&self) -> Vec<(u32, u64)> {
+        self.hits
+            .iter()
+            .enumerate()
+            .filter(|(_, &h)| h > 0)
+            .map(|(i, &h)| (i as u32, h))
+            .collect()
+    }
+
+    /// Folds one instrumented execution into the global bookkeeping:
+    /// accumulates per-edge hit totals and merges the virgin map.
+    /// Returns `true` when the execution discovered new coverage (the
+    /// admission signal).
+    pub fn record_execution(&mut self, cov: &CoverageMap) -> bool {
+        for (edge, count) in cov.hits() {
+            self.hits[edge] += count as u64;
+        }
+        let virgin: &mut [u8; MAP_SIZE] = (&mut self.virgin[..]).try_into().expect("MAP_SIZE");
+        let novel = cov.merge_into(virgin);
         if novel {
-            let edges_seen = self.tally.edges_seen();
-            (self.events)(&EvoEvent::Novelty { trial, edges_seen });
+            self.edges_seen = self.virgin.iter().filter(|&&b| b != 0).count();
         }
-        if let CaseOutcome::OriginalFailed(_) = outcome {
-            // Uninteresting (both sides would fail), unless it is the seed.
-            self.seed_rejected |= trial == 1;
-        } else if outcome.is_fault() {
-            self.fault_lineages.push(std::mem::take(&mut self.lineage));
-        } else if novel {
-            let lineage = std::mem::take(&mut self.lineage);
-            let edges = cov.hits().map(|(e, _)| e as u32).collect();
-            let state = std::mem::take(state);
-            self.entries.push(CorpusEntry {
-                state,
-                lineage,
-                edges,
-            });
-            let corpus_size = self.entries.len();
-            (self.events)(&EvoEvent::CorpusGrowth { trial, corpus_size });
-        }
+        novel
     }
 
-    fn feedback(&self) -> bool {
-        true
+    /// Admits an entry (caller decides — typically: novel coverage, the
+    /// original cutout accepted the input, and the pair did not fault).
+    pub fn admit(&mut self, state: ExecState, lineage: Vec<MutOp>, cov: &CoverageMap) {
+        let edges = cov.hits().map(|(e, _)| e as u32).collect();
+        self.entries.push(CorpusEntry {
+            state,
+            lineage,
+            edges,
+        });
+    }
+
+    /// Energy of entry `i`: summed rarity of its edges under the global
+    /// hit totals. Deterministic integer arithmetic — scheduling is
+    /// byte-reproducible across platforms.
+    pub fn energy(&self, i: usize) -> u64 {
+        let e: u64 = self.entries[i]
+            .edges
+            .iter()
+            .map(|&edge| 1 + SCALE / self.hits[edge as usize].max(1))
+            .sum();
+        e.max(1)
+    }
+
+    /// Draws an entry index, weighted by [`Corpus::energy`]. Entries
+    /// touching rare edges are favored; as an edge's global hit total
+    /// grows, the entries covering it cool down.
+    pub fn select(&self, rng: &mut Xoshiro256) -> usize {
+        debug_assert!(!self.entries.is_empty());
+        let weights: Vec<u64> = (0..self.entries.len()).map(|i| self.energy(i)).collect();
+        let total: u64 = weights.iter().sum();
+        let mut r = rng.next_u64() % total.max(1);
+        for (i, w) in weights.iter().enumerate() {
+            if r < *w {
+                return i;
+            }
+            r -= w;
+        }
+        self.entries.len() - 1
     }
 }

@@ -1,16 +1,12 @@
-//! The evolutionary campaign over one prepared instance: the one trial
-//! loop over a [`Corpus`], then triage.
+//! The evolutionary campaign loop over one prepared instance.
 
-use crate::corpus::{Corpus, SEED_REJECTED};
+use crate::corpus::Corpus;
 use crate::mutate::{symbol_bounds, MutOp, Mutator};
 use crate::triage::{triage, FaultBucket};
 use fuzzyflow_cutout::Cutout;
 use fuzzyflow_fuzz::sampler::seed_input;
-use fuzzyflow_fuzz::{
-    ArenaStash, CaseOutcome, Constraints, DiffReport, DiffTester, Fault, TrialRun, Trials,
-    Xoshiro256,
-};
-use fuzzyflow_interp::{ExecState, ExecutorArena, Program};
+use fuzzyflow_fuzz::{judge, ArenaStash, CaseOutcome, Constraints, DiffTester, Xoshiro256};
+use fuzzyflow_interp::{CoverageMap, ExecOptions, ExecState, ExecutorArena, Program};
 use fuzzyflow_ir::Bindings;
 
 /// Campaign-facing evolution knobs (the session layer merges these with
@@ -152,25 +148,6 @@ impl Default for EvolutionFuzzer {
     }
 }
 
-impl EvoOutcome {
-    /// The instance report on the cutout named `program`: the earliest
-    /// fault, or inconclusive when the original rejected the seed.
-    pub fn report(&self, program: &str) -> DiffReport {
-        let first = self.first_fault.iter().map(|f| Fault {
-            trial: f.trial,
-            outcome: f.outcome.clone(),
-            state: f.state.clone(),
-        });
-        let run = TrialRun {
-            trials_run: self.trials_run,
-            resamples: 0,
-            faults: first.collect(),
-            stopped: self.seed_rejected.then(|| SEED_REJECTED.to_string()),
-        };
-        run.report(program)
-    }
-}
-
 impl EvolutionFuzzer {
     /// The deterministic seed input: symbols from `seed_bindings`
     /// clamped into their constraint bounds (missing symbols start at
@@ -190,9 +167,7 @@ impl EvolutionFuzzer {
         seed_input(cutout, value, rng)
     }
 
-    /// Runs the evolutionary campaign over a compiled cutout pair: the one
-    /// trial loop ([`Trials::run`]) over a [`Corpus`], then bisection
-    /// triage of the faults it collected.
+    /// Runs the evolutionary campaign over a compiled cutout pair.
     ///
     /// Arenas come from `stash` when given (the session's per-instance
     /// artifact cache) and are parked back on return; triage bisection
@@ -213,52 +188,138 @@ impl EvolutionFuzzer {
         let (oa, ta) = stash
             .and_then(|s| s.take())
             .unwrap_or_else(|| (ExecutorArena::new(), ExecutorArena::new()));
-        let (mut oe, mut te) = (orig_prog.executor_with(oa), trans_prog.executor_with(ta));
+        let mut orig_exec = orig_prog.executor_with(oa);
+        let mut trans_exec = trans_prog.executor_with(ta);
+
         let tester = DiffTester {
-            trials: self.trials,
             tolerance: self.tolerance,
             max_steps: self.max_steps,
             ..DiffTester::default()
         };
-
-        let mut rng = Xoshiro256::seed_from(self.seed);
-        let seed = self.seed_state(cutout, constraints, seed_bindings, &mut rng);
+        let opts = ExecOptions {
+            max_steps: self.max_steps,
+            ..ExecOptions::default()
+        };
         let mutator = Mutator {
             size_max: self.size_max,
         };
-        let mut corpus = Corpus::new(cutout, constraints, mutator, rng, seed, observe);
-        let run = Trials::new(&tester, cutout, self.max_faults).run(&mut corpus, &mut oe, &mut te);
-        let lineages = std::mem::take(&mut corpus.fault_lineages);
-        let faults: Vec<EvoFault> = (run.faults.into_iter().zip(lineages))
-            .map(|(f, lineage)| EvoFault {
-                trial: f.trial,
-                lineage,
-                state: f.state,
-                outcome: f.outcome,
-            })
-            .collect();
+        let mut rng = Xoshiro256::seed_from(self.seed);
+        let seed = self.seed_state(cutout, constraints, seed_bindings, &mut rng);
 
-        let buckets = triage(&tester, cutout, &corpus.seed, &faults, &mut oe, &mut te);
+        let mut corpus = Corpus::new();
+        let mut faults: Vec<EvoFault> = Vec::new();
+        let mut trials_run = 0usize;
+        let mut seed_rejected = false;
+
+        for trial in 1..=self.trials {
+            trials_run = trial;
+            // Trial 1 runs the seed as-is; later trials mutate an
+            // energy-selected corpus member (with an optional donor for
+            // splices).
+            let (state, lineage) = if trial == 1 {
+                (seed.clone(), Vec::new())
+            } else if corpus.is_empty() {
+                // Seed never joined (it faulted): mutate the seed
+                // directly so fault collection can continue.
+                let op = mutator.generate(&mut rng, cutout, constraints, &seed, None);
+                let mut st = seed.clone();
+                op.apply(cutout, &mut st);
+                (st, vec![op])
+            } else {
+                let pick = corpus.select(&mut rng);
+                let donor_idx = rng.index(corpus.len());
+                let parent = &corpus.entries()[pick];
+                let donor = (donor_idx != pick).then(|| &corpus.entries()[donor_idx].state);
+                let op = mutator.generate(&mut rng, cutout, constraints, &parent.state, donor);
+                let mut st = parent.state.clone();
+                op.apply(cutout, &mut st);
+                let mut lineage = parent.lineage.clone();
+                lineage.push(op);
+                (st, lineage)
+            };
+
+            // The shared trial step, with the original run instrumented:
+            // coverage feeds the scheduler even when the input faults or
+            // is rejected. Structured outcomes, for triage.
+            let mut cov = CoverageMap::new();
+            let outcome = judge(
+                cutout,
+                &state,
+                &opts,
+                self.tolerance,
+                &mut orig_exec,
+                &mut trans_exec,
+                Some(&mut cov),
+            );
+            let novel = corpus.record_execution(&cov);
+            if novel {
+                observe(&EvoEvent::Novelty {
+                    trial,
+                    edges_seen: corpus.edges_seen(),
+                });
+            }
+            if let CaseOutcome::OriginalFailed(_) = outcome {
+                if trial == 1 {
+                    seed_rejected = true;
+                    break;
+                }
+                // Uninteresting: both sides would fail.
+                continue;
+            }
+            if outcome.is_fault() {
+                faults.push(EvoFault {
+                    trial,
+                    lineage,
+                    state,
+                    outcome,
+                });
+                if faults.len() >= self.max_faults {
+                    break;
+                }
+                continue;
+            }
+
+            // Passing + novel ⇒ retained for future mutation.
+            if novel {
+                corpus.admit(state, lineage, &cov);
+                observe(&EvoEvent::CorpusGrowth {
+                    trial,
+                    corpus_size: corpus.len(),
+                });
+            }
+        }
+
+        let buckets = triage(
+            &tester,
+            cutout,
+            &seed,
+            &faults,
+            &mut orig_exec,
+            &mut trans_exec,
+        );
         for b in &buckets {
-            (corpus.events)(&EvoEvent::FaultBucket {
+            observe(&EvoEvent::FaultBucket {
                 culprit: b.culprit.clone(),
                 kind: b.kind.clone(),
                 container: b.container.clone(),
                 duplicates: b.duplicates,
             });
         }
+
+        let pair = (orig_exec.into_arena(), trans_exec.into_arena());
         if let Some(stash) = stash {
-            stash.put((oe.into_arena(), te.into_arena()));
+            stash.put(pair);
         }
+
         EvoOutcome {
-            trials_run: run.trials_run,
-            corpus_size: corpus.entries.len(),
-            edges_seen: corpus.tally.edges_seen(),
-            edge_hits: corpus.tally.edge_hits(),
+            trials_run,
+            corpus_size: corpus.len(),
+            edges_seen: corpus.edges_seen(),
+            edge_hits: corpus.edge_hits(),
             faults_found: faults.len(),
             first_fault: faults.into_iter().next(),
             buckets,
-            seed_rejected: corpus.seed_rejected,
+            seed_rejected,
         }
     }
 }

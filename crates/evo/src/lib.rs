@@ -1,19 +1,21 @@
 //! Coverage-guided corpus evolution with bisection-based fault triage.
 //!
-//! Gray-box sampling treats every input independently and stops at the
-//! first fault. This crate turns verification into an evolutionary
-//! campaign on the same trial loop
-//! ([`Trials`](fuzzyflow_fuzz::Trials)), with a [`Corpus`] as its input
-//! source:
+//! The one-shot samplers ([`DiffTester`](fuzzyflow_fuzz::DiffTester)'s
+//! gray-box trials, [`CoverageFuzzer`](fuzzyflow_fuzz::CoverageFuzzer)'s
+//! AFL-style loop) treat every input independently and stop at the first
+//! fault. This crate turns verification into a real evolutionary
+//! campaign:
 //!
-//! * the corpus retains inputs that discover new coverage and schedules
-//!   them by *novelty energy* — entries touching edges the campaign
-//!   rarely hits are mutated more often (sfuzz-style rare-edge seed
-//!   scheduling over the interpreter's per-edge hit counts);
-//! * a [`Mutator`] suite perturbs cases — element perturbation, dimension
-//!   resize within the derived constraints, splice/crossover between
-//!   corpus members, symbol nudges — with every [`MutOp`]
-//!   self-contained, so any lineage replays byte-exactly without the PRNG;
+//! * a [`Corpus`] retains inputs that discover new coverage and
+//!   schedules them by *novelty energy* — entries touching edges the
+//!   campaign rarely hits are mutated more often (sfuzz-style rare-edge
+//!   seed scheduling over the per-edge hit counts the instrumented
+//!   interpreter already produces);
+//! * a [`Mutator`] suite perturbs serialized cases — element
+//!   perturbation, dimension resize within the derived constraints,
+//!   splice/crossover between corpus members, symbol nudges — with every
+//!   [`MutOp`] self-contained, so any lineage replays byte-exactly
+//!   without the PRNG;
 //! * fuzzing continues past the first fault, and a [`mod@triage`] stage
 //!   deduplicates the collected faults by **bisecting each lineage** to
 //!   its minimal failure-inducing prefix, bucketing by `(culprit op,
@@ -40,9 +42,8 @@ pub use triage::{bisect, materialize, triage, FaultBucket};
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::corpus::select;
     use fuzzyflow_cutout::{extract_cutout, Cutout, SideEffectContext};
-    use fuzzyflow_fuzz::{derive_constraints, CaseOutcome, Constraints, InputSource, Xoshiro256};
+    use fuzzyflow_fuzz::{derive_constraints, CaseOutcome, Constraints, Xoshiro256};
     use fuzzyflow_interp::Program;
     use fuzzyflow_ir::{
         sym, Bindings, DType, Memlet, Scalar, ScalarExpr, Schedule, Sdfg, SdfgBuilder, Subset,
@@ -262,40 +263,32 @@ mod tests {
 
     #[test]
     fn corpus_energy_favors_rare_edges() {
-        let (c, _, constraints) = vectorized_pair();
-        let mut events = |_: &EvoEvent| {};
-        let mutator = Mutator { size_max: 24 };
-        let (rng, seed) = (Xoshiro256::seed_from(0), fuzzyflow_interp::ExecState::new());
-        let mut corpus = Corpus::new(&c, &constraints, mutator, rng, seed, &mut events);
+        let mut corpus = Corpus::new();
         let mut cov_a = fuzzyflow_interp::CoverageMap::new();
         cov_a.record(1);
         cov_a.record(2);
         let mut cov_b = fuzzyflow_interp::CoverageMap::new();
         cov_b.record(3);
         cov_b.record(4);
-        // A's edges get hammered; B's stay rare. The first passing run of
-        // each path joins the corpus.
-        let mut input = fuzzyflow_interp::ExecState::new();
-        for cov in std::iter::repeat_n(&cov_a, 50).chain([&cov_b]) {
-            corpus.observe(2, &mut input, &CaseOutcome::Pass, Some(cov));
+        // A's edges get hammered; B's stay rare.
+        for _ in 0..50 {
+            corpus.record_execution(&cov_a);
         }
-        assert_eq!(corpus.entries.len(), 2);
-        let energy = |i: usize| corpus.entries[i].energy(&corpus.tally);
+        corpus.record_execution(&cov_b);
+        corpus.admit(fuzzyflow_interp::ExecState::new(), Vec::new(), &cov_a);
+        corpus.admit(fuzzyflow_interp::ExecState::new(), Vec::new(), &cov_b);
         assert!(
-            energy(1) > energy(0),
+            corpus.energy(1) > corpus.energy(0),
             "rare-edge entry should be hotter: {} vs {}",
-            energy(1),
-            energy(0)
+            corpus.energy(1),
+            corpus.energy(0)
         );
         // Selection is deterministic for a fixed PRNG state.
         let mut r1 = Xoshiro256::seed_from(5);
         let mut r2 = Xoshiro256::seed_from(5);
-        let picks = |r: &mut Xoshiro256| -> Vec<usize> {
-            (0..20)
-                .map(|_| select(&corpus.entries, &corpus.tally, r))
-                .collect()
-        };
-        assert_eq!(picks(&mut r1), picks(&mut r2));
+        let picks1: Vec<usize> = (0..20).map(|_| corpus.select(&mut r1)).collect();
+        let picks2: Vec<usize> = (0..20).map(|_| corpus.select(&mut r2)).collect();
+        assert_eq!(picks1, picks2);
     }
 
     #[test]

@@ -1,9 +1,8 @@
 //! Coverage-guided mutation fuzzing (the AFL++-style baseline of paper
 //! Secs. 5.1 and 6.1).
 //!
-//! The cutout pair is driven like an AFL target, as a byte-level input
-//! source of the one trial loop ([`Trials`]): the input configuration is
-//! flattened into a byte buffer, a corpus of buffers is mutated with
+//! The cutout pair is driven like an AFL target: the input configuration
+//! is flattened into a byte buffer, a corpus of buffers is mutated with
 //! havoc-style operations, each execution records edge coverage in the
 //! instrumented interpreter, and inputs reaching new `(edge, bucket)`
 //! pairs join the corpus. Detection works exactly as in the paper's
@@ -17,13 +16,15 @@
 //! why the paper measures ~157 trials for AFL++ vs ~1 for gray-box
 //! sampling on the size-dependent vectorization bug.
 
+use crate::diff::judge;
 use crate::rng::Xoshiro256;
 use crate::sampler::seed_input;
-use crate::trials::{CoverageTally, Draw, InputSource, Trials};
-use crate::{CaseOutcome, DiffTester, Verdict};
+use crate::Verdict;
 use fuzzyflow_cutout::Cutout;
-use fuzzyflow_interp::{ArrayValue, CoverageMap, ExecState, Program};
-use fuzzyflow_ir::{validate, Bindings, DType, Scalar, Sdfg};
+use fuzzyflow_interp::coverage::MAP_SIZE;
+use fuzzyflow_interp::ArrayValue;
+use fuzzyflow_interp::{CoverageMap, ExecOptions, ExecState, Executor, Program};
+use fuzzyflow_ir::{validate, Bindings, Sdfg};
 
 /// Report of a coverage-guided fuzzing campaign.
 #[derive(Clone, Debug)]
@@ -35,10 +36,12 @@ pub struct CoverageReport {
     pub trials_to_detection: Option<usize>,
     /// Corpus entries retained for new coverage.
     pub corpus_size: usize,
-    /// Distinct edges hit over the campaign.
+    /// Distinct edges hit over the campaign, by every instrumented run.
     pub edges_seen: usize,
     /// Cumulative per-edge hit counts over every instrumented execution,
-    /// as `(edge id, total hits)` pairs in edge-id order.
+    /// as `(edge id, total hits)` pairs in edge-id order — the raw
+    /// material for novelty scoring (rare-edge weighting), exposed here
+    /// so schedulers don't need a side channel next to the covered set.
     pub edge_hits: Vec<(u32, u64)>,
 }
 
@@ -71,16 +74,23 @@ impl Default for CoverageFuzzer {
 fn encode(cutout: &Cutout, st: &ExecState) -> Vec<u8> {
     let mut buf = Vec::new();
     for s in &cutout.input_symbols {
-        buf.extend(st.symbols.get(s).unwrap_or(1).to_le_bytes());
+        let v = st.symbols.get(s).unwrap_or(1);
+        buf.extend_from_slice(&v.to_le_bytes());
     }
-    for arr in cutout.input_config.iter().filter_map(|name| st.array(name)) {
-        for i in 0..arr.len() {
-            match arr.get(i) {
-                Scalar::F64(v) => buf.extend(v.to_bits().to_le_bytes()),
-                Scalar::F32(v) => buf.extend(v.to_bits().to_le_bytes()),
-                Scalar::I64(v) => buf.extend(v.to_le_bytes()),
-                Scalar::I32(v) => buf.extend(v.to_le_bytes()),
-                Scalar::Bool(v) => buf.push(v as u8),
+    for name in &cutout.input_config {
+        if let Some(arr) = st.array(name) {
+            for i in 0..arr.len() {
+                match arr.get(i) {
+                    fuzzyflow_ir::Scalar::F64(v) => {
+                        buf.extend_from_slice(&v.to_bits().to_le_bytes())
+                    }
+                    fuzzyflow_ir::Scalar::F32(v) => {
+                        buf.extend_from_slice(&v.to_bits().to_le_bytes())
+                    }
+                    fuzzyflow_ir::Scalar::I64(v) => buf.extend_from_slice(&v.to_le_bytes()),
+                    fuzzyflow_ir::Scalar::I32(v) => buf.extend_from_slice(&v.to_le_bytes()),
+                    fuzzyflow_ir::Scalar::Bool(v) => buf.push(v as u8),
+                }
             }
         }
     }
@@ -90,18 +100,26 @@ fn encode(cutout: &Cutout, st: &ExecState) -> Vec<u8> {
 /// Decodes a (possibly mutated) byte buffer into an input state. Symbol
 /// bytes decode first and determine container shapes; size-like values are
 /// clamped into `[1, size_max]` the way an AFL harness would sanitize
-/// header fields, and non-finite floats into `[0, 1000)` so comparisons
-/// are not trivially poisoned. Every element but a `Bool` (one byte) reads
-/// eight; missing bytes read as zero.
+/// header fields. Missing bytes read as zero.
+/// Known defect, kept so the baseline draws as before: `F32` and `I32`
+/// elements read eight bytes but [`encode`] writes four, so such seeds do
+/// not decode back to themselves.
 fn decode(cutout: &Cutout, buf: &[u8], size_max: i64) -> Option<ExecState> {
-    let mut bytes = buf.iter();
-    let mut byte = || bytes.next().map_or(0, |&b| b as u64);
-    let mut word = |n: usize| (0..n).fold(0, |w, k| w | (byte() << (8 * k)));
     let mut st = ExecState::new();
+    let mut pos = 0usize;
+    let take8 = |buf: &[u8], pos: &mut usize| -> i64 {
+        let mut b = [0u8; 8];
+        for (i, slot) in b.iter_mut().enumerate() {
+            *slot = buf.get(*pos + i).copied().unwrap_or(0);
+        }
+        *pos += 8;
+        i64::from_le_bytes(b)
+    };
     for s in &cutout.input_symbols {
-        // The inverse of `encode` for in-range values, so unmutated seeds
-        // replay exactly.
-        let v = (word(8) as i64).wrapping_sub(1).rem_euclid(size_max) + 1;
+        let raw = take8(buf, &mut pos);
+        // Clamp into [1, size_max], inverse of `encode` for in-range
+        // values so unmutated seeds replay exactly.
+        let v = (raw.wrapping_sub(1)).rem_euclid(size_max) + 1;
         st.symbols.set(s.clone(), v);
     }
     for name in &cutout.input_config {
@@ -112,30 +130,41 @@ fn decode(cutout: &Cutout, buf: &[u8], size_max: i64) -> Option<ExecState> {
         }
         let mut arr = ArrayValue::zeros(desc.dtype, shape);
         for i in 0..arr.len() {
-            let v = match desc.dtype {
-                DType::Bool => Scalar::Bool(word(1) & 1 == 1),
-                DType::I64 => Scalar::I64(word(8) as i64),
-                DType::I32 => Scalar::I32(word(8) as i32),
-                DType::F64 => {
-                    let bits = word(8);
+            match desc.dtype {
+                fuzzyflow_ir::DType::F64 => {
+                    let bits = take8(buf, &mut pos) as u64;
                     let v = f64::from_bits(bits);
-                    Scalar::F64(if v.is_finite() {
+                    // Sanitize NaN/inf like a fuzzing harness would, to
+                    // avoid trivially poisoned comparisons.
+                    let v = if v.is_finite() {
                         v
                     } else {
                         (bits % 1000) as f64
-                    })
+                    };
+                    arr.set(i, fuzzyflow_ir::Scalar::F64(v));
                 }
-                DType::F32 => {
-                    let bits = word(8) as u32;
+                fuzzyflow_ir::DType::F32 => {
+                    let bits = take8(buf, &mut pos) as u64 as u32;
                     let v = f32::from_bits(bits);
-                    Scalar::F32(if v.is_finite() {
+                    let v = if v.is_finite() {
                         v
                     } else {
                         (bits % 1000) as f32
-                    })
+                    };
+                    arr.set(i, fuzzyflow_ir::Scalar::F32(v));
                 }
-            };
-            arr.set(i, v);
+                fuzzyflow_ir::DType::I64 => {
+                    arr.set(i, fuzzyflow_ir::Scalar::I64(take8(buf, &mut pos)));
+                }
+                fuzzyflow_ir::DType::I32 => {
+                    arr.set(i, fuzzyflow_ir::Scalar::I32(take8(buf, &mut pos) as i32));
+                }
+                fuzzyflow_ir::DType::Bool => {
+                    let b = buf.get(pos).copied().unwrap_or(0);
+                    pos += 1;
+                    arr.set(i, fuzzyflow_ir::Scalar::Bool(b & 1 == 1));
+                }
+            }
         }
         st.arrays.insert(name.clone(), arr);
     }
@@ -212,98 +241,116 @@ impl CoverageFuzzer {
             };
         }
 
-        // Seed input: shipped sizes, deterministic pseudo-random payload.
-        let mut rng = Xoshiro256::seed_from(self.seed);
-        let seed = seed_input(cutout, |_, s| seed_bindings.get(s).unwrap_or(1), &mut rng);
-        let mut source = Bytes {
+        // Compile both sides once; the campaign loop only executes.
+        let orig_prog = Program::compile(&cutout.sdfg);
+        let trans_prog = Program::compile(transformed);
+        self.campaign(
             cutout,
-            size_max: self.size_max,
-            rng,
-            corpus: vec![encode(cutout, &seed)],
-            buf: Vec::new(),
-            tally: CoverageTally::default(),
-        };
-        let tester = DiffTester {
-            trials: self.max_trials,
-            tolerance: self.tolerance,
+            seed_bindings,
+            &mut orig_prog.executor(),
+            &mut trans_prog.executor(),
+        )
+    }
+
+    /// The campaign loop of [`CoverageFuzzer::run`], over a prepared
+    /// executor pair.
+    fn campaign(
+        &self,
+        cutout: &Cutout,
+        seed_bindings: &Bindings,
+        orig_exec: &mut Executor<'_>,
+        trans_exec: &mut Executor<'_>,
+    ) -> CoverageReport {
+        let mut rng = Xoshiro256::seed_from(self.seed);
+        let opts = ExecOptions {
             max_steps: self.max_steps,
-            ..DiffTester::default()
+            ..ExecOptions::default()
         };
-        let (orig, trans) = (
-            Program::compile(&cutout.sdfg),
-            Program::compile(transformed),
-        );
-        let trials = Trials::new(&tester, cutout, 1);
-        let run = trials.run(&mut source, &mut orig.executor(), &mut trans.executor());
-        let report = run.report(&cutout.sdfg.name);
+
+        // Seed input: shipped sizes, deterministic pseudo-random payload.
+        let seed = seed_input(cutout, |_, s| seed_bindings.get(s).unwrap_or(1), &mut rng);
+        let mut corpus: Vec<Vec<u8>> = vec![encode(cutout, &seed)];
+        let mut virgin_store = vec![0u8; MAP_SIZE];
+        let virgin: &mut [u8; MAP_SIZE] =
+            (&mut virgin_store[..]).try_into().expect("MAP_SIZE slice");
+        let mut hits = vec![0u64; MAP_SIZE];
+
+        // AFL-style deterministic stage: single-bit flips walking the seed
+        // buffer from the front (this is how AFL++ quickly perturbs header
+        // fields such as sizes before switching to havoc mutations).
+        let det_flips = corpus[0].len().saturating_mul(8);
+
+        let mut found = None;
+        for trial in 1..=self.max_trials {
+            // Pick and mutate (the very first trial runs the seed as-is).
+            let mut buf;
+            if trial == 1 {
+                buf = corpus[0].clone();
+            } else if trial - 2 < det_flips {
+                let bit = trial - 2;
+                buf = corpus[0].clone();
+                buf[bit / 8] ^= 1 << (bit % 8);
+            } else {
+                buf = corpus[rng.index(corpus.len())].clone();
+                mutate(&mut buf, &mut rng);
+            }
+            let Some(sample) = decode(cutout, &buf, self.size_max) else {
+                continue;
+            };
+
+            // The shared trial step, with the original run instrumented.
+            let mut cov = CoverageMap::new();
+            let outcome = judge(
+                cutout,
+                &sample,
+                &opts,
+                self.tolerance,
+                orig_exec,
+                trans_exec,
+                Some(&mut cov),
+            );
+            for (edge, count) in cov.hits() {
+                hits[edge] += count as u64;
+            }
+            if let Some(verdict) = outcome.fault_verdict(&cutout.sdfg.name, trial, &sample) {
+                found = Some((trial, verdict));
+                break;
+            }
+
+            // Coverage feedback, from inputs the original rejects too (an
+            // uninteresting crash, but it teaches path-triggering inputs).
+            if cov.merge_into(virgin) {
+                corpus.push(buf);
+            }
+        }
+
+        let (verdict, trials_run, trials_to_detection) = match found {
+            Some((trial, verdict)) => (verdict, trial, Some(trial)),
+            None => {
+                let trials = self.max_trials;
+                (Verdict::Equivalent { trials }, trials, None)
+            }
+        };
+        let edge_hits = compress_hits(&hits);
         CoverageReport {
-            verdict: report.verdict,
-            trials_run: report.trials_run,
-            trials_to_detection: report.trials_to_detection,
-            corpus_size: source.corpus.len(),
-            edges_seen: source.tally.edges_seen(),
-            edge_hits: source.tally.edge_hits(),
+            verdict,
+            trials_run,
+            trials_to_detection,
+            corpus_size: corpus.len(),
+            edges_seen: edge_hits.len(),
+            edge_hits,
         }
     }
 }
 
-/// The campaign as an input source: trial 1 decodes the seed buffer, the
-/// next `8 × len` trials each flip one of its bits, front to back (how
-/// AFL++ perturbs header fields such as sizes before its havoc stage),
-/// and later trials havoc-mutate a random corpus buffer. A buffer whose
-/// original run reaches new coverage joins the corpus unless it faulted,
-/// which ends the campaign.
-struct Bytes<'a> {
-    cutout: &'a Cutout,
-    size_max: i64,
-    rng: Xoshiro256,
-    /// Buffers kept for new coverage; the seed's first.
-    corpus: Vec<Vec<u8>>,
-    /// The buffer of the current draw.
-    buf: Vec<u8>,
-    tally: CoverageTally,
-}
-
-impl InputSource for Bytes<'_> {
-    fn next(&mut self, trial: usize, state: &mut ExecState) -> Draw {
-        let seed = &self.corpus[0];
-        match trial.checked_sub(2) {
-            None => self.buf.clone_from(seed),
-            Some(bit) if bit < seed.len().saturating_mul(8) => {
-                self.buf.clone_from(seed);
-                self.buf[bit / 8] ^= 1 << (bit % 8);
-            }
-            Some(_) => {
-                self.buf
-                    .clone_from(&self.corpus[self.rng.index(self.corpus.len())]);
-                mutate(&mut self.buf, &mut self.rng);
-            }
-        }
-        match decode(self.cutout, &self.buf, self.size_max) {
-            Some(decoded) => {
-                *state = decoded;
-                Draw::Input
-            }
-            None => Draw::Skip,
-        }
-    }
-
-    fn observe(
-        &mut self,
-        _: usize,
-        _: &mut ExecState,
-        outcome: &CaseOutcome,
-        cov: Option<&CoverageMap>,
-    ) {
-        let cov = cov.expect("the byte-level source takes feedback");
-        if self.tally.record(cov) && !outcome.is_fault() {
-            self.corpus.push(std::mem::take(&mut self.buf));
-        }
-    }
-
-    fn feedback(&self) -> bool {
-        true
-    }
+/// Compresses a dense per-edge hit-count table into the nonzero
+/// `(edge id, total hits)` pairs, in edge-id order.
+fn compress_hits(hits: &[u64]) -> Vec<(u32, u64)> {
+    hits.iter()
+        .enumerate()
+        .filter(|(_, &h)| h > 0)
+        .map(|(i, &h)| (i as u32, h))
+        .collect()
 }
 
 #[cfg(test)]

@@ -1,14 +1,13 @@
-//! Gray-box differential testing (paper Sec. 5.1) and the one
-//! differential oracle ([`judge`]), which the trial loop's
-//! [`Trials::step`] runs for every input source and replay.
+//! Gray-box differential testing (paper Sec. 5.1) and the one trial step
+//! ([`judge`]) every fuzzing loop and replay shares.
 
 use crate::constraints::Constraints;
-use crate::sampler::ValueProfile;
+use crate::rng::{rng_split, Xoshiro256};
+use crate::sampler::{sample_state_into, ValueProfile};
 use crate::testcase::TestCase;
-use crate::trials::{Random, Trials};
 use fuzzyflow_cutout::Cutout;
-use fuzzyflow_interp::{ExecOptions, ExecState, Executor, ExecutorArena, Program};
-use fuzzyflow_pool::WorkerPool;
+use fuzzyflow_interp::{CoverageMap, ExecOptions, ExecState, Executor, ExecutorArena, Program};
+use fuzzyflow_pool::{resolve_threads, WorkerPool};
 use std::sync::Mutex;
 
 /// A caller-owned pool of executor-arena pairs — the one place
@@ -16,9 +15,11 @@ use std::sync::Mutex;
 ///
 /// A stash travels with an *instance*: a campaign session stores one
 /// stash per prepared instance, so re-verifying the instance checks the
-/// very same arenas back out regardless of which workers run the trials,
-/// and a warm re-run constructs **zero** fresh arenas
-/// ([`Trials::run_batched`]).
+/// very same arenas back out regardless of which workers run the trials.
+/// When [`DiffTester::test_compiled`] is given a non-empty stash it caps
+/// the trial-batch width at the stash size, so a warm re-run constructs
+/// **zero** fresh arenas — guaranteed, not just amortized. (Reports are
+/// byte-identical for every width; see the pool determinism contract.)
 #[derive(Debug, Default)]
 pub struct ArenaStash {
     pairs: Mutex<Vec<(ExecutorArena, ExecutorArena)>>,
@@ -46,7 +47,7 @@ impl ArenaStash {
     }
 
     /// A parked pair, or a freshly constructed one on a cold stash.
-    pub(crate) fn take_or_new(&self) -> (ExecutorArena, ExecutorArena) {
+    fn take_or_new(&self) -> (ExecutorArena, ExecutorArena) {
         self.take()
             .unwrap_or_else(|| (ExecutorArena::new(), ExecutorArena::new()))
     }
@@ -253,25 +254,32 @@ pub fn failure_text(outcome: &CaseOutcome) -> String {
     }
 }
 
-/// The differential oracle (paper Sec. 5): given that `orig_exec` has
-/// just executed `state` successfully, runs the transformed cutout on
-/// the same input and classifies the pair — transformed hang / crash /
-/// structural failure, then scalar side-effect symbols
-/// (`cutout.symbol_state`), then system-state contents under
-/// `tolerance`. Its one caller is [`Trials::step`], so a fault found live
-/// replays to the same class. Never returns
-/// [`CaseOutcome::OriginalFailed`]. The passing path allocates nothing:
-/// it runs on the executors' retained buffers and compares `F64`
-/// containers as raw payload slices
+/// The one trial step and differential oracle (paper Sec. 5): runs the
+/// original cutout on `state`, recording its edge coverage into `cov`
+/// when given (a rejected input is [`CaseOutcome::OriginalFailed`]), then
+/// the transformed cutout on the same input, and classifies the pair —
+/// transformed hang / crash / structural failure, then scalar side-effect
+/// symbols (`cutout.symbol_state`), then system-state contents under
+/// `tolerance`. Every trial loop and replay path runs its inputs through
+/// here, so a fault found live replays to the same class. The passing
+/// path allocates nothing: it runs on the executors' retained buffers and
+/// compares `F64` containers as raw payload slices
 /// ([`ArrayValue::first_mismatch`](fuzzyflow_interp::ArrayValue::first_mismatch)).
+// Out of line, `evolve_service campaign_s` read 5.9 % over the parent in
+// 10 of 10 pairs (2-core x86_64 VM); inlined, it matches the parent.
+#[inline]
 pub fn judge(
     cutout: &Cutout,
     state: &ExecState,
     opts: &ExecOptions,
     tolerance: f64,
-    orig_exec: &Executor<'_>,
+    orig_exec: &mut Executor<'_>,
     trans_exec: &mut Executor<'_>,
+    cov: Option<&mut CoverageMap>,
 ) -> CaseOutcome {
+    if let Err(e) = orig_exec.execute(state, opts, None, cov) {
+        return CaseOutcome::OriginalFailed(e);
+    }
     match trans_exec.execute(state, opts, None, None) {
         Err(e) if e.is_hang() => return CaseOutcome::Hang(e),
         Err(e) if e.is_crash() => return CaseOutcome::Crash(e),
@@ -306,8 +314,14 @@ pub struct DiffReport {
     pub trials_to_detection: Option<usize>,
 }
 
-/// Differential tester configuration: the trial budget, oracle settings
-/// and gray-box [`Random`] source of the one trial loop ([`Trials`]).
+/// Differential tester configuration.
+///
+/// [`DiffTester::test_compiled`] runs each trial on one pool
+/// participant's executor pair and scratch input: the sample is drawn
+/// into the scratch with [`sample_state_into`] and [`judge`]d in place. A
+/// passing trial therefore allocates nothing once the drawn shapes
+/// repeat; only a fault clones its input, into the verdict's
+/// [`TestCase`].
 #[derive(Clone, Debug)]
 pub struct DiffTester {
     /// Number of input configurations to try.
@@ -361,11 +375,31 @@ impl DiffTester {
         }
     }
 
-    /// Differentially tests a compiled cutout pair: [`DiffTester::trials`]
-    /// draws of the [`Random`] source in parallel batches
-    /// ([`Trials::run_batched`], which documents `stash` and `progress`),
-    /// up to the first fault. The transformed SDFG must already have
-    /// passed `validate` (else see [`DiffTester::invalid_code_report`]).
+    fn exec_options(&self) -> ExecOptions {
+        ExecOptions {
+            max_steps: self.max_steps,
+            ..ExecOptions::default()
+        }
+    }
+
+    /// Differentially tests a compiled cutout pair: N trials with
+    /// per-trial deterministic seeds, in parallel on `pool` when
+    /// [`DiffTester::threads`] allows. The transformed SDFG must already
+    /// have passed `validate` (use [`DiffTester::invalid_code_report`]
+    /// otherwise). The report is the one a sequential scan of trials
+    /// 1..=N would produce, byte for byte, regardless of thread count or
+    /// schedule.
+    ///
+    /// Executor arenas are checked out of `stash` and parked back on
+    /// return (a non-empty stash caps the batch width at the stash size,
+    /// so warm re-runs construct zero fresh arenas). `progress`, when
+    /// given, is invoked after every completed trial with the number of
+    /// trials finished so far. Calls arrive concurrently from worker
+    /// threads: the counter itself is monotonic, but two threads may
+    /// invoke the callback out of order (a sink can observe 6 before 5),
+    /// and counts are *not* deterministic across runs — only the
+    /// returned report is. Sinks tracking progress should fold with
+    /// `max`.
     #[allow(clippy::too_many_arguments)]
     pub fn test_compiled(
         &self,
@@ -377,16 +411,123 @@ impl DiffTester {
         stash: &ArenaStash,
         progress: Option<&(dyn Fn(usize) + Sync)>,
     ) -> DiffReport {
-        let source = Random::new(self, cutout, constraints);
-        let programs = (orig_prog, trans_prog);
-        let run =
-            Trials::new(self, cutout, 1).run_batched(&source, pool, programs, stash, progress);
-        run.report(&cutout.sdfg.name)
+        let mut width = resolve_threads(self.threads).min(self.trials.max(1));
+        let parked = stash.len();
+        if parked > 0 {
+            // Warm instance: never outgrow the parked arenas — this is
+            // what makes "0 fresh arenas on a warm re-run" a guarantee
+            // instead of an expectation.
+            width = width.min(parked);
+        }
+
+        // All trials at or below the first terminal trial are guaranteed
+        // to complete; `stop_at` only prunes work beyond a known terminal.
+        let stop_at = std::sync::atomic::AtomicUsize::new(usize::MAX);
+        let done = std::sync::atomic::AtomicUsize::new(0);
+        let parts: Mutex<Vec<Vec<(usize, TrialResult)>>> = Mutex::new(Vec::new());
+        let opts = self.exec_options();
+        pool.parallel_for(
+            self.trials,
+            width,
+            // One reusable executor pair per pool participant, retained
+            // across every trial that participant steals — and, through
+            // the stash, across calls — plus the participant's scratch
+            // input, which every trial samples into.
+            || {
+                let (oa, ta) = stash.take_or_new();
+                (
+                    orig_prog.executor_with(oa),
+                    trans_prog.executor_with(ta),
+                    ExecState::new(),
+                    Vec::new(),
+                )
+            },
+            |(orig_exec, trans_exec, sample, local), idx| {
+                let trial = idx + 1;
+                if trial > stop_at.load(std::sync::atomic::Ordering::Relaxed) {
+                    return;
+                }
+                let result = self.run_trial(
+                    cutout,
+                    constraints,
+                    &opts,
+                    trial,
+                    orig_exec,
+                    trans_exec,
+                    sample,
+                );
+                if result.1.is_some() {
+                    stop_at.fetch_min(trial, std::sync::atomic::Ordering::Relaxed);
+                }
+                local.push((trial, result));
+                if let Some(progress) = progress {
+                    progress(done.fetch_add(1, std::sync::atomic::Ordering::Relaxed) + 1);
+                }
+            },
+            |(orig_exec, trans_exec, _, local)| {
+                stash.put((orig_exec.into_arena(), trans_exec.into_arena()));
+                parts.lock().expect("trial buffers poisoned").push(local);
+            },
+        );
+
+        let mut results: Vec<Option<TrialResult>> = Vec::with_capacity(self.trials);
+        results.resize_with(self.trials, || None);
+        for batch in parts.into_inner().expect("trial buffers poisoned") {
+            for (trial, result) in batch {
+                results[trial - 1] = Some(result);
+            }
+        }
+        self.finalize(results)
     }
 
-    /// Classifies one concrete input on executors the caller holds, by
-    /// the trial loop's [`Trials::step`]: test-case replay and triage
-    /// bisection probes agree with the live trial that captured the case.
+    /// One independent trial: sample into `sample` and [`judge`] it until
+    /// the original cutout accepts an input. A passing trial allocates
+    /// nothing once the scratch state and the executor arenas have their
+    /// shapes; only a fault clones the input, into its [`TestCase`].
+    #[allow(clippy::too_many_arguments)]
+    fn run_trial(
+        &self,
+        cutout: &Cutout,
+        constraints: &Constraints,
+        opts: &ExecOptions,
+        trial: usize,
+        orig_exec: &mut Executor<'_>,
+        trans_exec: &mut Executor<'_>,
+        sample: &mut ExecState,
+    ) -> TrialResult {
+        let mut rng = Xoshiro256::seed_from(rng_split(self.seed, trial as u64));
+        let mut resamples = 0usize;
+        let attempts = self.max_resamples + 1;
+        for _ in 0..attempts {
+            if !sample_state_into(sample, cutout, constraints, &self.profile, &mut rng) {
+                resamples += 1;
+                continue;
+            }
+            match judge(
+                cutout,
+                sample,
+                opts,
+                self.tolerance,
+                orig_exec,
+                trans_exec,
+                None,
+            ) {
+                // Uninteresting crash: both sides would fail.
+                CaseOutcome::OriginalFailed(_) => resamples += 1,
+                outcome => {
+                    let verdict = outcome.fault_verdict(&cutout.sdfg.name, trial, sample);
+                    return (resamples, verdict);
+                }
+            }
+        }
+        let reason = format!("could not sample an accepted input after {attempts} attempts");
+        (resamples, Some(Verdict::Inconclusive { reason }))
+    }
+
+    /// Classifies one concrete input on executors the caller holds by
+    /// [`judge`] — the entry behind test-case replay and triage bisection
+    /// probes, which therefore agree with the live trial that captured
+    /// the case.
     pub fn replay_on(
         &self,
         cutout: &Cutout,
@@ -394,16 +535,59 @@ impl DiffTester {
         orig_exec: &mut Executor<'_>,
         trans_exec: &mut Executor<'_>,
     ) -> CaseOutcome {
-        Trials::new(self, cutout, 1).step(state, orig_exec, trans_exec, None)
+        let opts = self.exec_options();
+        judge(
+            cutout,
+            state,
+            &opts,
+            self.tolerance,
+            orig_exec,
+            trans_exec,
+            None,
+        )
+    }
+
+    /// Scans trial results in order and reproduces the sequential
+    /// tester's report: the first terminal trial decides the verdict, and
+    /// resample counts accumulate over all trials up to it.
+    fn finalize(&self, mut results: Vec<Option<TrialResult>>) -> DiffReport {
+        let mut resamples = 0usize;
+        for trial in 1..=self.trials {
+            let (trial_resamples, terminal) = results[trial - 1]
+                .take()
+                .expect("all trials up to the first terminal one complete");
+            resamples += trial_resamples;
+            if let Some(verdict) = terminal {
+                // An unsampleable trial never ran the pair; a fault did.
+                let detected = verdict.is_fault();
+                return DiffReport {
+                    verdict,
+                    trials_run: if detected { trial } else { trial - 1 },
+                    resamples,
+                    trials_to_detection: detected.then_some(trial),
+                };
+            }
+        }
+        DiffReport {
+            verdict: Verdict::Equivalent {
+                trials: self.trials,
+            },
+            trials_run: self.trials,
+            resamples,
+            trials_to_detection: None,
+        }
     }
 }
+
+/// One independent trial, before order-dependent bookkeeping: samples
+/// rejected, and the terminal verdict (`None` = the trial passed).
+type TrialResult = (usize, Option<Verdict>);
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::constraints::derive_constraints;
-    use crate::rng::Xoshiro256;
-    use crate::sampler::{sample_state, sample_state_into};
+    use crate::sampler::sample_state;
     use fuzzyflow_cutout::{extract_cutout, SideEffectContext};
     use fuzzyflow_ir::{
         sym, DType, Memlet, ScalarExpr, Schedule, SdfgBuilder, Subset, SymRange, Tasklet,
@@ -731,14 +915,13 @@ mod tests {
 
         // The same trial on one scratch input: the rejected draws it
         // leaves behind do not leak into later accepted draws.
-        let trials = Trials::new(&tester, &c, 1);
-        let random = Random::new(&tester, &c, &cons);
+        let opts = tester.exec_options();
         let mut scratch = ExecState::new();
         let (mut oe, mut te) = (bad.executor(), bad.executor());
-        let (resamples, ended) =
-            trials.trial(&mut random.clone(), 1, &mut scratch, &mut oe, &mut te, None);
+        let (resamples, verdict) =
+            tester.run_trial(&c, &cons, &opts, 1, &mut oe, &mut te, &mut scratch);
         assert_eq!(resamples, 8);
-        assert!(ended.is_err(), "{ended:?}");
+        assert!(matches!(verdict, Some(Verdict::Inconclusive { .. })));
         for seed in 0..20 {
             let fresh = sample_state(&c, &cons, &tester.profile, &mut Xoshiro256::seed_from(seed))
                 .expect("sizes always sample");
@@ -754,8 +937,8 @@ mod tests {
         }
         let good = Program::compile(&c.sdfg);
         let (mut oe, mut te) = (good.executor(), good.executor());
-        let passed = trials.trial(&mut random.clone(), 1, &mut scratch, &mut oe, &mut te, None);
-        assert_eq!(format!("{passed:?}"), "(0, Ok(None))");
+        let passed = tester.run_trial(&c, &cons, &opts, 1, &mut oe, &mut te, &mut scratch);
+        assert_eq!(format!("{passed:?}"), "(0, None)");
     }
 
     /// Reports never depend on the batch width: across thread counts 1,

@@ -1,25 +1,24 @@
 //! Differential testing of cutouts (paper Sec. 5).
 //!
 //! Checking `c ≅ T(c)` over the cutout's input space `S_c`: input
-//! configurations are drawn (`t ≪ |S_c|` trials), run through both the
+//! configurations are sampled (`t ≪ |S_c|` trials), run through both the
 //! original and the transformed cutout, and the system states compared.
 //! A transformation is invalid when the transformed cutout crashes or
 //! hangs while the original does not, or when numerical results diverge
 //! beyond a configurable threshold (bit-exact by default).
 //!
-//! One trial loop ([`Trials`]) runs that procedure; input sources
-//! ([`InputSource`]) differ only in how the next input is chosen:
+//! Two sampling strategies are implemented, mirroring the paper:
 //!
-//! * **Gray-box fuzzing** ([`Random`], behind [`DiffTester`]): static
-//!   constraint analysis bounds every symbol (sizes to `[1, S_max]`,
-//!   indices to their dimension, loop variables to their bounds) before
-//!   uniform sampling — few trials, no uninteresting crashes, and
-//!   independent draws that run in parallel batches.
+//! * **Gray-box fuzzing** ([`DiffTester`]): static constraint analysis on
+//!   the cutout and the original program bounds every symbol (sizes to
+//!   `[1, S_max]`, indices to their dimension, loop variables to their
+//!   bounds) before uniform sampling — few trials, no uninteresting
+//!   crashes.
 //! * **Coverage-guided fuzzing** ([`CoverageFuzzer`]): an AFL++-style
-//!   byte-level mutation source with edge-coverage feedback — no
-//!   constraint knowledge, more trials, the paper's AFL++ baseline
-//!   (Sec. 6.1: ~157 vs ~1 trials to expose the size-dependent
-//!   vectorization bug). `fuzzyflow_evo`'s corpus is the third source.
+//!   mutation loop over a serialized input buffer with edge-coverage
+//!   feedback from the instrumented interpreter — no constraint knowledge,
+//!   more trials, mirrors the paper's AFL++ baseline (Sec. 6.1: ~157 vs
+//!   ~1 trials to expose the size-dependent vectorization bug).
 
 pub mod constraints;
 pub mod coverage_fuzz;
@@ -28,7 +27,6 @@ pub mod json;
 pub mod rng;
 pub mod sampler;
 pub mod testcase;
-pub mod trials;
 
 pub use constraints::{derive_constraints, derive_constraints_with_loops, Constraints, SymbolRole};
 pub use coverage_fuzz::{CoverageFuzzer, CoverageReport};
@@ -37,4 +35,3 @@ pub use json::Json;
 pub use rng::{rng_split, Xoshiro256};
 pub use sampler::{sample_state, sample_state_into, ValueProfile};
 pub use testcase::{TestCase, TestCaseParseError};
-pub use trials::{CoverageTally, Draw, Ended, Fault, InputSource, Random, TrialRun, Trials};

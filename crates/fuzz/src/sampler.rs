@@ -57,7 +57,7 @@ fn sample_scalar(dtype: DType, rng: &mut Xoshiro256, profile: &ValueProfile) -> 
     }
 }
 
-/// The seed input of a feedback source: each input symbol bound to
+/// The seed input of a feedback-driven fuzzer: each input symbol bound to
 /// `value(symbols bound so far, symbol)`, then each input container shaped
 /// by those bindings and filled from `rng` with values in `[-10, 10)`.
 /// Containers whose shape does not evaluate, or is negative, stay out.
@@ -75,10 +75,12 @@ pub fn seed_input(
         let Some(desc) = cutout.sdfg.array(name) else {
             continue;
         };
-        let shape = desc.concrete_shape(&st.symbols).ok();
-        let Some(shape) = shape.filter(|s| s.iter().all(|&d| d >= 0)) else {
+        let Ok(shape) = desc.concrete_shape(&st.symbols) else {
             continue;
         };
+        if shape.iter().any(|&d| d < 0) {
+            continue;
+        }
         let mut arr = ArrayValue::zeros(desc.dtype, shape);
         for i in 0..arr.len() {
             arr.set(i, Scalar::F64(rng.range_f64(-10.0, 10.0)).cast(desc.dtype));

@@ -9,18 +9,18 @@
 //!   same accept/reject decision and the same number of RNG draws — over
 //!   the Table-2 cutouts, whether the state was last used for the same
 //!   cutout or another one;
-//! * a trial of `DiffTester`'s gray-box source, run by the trial loop's
-//!   own step (`Trials::trial`: `sample_state_into` → the original run →
-//!   `judge`), makes zero heap allocations once the scratch state and the
-//!   executor arenas have their shapes. A thread-local counting global
-//!   allocator measures it: a count, not a stopwatch.
+//! * a trial driven as `DiffTester` drives it (`sample_state_into` →
+//!   `judge`, the trial step that runs both cutouts) makes zero heap
+//!   allocations once the scratch state and the executor arenas have
+//!   their shapes. A thread-local counting global allocator measures it:
+//!   a count, not a stopwatch.
 
 mod common;
 
 use fuzzyflow::cutout::{refind_match, Cutout, ProgramAnalysis};
 use fuzzyflow::fuzz::{
-    derive_constraints_with_loops, rng_split, sample_state, sample_state_into, Constraints,
-    DiffTester, Random, SymbolRole, Trials, ValueProfile, Xoshiro256,
+    derive_constraints_with_loops, judge, rng_split, sample_state, sample_state_into, CaseOutcome,
+    Constraints, SymbolRole, ValueProfile, Xoshiro256,
 };
 use fuzzyflow::interp::{ArrayValue, ExecOptions, ExecState, Executor, Program};
 use fuzzyflow::ir::{validate, Dataflow, DfNode, Scalar, Sdfg};
@@ -241,28 +241,29 @@ fn exec_options() -> ExecOptions {
     }
 }
 
-/// Trial `trial` of `DiffTester`'s gray-box source at seed 48879, run by
-/// the trial loop's own step (`Trials::trial`): sample into the scratch
-/// state until the original cutout accepts, then judge the transformed
-/// cutout on the same input. `true` when the trial passed.
+/// One trial as `DiffTester` runs it: sample into the scratch state and
+/// run it through the shared trial step (`judge`: the original cutout,
+/// then the transformed one) until the original accepts. `true` when the
+/// trial passed.
 fn passing_trial(
     inst: &Instance,
     constraints: &Constraints,
     profile: &ValueProfile,
-    trial: usize,
+    rng: &mut Xoshiro256,
     (orig, trans): (&mut Executor<'_>, &mut Executor<'_>),
     sample: &mut ExecState,
 ) -> bool {
-    let tester = DiffTester {
-        seed: 48879,
-        max_steps: 20_000_000,
-        profile: profile.clone(),
-        ..DiffTester::default()
-    };
-    let trials = Trials::new(&tester, &inst.cutout, 1);
-    let mut source = Random::new(&tester, &inst.cutout, constraints);
-    let (_, ended) = trials.trial(&mut source, trial, sample, orig, trans, None);
-    matches!(ended, Ok(None))
+    let opts = exec_options();
+    for _ in 0..=MAX_RESAMPLES {
+        if !sample_state_into(sample, &inst.cutout, constraints, profile, rng) {
+            continue;
+        }
+        match judge(&inst.cutout, sample, &opts, 1e-5, orig, trans, None) {
+            CaseOutcome::OriginalFailed(_) => continue,
+            outcome => return outcome == CaseOutcome::Pass,
+        }
+    }
+    false
 }
 
 /// The instance's constraints with every size symbol pinned by a custom
@@ -320,12 +321,13 @@ fn passing_trials_allocate_nothing_after_warm_up() {
             .unwrap_or_else(|| panic!("{}: no accepted input", inst.label));
         let mut sample = ExecState::new();
         for trial in 1..=50 {
+            let mut rng = Xoshiro256::seed_from(rng_split(48879, trial));
             let before = allocated();
             let passed = passing_trial(
                 &inst,
                 &constraints,
                 &profile,
-                trial,
+                &mut rng,
                 (&mut oe, &mut te),
                 &mut sample,
             );
