@@ -100,23 +100,22 @@ fn encode(cutout: &Cutout, st: &ExecState) -> Vec<u8> {
 /// Decodes a (possibly mutated) byte buffer into an input state. Symbol
 /// bytes decode first and determine container shapes; size-like values are
 /// clamped into `[1, size_max]` the way an AFL harness would sanitize
-/// header fields. Missing bytes read as zero.
-/// Known defect, kept so the baseline draws as before: `F32` and `I32`
-/// elements read eight bytes but [`encode`] writes four, so such seeds do
-/// not decode back to themselves.
+/// header fields. Each element reads as many bytes as [`encode`] writes
+/// for its dtype; missing bytes read as zero.
 fn decode(cutout: &Cutout, buf: &[u8], size_max: i64) -> Option<ExecState> {
     let mut st = ExecState::new();
     let mut pos = 0usize;
-    let take8 = |buf: &[u8], pos: &mut usize| -> i64 {
+    // The next `n` (at most 8) little-endian bytes, zero-extended.
+    let take = |buf: &[u8], pos: &mut usize, n: usize| -> u64 {
         let mut b = [0u8; 8];
-        for (i, slot) in b.iter_mut().enumerate() {
+        for (i, slot) in b[..n].iter_mut().enumerate() {
             *slot = buf.get(*pos + i).copied().unwrap_or(0);
         }
-        *pos += 8;
-        i64::from_le_bytes(b)
+        *pos += n;
+        u64::from_le_bytes(b)
     };
     for s in &cutout.input_symbols {
-        let raw = take8(buf, &mut pos);
+        let raw = take(buf, &mut pos, 8) as i64;
         // Clamp into [1, size_max], inverse of `encode` for in-range
         // values so unmutated seeds replay exactly.
         let v = (raw.wrapping_sub(1)).rem_euclid(size_max) + 1;
@@ -132,7 +131,7 @@ fn decode(cutout: &Cutout, buf: &[u8], size_max: i64) -> Option<ExecState> {
         for i in 0..arr.len() {
             match desc.dtype {
                 fuzzyflow_ir::DType::F64 => {
-                    let bits = take8(buf, &mut pos) as u64;
+                    let bits = take(buf, &mut pos, 8);
                     let v = f64::from_bits(bits);
                     // Sanitize NaN/inf like a fuzzing harness would, to
                     // avoid trivially poisoned comparisons.
@@ -144,7 +143,7 @@ fn decode(cutout: &Cutout, buf: &[u8], size_max: i64) -> Option<ExecState> {
                     arr.set(i, fuzzyflow_ir::Scalar::F64(v));
                 }
                 fuzzyflow_ir::DType::F32 => {
-                    let bits = take8(buf, &mut pos) as u64 as u32;
+                    let bits = take(buf, &mut pos, 4) as u32;
                     let v = f32::from_bits(bits);
                     let v = if v.is_finite() {
                         v
@@ -154,10 +153,10 @@ fn decode(cutout: &Cutout, buf: &[u8], size_max: i64) -> Option<ExecState> {
                     arr.set(i, fuzzyflow_ir::Scalar::F32(v));
                 }
                 fuzzyflow_ir::DType::I64 => {
-                    arr.set(i, fuzzyflow_ir::Scalar::I64(take8(buf, &mut pos)));
+                    arr.set(i, fuzzyflow_ir::Scalar::I64(take(buf, &mut pos, 8) as i64));
                 }
                 fuzzyflow_ir::DType::I32 => {
-                    arr.set(i, fuzzyflow_ir::Scalar::I32(take8(buf, &mut pos) as i32));
+                    arr.set(i, fuzzyflow_ir::Scalar::I32(take(buf, &mut pos, 4) as i32));
                 }
                 fuzzyflow_ir::DType::Bool => {
                     let b = buf.get(pos).copied().unwrap_or(0);
@@ -362,13 +361,13 @@ mod tests {
     };
     use fuzzyflow_transforms::{apply_to_clone, MapTiling, Transformation, Vectorization};
 
-    /// The Fig. 5-style scale loop `B[i] = 2 A[i]`, cut to the map `t`
-    /// rewrites.
-    fn scale_pair(t: &dyn Transformation) -> (Cutout, Sdfg) {
+    /// The Fig. 5-style scale loop `B[i] = 2 A[i]` over `dtype`
+    /// containers, cut to the map `t` rewrites.
+    fn scale_pair(t: &dyn Transformation, dtype: DType) -> (Cutout, Sdfg) {
         let mut b = SdfgBuilder::new("scale");
         b.symbol("N");
-        b.array("A", DType::F64, &["N"]);
-        b.array("B", DType::F64, &["N"]);
+        b.array("A", dtype, &["N"]);
+        b.array("B", dtype, &["N"]);
         let st = b.start();
         b.in_state(st, |df| {
             let a = df.access("A");
@@ -413,7 +412,7 @@ mod tests {
 
     /// The scale loop vectorized by 4: an input-size-dependent bug.
     fn vectorized_pair() -> (Cutout, Sdfg) {
-        scale_pair(&Vectorization::new(4))
+        scale_pair(&Vectorization::new(4), DType::F64)
     }
 
     /// Verdict label, trials run, trial of detection, corpus size, edges
@@ -436,7 +435,7 @@ mod tests {
     fn campaigns_are_pinned() {
         let shipped = Bindings::from_pairs([("N", 16)]);
         let (c, vectorized) = vectorized_pair();
-        let (s, tiled) = scale_pair(&MapTiling::new(4));
+        let (s, tiled) = scale_pair(&MapTiling::new(4), DType::F64);
         let fuzzer = |seed, max_trials| CoverageFuzzer {
             seed,
             max_trials,
@@ -493,6 +492,27 @@ mod tests {
         assert_eq!(back.symbols.get("N"), Some(8));
         assert_eq!(back.array("A").unwrap().to_f64_vec(), vals);
         let _ = seed;
+    }
+
+    /// An unmutated seed of `F32` or `I32` containers decodes to the
+    /// state it was encoded from, bit for bit.
+    #[test]
+    fn narrow_dtype_seeds_decode_to_themselves() {
+        for dtype in [DType::F32, DType::I32] {
+            let (c, _) = scale_pair(&MapTiling::new(4), dtype);
+            let mut st = ExecState::new();
+            st.bind("N", 5);
+            let mut arr = ArrayValue::zeros(dtype, vec![5]);
+            for (i, v) in [1.5, -2.0, 3.25, 0.0, -7.0].into_iter().enumerate() {
+                arr.set(i, fuzzyflow_ir::Scalar::F64(v));
+            }
+            st.set_array("A", arr.clone());
+            let size_max = CoverageFuzzer::default().size_max;
+            let back = decode(&c, &encode(&c, &st), size_max).unwrap();
+            assert_eq!(back.symbols.get("N"), Some(5), "{dtype:?}");
+            let got = back.array("A").unwrap();
+            assert_eq!(got.first_mismatch(&arr, 0.0), None, "{dtype:?}");
+        }
     }
 
     #[test]

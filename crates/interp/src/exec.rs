@@ -816,8 +816,8 @@ pub(crate) fn apply_cmp(op: CmpOp, x: Scalar, y: Scalar) -> bool {
     }
 }
 
-/// (Batched) matrix product of row-major operands. The operands are
-/// widened to `f64` once and the inner loop runs on plain slices; every
+/// (Batched) matrix product of row-major operands, the tree walk's
+/// reference kernel: the operands are widened to `f64` once, and every
 /// output element sums its `k` products in index order.
 pub(crate) fn matmul(
     name: &str,

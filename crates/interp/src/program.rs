@@ -19,18 +19,22 @@
 use crate::coverage::{location_id, CoverageMap};
 use crate::error::ExecError;
 use crate::exec::{
-    apply_bin, apply_cmp, apply_un, check_alloc_shape, combine_wcr, matmul, reduce, softmax,
-    CommHandler, ExecOptions, ExecState, StateMismatch,
+    apply_bin, apply_cmp, apply_un, check_alloc_shape, combine_wcr, CommHandler, ExecOptions,
+    ExecState, StateMismatch,
 };
 use crate::jit::JitReject;
 use crate::value::ArrayValue;
 use fuzzyflow_ir::{
-    BinOp, CmpOp, CondExpr, DType, DfNode, LibraryOp, Memlet, Scalar, Sdfg, Storage, SymExpr,
-    Tasklet, UnOp, Wcr,
+    BinOp, CmpOp, CondExpr, DType, DfNode, Memlet, Scalar, Sdfg, Storage, SymExpr, Tasklet, UnOp,
+    Wcr,
 };
 use fuzzyflow_sym::{ConcreteRange, SymError};
+use library::LibraryPlan;
 use std::collections::BTreeMap;
 use std::sync::{Arc, OnceLock};
+
+#[path = "library.rs"]
+mod library;
 
 /// Dense id of an interned data container name.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -640,36 +644,6 @@ enum FusedReady {
     ZeroTrip,
     /// Not provably safe — take the generic per-element path.
     Fallback,
-}
-
-/// Compiled library node.
-#[derive(Clone, Debug)]
-struct LibraryPlan {
-    name: String,
-    cover_loc: u64,
-    op: LibraryOp,
-    inputs: Vec<LibInput>,
-    n_slots: usize,
-    /// Input-connector slots in the order the operation consumes them
-    /// (`A`, `B` for MatMul; `in` otherwise), or the "missing input
-    /// connector" error.
-    args: Vec<Result<usize, ExecError>>,
-    /// Data container of the first incoming memlet (dtype source for the
-    /// simulated collective's send buffer).
-    first_in_data: Option<DataId>,
-    out_writes: Vec<LibOutWrite>,
-}
-
-#[derive(Clone, Debug)]
-enum LibInput {
-    Fail(ExecError),
-    Read { slot: usize, plan: MemPlan },
-}
-
-#[derive(Clone, Debug)]
-enum LibOutWrite {
-    Fail(ExecError),
-    Write(MemPlan),
 }
 
 /// One step of a compiled dataflow block, in topological order.
@@ -1837,79 +1811,6 @@ impl Compiler<'_> {
                 }
                 dc.max(da).max(db)
             }
-        }
-    }
-
-    fn library(
-        &mut self,
-        df: &fuzzyflow_ir::Dataflow,
-        n: fuzzyflow_graph::NodeId,
-        l: &fuzzyflow_ir::LibraryNode,
-        node_site: u64,
-    ) -> LibraryPlan {
-        let mut conn_slots: Vec<String> = Vec::new();
-        let mut inputs = Vec::new();
-        let in_memlets = df.in_memlets(n);
-        for (_, m) in &in_memlets {
-            match &m.dst_conn {
-                None => inputs.push(LibInput::Fail(ExecError::Malformed(format!(
-                    "input memlet of library '{}' has no connector",
-                    l.name
-                )))),
-                Some(conn) => {
-                    let slot = match conn_slots.iter().position(|c| c == conn) {
-                        Some(i) => i,
-                        None => {
-                            conn_slots.push(conn.clone());
-                            conn_slots.len() - 1
-                        }
-                    };
-                    inputs.push(LibInput::Read {
-                        slot,
-                        plan: self.memlet(m),
-                    });
-                }
-            }
-        }
-        let args: Vec<Result<usize, ExecError>> =
-            l.op.input_conns()
-                .iter()
-                .map(|conn| {
-                    conn_slots.iter().position(|c| c == conn).ok_or_else(|| {
-                        ExecError::Malformed(format!(
-                            "library '{}' missing input connector '{conn}'",
-                            l.name
-                        ))
-                    })
-                })
-                .collect();
-        let out_conn = l.op.output_conns()[0];
-        let out_writes: Vec<LibOutWrite> = df
-            .out_memlets(n)
-            .iter()
-            .map(|(_, m)| match &m.src_conn {
-                None => LibOutWrite::Fail(ExecError::Malformed(format!(
-                    "output memlet of library '{}' has no connector",
-                    l.name
-                ))),
-                Some(conn) if conn == out_conn => LibOutWrite::Write(self.memlet(m)),
-                Some(conn) => LibOutWrite::Fail(ExecError::Malformed(format!(
-                    "library '{}' has no output connector '{conn}'",
-                    l.name
-                ))),
-            })
-            .collect();
-        LibraryPlan {
-            name: l.name.clone(),
-            cover_loc: location_id(&[node_site]),
-            op: l.op.clone(),
-            inputs,
-            n_slots: conn_slots.len(),
-            args,
-            first_in_data: in_memlets
-                .first()
-                .map(|(_, m)| DataId(self.data.intern(&m.data))),
-            out_writes,
         }
     }
 }
@@ -3308,121 +3209,6 @@ impl<'p> Executor<'p> {
                 }
             }
             pc += 1;
-        }
-        Ok(())
-    }
-
-    fn exec_library(&mut self, lp: &'p LibraryPlan, ctx: &mut RunCtx<'_>) -> Result<(), ExecError> {
-        let mut in_vals = std::mem::take(&mut self.a.in_vals);
-        let mut lib_dims = std::mem::take(&mut self.a.lib_dims);
-        if in_vals.len() < lp.n_slots {
-            in_vals.resize_with(lp.n_slots, Vec::new);
-        }
-        if lib_dims.len() < lp.n_slots {
-            lib_dims.resize_with(lp.n_slots, Vec::new);
-        }
-        let res = self.exec_library_inner(lp, ctx, &mut in_vals, &mut lib_dims);
-        self.a.in_vals = in_vals;
-        self.a.lib_dims = lib_dims;
-        res
-    }
-
-    fn exec_library_inner(
-        &mut self,
-        lp: &'p LibraryPlan,
-        ctx: &mut RunCtx<'_>,
-        in_vals: &mut [Vec<Scalar>],
-        lib_dims: &mut [Vec<i64>],
-    ) -> Result<(), ExecError> {
-        for li in &lp.inputs {
-            match li {
-                LibInput::Fail(e) => return Err(e.clone()),
-                LibInput::Read { slot, plan } => {
-                    // Block dims evaluate before the read, like the
-                    // tree-walk engine's `block_dims` call.
-                    let dims = &mut lib_dims[*slot];
-                    dims.clear();
-                    self.eval_block_dims(plan, dims)?;
-                    let buf = &mut in_vals[*slot];
-                    buf.clear();
-                    self.read_plan(plan, ctx, buf, &lp.name)?;
-                }
-            }
-        }
-        let arg = |i: usize| -> Result<(&Vec<i64>, &Vec<Scalar>), ExecError> {
-            match &lp.args[i] {
-                Ok(slot) => Ok((&lib_dims[*slot], &in_vals[*slot])),
-                Err(e) => Err(e.clone()),
-            }
-        };
-
-        let out: Vec<Scalar> = match &lp.op {
-            LibraryOp::MatMul => {
-                let (da, a) = arg(0)?;
-                let (db, b) = arg(1)?;
-                let c = matmul(&lp.name, da, a, db, b)?;
-                ctx.tick(c.len() as u64)?;
-                c
-            }
-            LibraryOp::Transpose => {
-                let (d, v) = arg(0)?;
-                if d.len() != 2 {
-                    return Err(ExecError::ShapeError {
-                        node: lp.name.clone(),
-                        detail: format!("transpose expects 2-D input, got {d:?}"),
-                    });
-                }
-                let (r, cdim) = (d[0] as usize, d[1] as usize);
-                let mut out = vec![Scalar::F64(0.0); v.len()];
-                for i in 0..r {
-                    for j in 0..cdim {
-                        out[j * r + i] = v[i * cdim + j];
-                    }
-                }
-                out
-            }
-            LibraryOp::Reduce { op, axis } => {
-                let (d, v) = arg(0)?;
-                reduce(&lp.name, *op, *axis, d, v)?
-            }
-            LibraryOp::Copy => {
-                let (_, v) = arg(0)?;
-                v.clone()
-            }
-            LibraryOp::Softmax => {
-                let (d, v) = arg(0)?;
-                softmax(d, v)
-            }
-            LibraryOp::Comm(comm_op) => {
-                let (d, v) = arg(0)?;
-                let handler = ctx.comm.ok_or_else(|| ExecError::NoCommHandler {
-                    node: lp.name.clone(),
-                })?;
-                let rank = self
-                    .prog
-                    .sym_id("rank")
-                    .and_then(|id| self.a.syms[id.idx()])
-                    .unwrap_or(0);
-                let dtype = lp
-                    .first_in_data
-                    .filter(|id| self.a.live[id.idx()])
-                    .and_then(|id| self.a.arrays[id.idx()].as_ref())
-                    .map(|a| a.dtype())
-                    .unwrap_or(DType::F64);
-                let mut buf = ArrayValue::zeros(dtype, d.clone());
-                for (i, &s) in v.iter().enumerate() {
-                    buf.set(i, s);
-                }
-                let result = handler.collective(&lp.name, comm_op, rank, &buf)?;
-                (0..result.len()).map(|i| result.get(i)).collect()
-            }
-        };
-
-        for ow in &lp.out_writes {
-            match ow {
-                LibOutWrite::Fail(e) => return Err(e.clone()),
-                LibOutWrite::Write(plan) => self.write_plan(plan, ctx, &out, &lp.name)?,
-            }
         }
         Ok(())
     }

@@ -16,8 +16,8 @@ use fuzzyflow_interp::{
     CoverageMap, ExecError, ExecOptions, ExecState, Program,
 };
 use fuzzyflow_ir::{
-    sym, BinOp, CmpOp, DType, LibraryOp, Memlet, ScalarExpr, Schedule, Sdfg, SdfgBuilder, Storage,
-    Subset, SymExpr, SymRange, Tasklet, TaskletStmt, UnOp, Wcr,
+    sym, BinOp, CmpOp, DType, LibraryOp, Memlet, Scalar, ScalarExpr, Schedule, Sdfg, SdfgBuilder,
+    Storage, Subset, SymExpr, SymRange, Tasklet, TaskletStmt, UnOp, Wcr,
 };
 use proptest::prelude::*;
 
@@ -764,97 +764,470 @@ fn elementwise_signed_zero_parity() {
     }
 }
 
-/// `C = A @ B` through a `MatMul` library node over `[M, K] @ [K, N]`,
-/// batched over a leading `T` dimension when `batched`. The operands cycle
-/// through NaN payloads and signs, signed zeros and ±1e30, whose
-/// cancellation depends on the order the products are summed in.
-fn matmul_case(batched: bool, [t, m, k, n]: [i64; 4]) -> (Sdfg, ExecState) {
-    let lead: &[&str] = if batched { &["T"] } else { &[] };
-    let dims = |rows: &'static str, cols: &'static str| [lead, &[rows, cols]].concat();
-    let operands = [("A", "M", "K"), ("B", "K", "N"), ("C", "M", "N")];
-    let mut b = SdfgBuilder::new("mm");
-    for s in ["T", "M", "K", "N"] {
-        b.symbol(s);
-    }
-    for (name, rows, cols) in operands {
-        b.array(name, DType::F64, &dims(rows, cols));
+/// Operand pools of the library-node cases, cycled through every operand.
+/// `special` holds NaN payloads and signs, which keep `MatMul` and
+/// `Reduce` on the `Scalar` path. `infinite` has ±inf but no NaN, so the
+/// slot kernels generate NaNs themselves (`inf · 0`, `inf − inf`).
+/// `finite` mixes signed zeros and ±1e30 with inexact values whose
+/// products round (a fused multiply-add would change them), in an order
+/// where every `MatMul` case below has an output whose bits change when
+/// its products are summed the other way round.
+const LIB_POOLS: [(&str, &[f64]); 3] = [
+    (
+        "special",
+        &[
+            f64::from_bits(0x7ff8_0000_0000_beef),
+            -f64::NAN,
+            -0.0,
+            0.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            1e30,
+            -1e30,
+            1.0,
+            -2.5,
+            3.0,
+        ],
+    ),
+    (
+        "infinite",
+        &[f64::INFINITY, -0.0, 2.0, f64::NEG_INFINITY, 0.0, -1.5, 1e30],
+    ),
+    (
+        "finite",
+        &[
+            -2.5,
+            1e30,
+            1.0,
+            0.1,
+            0.0,
+            0.7,
+            -0.3,
+            1.0 / 3.0,
+            -1e30,
+            -0.0,
+            3.0,
+        ],
+    ),
+];
+
+/// A one-node program: library `op` with one memlet per
+/// `(connector, container, subset)` of `memlets` (the op's output
+/// connector writes, the others read), over the containers of `shapes`
+/// declared with `dtype`.
+fn library_sdfg(
+    op: LibraryOp,
+    dtype: DType,
+    shapes: &[(&str, &[&str])],
+    memlets: &[(&str, &str, Subset)],
+) -> Sdfg {
+    let mut b = SdfgBuilder::new("lib");
+    for (name, dims) in shapes {
+        for s in dims.iter() {
+            b.symbol(s);
+        }
+        b.array(name, dtype, dims);
     }
     let st = b.start();
     b.in_state(st, |df| {
-        let full =
-            |rows, cols| Subset::full(&dims(rows, cols).into_iter().map(sym).collect::<Vec<_>>());
-        let mm = df.library("gemm", LibraryOp::MatMul);
-        for (name, rows, cols) in operands {
-            let acc = df.access(name);
-            let memlet = Memlet::new(name, full(rows, cols));
-            match name {
-                "C" => df.write(mm, acc, memlet.from_conn(name)),
-                _ => df.read(acc, mm, memlet.to_conn(name)),
-            };
-        }
-    });
-    let pool = [
-        f64::from_bits(0x7ff8_0000_0000_beef),
-        -f64::NAN,
-        -0.0,
-        0.0,
-        1e30,
-        -1e30,
-        1.0,
-        -2.5,
-        3.0,
-    ];
-    let lead_len: &[i64] = if batched { &[t] } else { &[] };
-    let operand = |rows: i64, cols: i64, salt: usize| {
-        let shape = [lead_len, &[rows, cols]].concat();
-        let vals: Vec<f64> = (0..shape.iter().product::<i64>() as usize)
-            .map(|i| pool[(i * 7 + salt) % pool.len()])
-            .collect();
-        ArrayValue::from_f64(shape, &vals)
-    };
-    let mut input = ExecState::new();
-    for (s, v) in [("T", t), ("M", m), ("K", k), ("N", n)] {
-        input.bind(s, v);
-    }
-    input.set_array("A", operand(m, k, 0));
-    input.set_array("B", operand(k, n, 3));
-    (b.build(), input)
-}
-
-/// `MatMul` library nodes: every rung bit-identical to the tree walk on
-/// NaN / −0 / ±1e30 operands, and every output element the sum of its
-/// `k` products taken in index order.
-#[test]
-fn matmul_library_node_parity_on_special_values() {
-    for (batched, dims) in [
-        (false, [1, 2, 3, 2]),
-        (false, [1, 3, 4, 1]),
-        (true, [2, 2, 3, 2]),
-    ] {
-        let (p, input) = matmul_case(batched, dims);
-        let res = assert_engines_agree(&p, &input, 1_000_000);
-        assert!(res.is_ok(), "{dims:?}: {res:?}");
-
-        let [t, m, k, n] = dims.map(|d| d as usize);
-        let (a, b) = (input.array("A").unwrap(), input.array("B").unwrap());
-        let (a, b) = (a.to_f64_vec(), b.to_f64_vec());
-        let mut want = Vec::new();
-        for tt in 0..t {
-            for i in 0..m {
-                for j in 0..n {
-                    let mut acc = 0.0;
-                    for l in 0..k {
-                        acc += a[tt * m * k + i * k + l] * b[tt * k * n + l * n + j];
-                    }
-                    want.push(acc);
-                }
+        let node = df.library("node", op.clone());
+        for &(conn, data, ref subset) in memlets {
+            let acc = df.access(data);
+            let memlet = Memlet::new(data, subset.clone());
+            if op.output_conns().contains(&conn) {
+                df.write(node, acc, memlet.from_conn(conn));
+            } else {
+                df.read(acc, node, memlet.to_conn(conn));
             }
         }
-        let mut out = input.clone();
-        Program::compile(&p).run(&mut out).unwrap();
-        let got = out.array("C").unwrap();
-        let want = ArrayValue::from_f64(got.shape().to_vec(), &want);
-        assert_eq!(got.first_mismatch(&want, 0.0), None, "{dims:?}");
+    });
+    b.build()
+}
+
+/// [`library_sdfg`] with each `(connector, container)` memlet spanning its
+/// container's full box.
+fn full_box_library(
+    op: LibraryOp,
+    dtype: DType,
+    shapes: &[(&str, &[&str])],
+    conns: &[(&str, &str)],
+) -> Sdfg {
+    let memlets: Vec<_> = conns
+        .iter()
+        .map(|&(conn, data)| {
+            let dims = shapes.iter().find(|(n, _)| *n == data).unwrap().1;
+            let dims: Vec<SymExpr> = dims.iter().map(|d| sym(d)).collect();
+            (conn, data, Subset::full(&dims))
+        })
+        .collect();
+    library_sdfg(op, dtype, shapes, &memlets)
+}
+
+/// An input of `p` binding `sizes`, with each container of `filled` (in
+/// its declared dtype and shape) holding `pool`, cycled from a
+/// per-container offset.
+fn library_input(p: &Sdfg, sizes: &[(&str, i64)], filled: &[&str], pool: &[f64]) -> ExecState {
+    let mut input = ExecState::new();
+    for &(s, v) in sizes {
+        input.bind(s, v);
+    }
+    for (salt, name) in filled.iter().enumerate() {
+        let desc = p.array(name).unwrap();
+        let shape = desc.shape.iter().map(|e| e.eval(&input.symbols).unwrap());
+        let mut arr = ArrayValue::zeros(desc.dtype, shape.collect());
+        for i in 0..arr.len() {
+            arr.set(i, Scalar::F64(pool[(i * 7 + salt * 3) % pool.len()]));
+        }
+        input.set_array(name, arr);
+    }
+    input
+}
+
+/// `[M, K] @ [K, N]` and the batched `[T, M, K] @ [T, K, N]`.
+const MM: [(&str, &[&str]); 3] = [("A", &["M", "K"]), ("B", &["K", "N"]), ("C", &["M", "N"])];
+const BMM: [(&str, &[&str]); 3] = [
+    ("A", &["T", "M", "K"]),
+    ("B", &["T", "K", "N"]),
+    ("C", &["T", "M", "N"]),
+];
+const MM_CONNS: [(&str, &str); 3] = [("A", "A"), ("B", "B"), ("C", "C")];
+
+/// A one-operand op from `X` into `Y`, the shapes its output needs.
+fn unary_library(op: LibraryOp, y: &[&str]) -> Sdfg {
+    full_box_library(
+        op,
+        DType::F64,
+        &[("X", &["R", "S"]), ("Y", y)],
+        &[("in", "X"), ("out", "Y")],
+    )
+}
+
+/// A library case: its label, program, size bindings and the containers
+/// [`library_input`] fills.
+type LibCase<L> = (L, Sdfg, Vec<(&'static str, i64)>, Vec<&'static str>);
+
+/// Every op the slot path serves, full-box over `F64` containers.
+fn slot_cases() -> Vec<LibCase<String>> {
+    let mm = full_box_library(LibraryOp::MatMul, DType::F64, &MM, &MM_CONNS);
+    let bmm = full_box_library(LibraryOp::MatMul, DType::F64, &BMM, &MM_CONNS);
+    let mut cases = Vec::new();
+    for [m, k, n] in [[2, 3, 2], [3, 4, 1], [1, 5, 3], [3, 7, 2]] {
+        let sizes = vec![("M", m), ("K", k), ("N", n)];
+        cases.push((
+            format!("matmul {m}x{k}x{n}"),
+            mm.clone(),
+            sizes,
+            vec!["A", "B"],
+        ));
+    }
+    let sizes = vec![("T", 2), ("M", 2), ("K", 3), ("N", 2)];
+    cases.push(("batched matmul".into(), bmm, sizes, vec!["A", "B"]));
+    let mut unary = vec![
+        (
+            "softmax".to_string(),
+            unary_library(LibraryOp::Softmax, &["R", "S"]),
+        ),
+        (
+            "transpose".to_string(),
+            unary_library(LibraryOp::Transpose, &["S", "R"]),
+        ),
+        (
+            "copy".to_string(),
+            unary_library(LibraryOp::Copy, &["R", "S"]),
+        ),
+    ];
+    for op in [Wcr::Sum, Wcr::Prod, Wcr::Max, Wcr::Min] {
+        for (axis, kept) in [(0, "S"), (1, "R")] {
+            let p = unary_library(LibraryOp::Reduce { op, axis }, &[kept]);
+            unary.push((format!("reduce {op:?} axis {axis}"), p));
+        }
+    }
+    for (label, p) in unary {
+        for [r, s] in [[3, 4], [1, 5]] {
+            let sizes = vec![("R", r), ("S", s)];
+            cases.push((format!("{label} {r}x{s}"), p.clone(), sizes, vec!["X"]));
+        }
+    }
+    cases
+}
+
+/// Library nodes: every rung bit-identical to the tree walk, JIT on and
+/// off, on NaN payloads and signs, ±0, ±inf and ±1e30, for every op the
+/// f64 slot path serves (`MatMul` plain and batched, `Reduce` over the
+/// first and the last axis, `Softmax`, `Transpose`, `Copy`), for every
+/// case that must keep the `Scalar` path, and for step budgets that run
+/// out inside the node. `MatMul`'s output elements are also checked to be
+/// the sum of their `k` products taken in index order.
+#[test]
+fn matmul_library_node_parity_on_special_values() {
+    for (label, p, sizes, operands) in slot_cases() {
+        for (pool_name, pool) in LIB_POOLS {
+            let input = library_input(&p, &sizes, &operands, pool);
+            let res = assert_engines_agree(&p, &input, 1_000_000);
+            assert!(res.is_ok(), "{label} on {pool_name}: {res:?}");
+            if !label.contains("matmul") {
+                continue;
+            }
+            let size = |s: &str| {
+                sizes
+                    .iter()
+                    .find(|(n, _)| *n == s)
+                    .map_or(1, |e| e.1 as usize)
+            };
+            let [t, m, k, n] = ["T", "M", "K", "N"].map(size);
+            let (a, b) = (input.array("A").unwrap(), input.array("B").unwrap());
+            let (a, b) = (a.to_f64_vec(), b.to_f64_vec());
+            let mut want = Vec::new();
+            for tt in 0..t {
+                for i in 0..m {
+                    for j in 0..n {
+                        let mut acc = 0.0;
+                        for l in 0..k {
+                            acc += a[tt * m * k + i * k + l] * b[tt * k * n + l * n + j];
+                        }
+                        want.push(acc);
+                    }
+                }
+            }
+            let mut out = input.clone();
+            Program::compile(&p).run(&mut out).unwrap();
+            let got = out.array("C").unwrap();
+            let want = ArrayValue::from_f64(got.shape().to_vec(), &want);
+            assert_eq!(
+                got.first_mismatch(&want, 0.0),
+                None,
+                "{label} on {pool_name}"
+            );
+        }
+    }
+
+    // Cases the precheck or the compile-time plan sends to the `Scalar`
+    // path, each reproducing the tree walk's result or error.
+    let mm = full_box_library(LibraryOp::MatMul, DType::F64, &MM, &MM_CONNS);
+    let x = ("X", &["R", "S"][..]);
+    let full_rs = || Subset::full(&[sym("R"), sym("S")]);
+    let rs = vec![("R", 3), ("S", 4)];
+    let mut fallbacks: Vec<LibCase<&str>> = vec![
+        (
+            "zero-size inner dim",
+            mm.clone(),
+            vec![("M", 2), ("K", 0), ("N", 2)],
+            vec!["A", "B"],
+        ),
+        (
+            "zero-size row dim",
+            mm.clone(),
+            vec![("M", 0), ("K", 3), ("N", 2)],
+            vec!["A", "B"],
+        ),
+        (
+            "zero-size softmax row",
+            unary_library(LibraryOp::Softmax, &["R", "S"]),
+            vec![("R", 3), ("S", 0)],
+            vec!["X"],
+        ),
+        (
+            "inner dims differ",
+            full_box_library(
+                LibraryOp::MatMul,
+                DType::F64,
+                &[("A", &["M", "K"]), ("B", &["J", "N"]), ("C", &["M", "N"])],
+                &MM_CONNS,
+            ),
+            vec![("M", 2), ("K", 3), ("J", 2), ("N", 2)],
+            vec!["A", "B"],
+        ),
+        (
+            "batch dims differ",
+            full_box_library(
+                LibraryOp::MatMul,
+                DType::F64,
+                &[
+                    ("A", &["T", "M", "K"]),
+                    ("B", &["U", "K", "N"]),
+                    ("C", &["T", "M", "N"]),
+                ],
+                &MM_CONNS,
+            ),
+            vec![("T", 2), ("U", 3), ("M", 2), ("K", 3), ("N", 2)],
+            vec!["A", "B"],
+        ),
+        (
+            "rank mismatch",
+            mm.clone(),
+            vec![("M", 2), ("K", 3), ("N", 2)],
+            vec!["A", "B"],
+        ),
+        (
+            "output volume differs",
+            unary_library(LibraryOp::Copy, &["S", "S"]),
+            rs.clone(),
+            vec!["X"],
+        ),
+        (
+            "transpose of a 3-D input",
+            full_box_library(
+                LibraryOp::Transpose,
+                DType::F64,
+                &[("X", &["T", "R", "S"]), ("Y", &["T", "S", "R"])],
+                &[("in", "X"), ("out", "Y")],
+            ),
+            vec![("T", 2), ("R", 3), ("S", 4)],
+            vec!["X"],
+        ),
+        (
+            "reduce axis out of range",
+            unary_library(
+                LibraryOp::Reduce {
+                    op: Wcr::Sum,
+                    axis: 2,
+                },
+                &["R"],
+            ),
+            rs.clone(),
+            vec!["X"],
+        ),
+        (
+            "softmax in place",
+            library_sdfg(
+                LibraryOp::Softmax,
+                DType::F64,
+                &[x],
+                &[("in", "X", full_rs()), ("out", "X", full_rs())],
+            ),
+            rs.clone(),
+            vec!["X"],
+        ),
+        (
+            "matmul into its operand",
+            full_box_library(
+                LibraryOp::MatMul,
+                DType::F64,
+                &[("A", &["M", "M"]), ("B", &["M", "M"])],
+                &[("A", "A"), ("B", "B"), ("C", "A")],
+            ),
+            vec![("M", 3)],
+            vec!["A", "B"],
+        ),
+        (
+            "partial input subset",
+            library_sdfg(
+                LibraryOp::Copy,
+                DType::F64,
+                &[x, ("Y", &["Q", "S"])],
+                &[
+                    (
+                        "in",
+                        "X",
+                        Subset::new(vec![
+                            SymRange::span(SymExpr::Int(1), sym("R")),
+                            SymRange::full(sym("S")),
+                        ]),
+                    ),
+                    ("out", "Y", Subset::full(&[sym("Q"), sym("S")])),
+                ],
+            ),
+            vec![("R", 3), ("S", 4), ("Q", 2)],
+            vec!["X"],
+        ),
+        (
+            "partial output subset",
+            library_sdfg(
+                LibraryOp::Softmax,
+                DType::F64,
+                &[x, ("Y", &["Q", "S"])],
+                &[("in", "X", full_rs()), ("out", "Y", full_rs())],
+            ),
+            vec![("R", 3), ("S", 4), ("Q", 4)],
+            vec!["X"],
+        ),
+        (
+            "strided input subset",
+            library_sdfg(
+                LibraryOp::Copy,
+                DType::F64,
+                &[x, ("Y", &["Q", "S"])],
+                &[
+                    (
+                        "in",
+                        "X",
+                        Subset::new(vec![
+                            SymRange::strided(SymExpr::Int(0), sym("R"), SymExpr::Int(2)),
+                            SymRange::full(sym("S")),
+                        ]),
+                    ),
+                    ("out", "Y", Subset::full(&[sym("Q"), sym("S")])),
+                ],
+            ),
+            vec![("R", 4), ("S", 3), ("Q", 2)],
+            vec!["X"],
+        ),
+    ];
+    for dtype in [DType::F32, DType::I64] {
+        let p = full_box_library(LibraryOp::MatMul, dtype, &MM, &MM_CONNS);
+        fallbacks.push((
+            "non-f64 matmul",
+            p,
+            vec![("M", 2), ("K", 3), ("N", 2)],
+            vec!["A", "B"],
+        ));
+        let p = full_box_library(
+            LibraryOp::Softmax,
+            dtype,
+            &[x, ("Y", &["R", "S"])],
+            &[("in", "X"), ("out", "Y")],
+        );
+        fallbacks.push(("non-f64 softmax", p, rs.clone(), vec!["X"]));
+    }
+    let failing = [
+        "zero-size inner dim",
+        "zero-size row dim",
+        "zero-size softmax row",
+        "inner dims differ",
+        "batch dims differ",
+        "rank mismatch",
+        "output volume differs",
+        "transpose of a 3-D input",
+        "reduce axis out of range",
+    ];
+    for (label, p, sizes, operands) in &fallbacks {
+        for (_, pool) in LIB_POOLS {
+            let mut input = library_input(p, sizes, operands, pool);
+            if *label == "rank mismatch" {
+                // A runtime buffer of another rank than declared.
+                input.set_array("B", ArrayValue::from_f64(vec![6], &pool[..6]));
+            }
+            let res = assert_engines_agree(p, &input, 1_000_000);
+            assert_eq!(res.is_err(), failing.contains(label), "{label}: {res:?}");
+        }
+    }
+    // A declared-`F64` operand that arrives as `I64` at run time.
+    let mut input = library_input(
+        &mm,
+        &[("M", 2), ("K", 3), ("N", 2)],
+        &["A", "B"],
+        LIB_POOLS[2].1,
+    );
+    let mut ints = ArrayValue::zeros(DType::I64, vec![2, 3]);
+    for i in 0..ints.len() {
+        ints.set(i, Scalar::I64(i as i64 - 2));
+    }
+    input.set_array("A", ints);
+    assert!(assert_engines_agree(&mm, &input, 1_000_000).is_ok());
+
+    // Step budgets that run out before, inside and after each node: the
+    // same error (or result) after the same number of steps.
+    for (label, p, sizes, operands) in slot_cases() {
+        let input = library_input(&p, &sizes, &operands, LIB_POOLS[2].1);
+        let mut seen_hang = false;
+        for budget in 1..=45 {
+            let res = assert_engines_agree(&p, &input, budget);
+            seen_hang |= matches!(res, Err(ExecError::StepLimitExceeded { .. }));
+        }
+        assert!(
+            seen_hang,
+            "{label}: small budgets must trip the hang oracle"
+        );
     }
 }
 

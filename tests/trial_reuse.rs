@@ -23,7 +23,7 @@ use fuzzyflow::fuzz::{
     Constraints, SymbolRole, ValueProfile, Xoshiro256,
 };
 use fuzzyflow::interp::{ArrayValue, ExecOptions, ExecState, Executor, Program};
-use fuzzyflow::ir::{validate, Dataflow, DfNode, Scalar, Sdfg};
+use fuzzyflow::ir::{validate, Scalar, Sdfg};
 use fuzzyflow::transforms::{apply_to_clone, Transformation};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -109,7 +109,7 @@ fn instances(passes: &[Box<dyn Transformation>], size_max: i64) -> Vec<Instance>
                 }
                 let constraints = derive_constraints_with_loops(&cutout, analysis.loops());
                 out.push(Instance {
-                    label: format!("{name} x {} #{k}", t.name()),
+                    label: format!("{name} x {} #{k} ({})", t.name(), m.description),
                     cutout,
                     transformed,
                     constraints,
@@ -218,19 +218,6 @@ fn reused_sampling_equals_fresh_sampling_on_table2_cutouts() {
     );
 }
 
-/// True when any dataflow graph of `sdfg`, map bodies included, holds a
-/// library node — those compute into freshly allocated vectors.
-fn has_library_node(sdfg: &Sdfg) -> bool {
-    fn in_df(df: &Dataflow) -> bool {
-        df.graph.node_ids().any(|n| match df.graph.node(n) {
-            DfNode::Library(_) => true,
-            DfNode::Map(m) => in_df(&m.body),
-            _ => false,
-        })
-    }
-    sdfg.states.node_ids().any(|s| in_df(&sdfg.state(s).df))
-}
-
 /// `DiffTester`'s default resampling budget and the session's step budget.
 const MAX_RESAMPLES: usize = 200;
 
@@ -266,22 +253,23 @@ fn passing_trial(
     false
 }
 
-/// The instance's constraints with every size symbol pinned by a custom
-/// constraint to its value in the first draw the original cutout accepts.
+/// `constraints` with every size symbol pinned by a custom constraint to
+/// its value in the first draw the original cutout accepts.
 fn pin_sizes(
     inst: &Instance,
+    constraints: &Constraints,
     profile: &ValueProfile,
     orig: &mut Executor<'_>,
 ) -> Option<Constraints> {
     let mut rng = Xoshiro256::seed_from(48879);
     let mut st = ExecState::new();
     let accepted = (0..=MAX_RESAMPLES).any(|_| {
-        sample_state_into(&mut st, &inst.cutout, &inst.constraints, profile, &mut rng)
+        sample_state_into(&mut st, &inst.cutout, constraints, profile, &mut rng)
             && orig.execute(&st, &exec_options(), None, None).is_ok()
     });
     accepted.then(|| {
-        let mut pinned = inst.constraints.clone();
-        for (s, role) in &inst.constraints.roles {
+        let mut pinned = constraints.clone();
+        for (s, role) in &constraints.roles {
             if *role == SymbolRole::Size {
                 let v = st.symbols.get(s).expect("sizes are drawn first");
                 pinned.constrain(s.clone(), v, v);
@@ -291,59 +279,82 @@ fn pin_sizes(
     })
 }
 
+/// Runs 50 trials of `inst` under `constraints` with its sizes pinned
+/// (a drawn shape change reallocates that container by design; index and
+/// loop-variable symbols and every array element still vary per trial)
+/// and asserts that only the first one allocates.
+fn assert_allocation_free(inst: &Instance, constraints: &Constraints, profile: &ValueProfile) {
+    assert!(validate(&inst.transformed).is_ok(), "{}", inst.label);
+    let (orig, trans) = (
+        Program::compile(&inst.cutout.sdfg),
+        Program::compile(&inst.transformed),
+    );
+    let (mut oe, mut te) = (orig.executor(), trans.executor());
+    let constraints = pin_sizes(inst, constraints, profile, &mut oe)
+        .unwrap_or_else(|| panic!("{}: no accepted input", inst.label));
+    let mut sample = ExecState::new();
+    for trial in 1..=50 {
+        let mut rng = Xoshiro256::seed_from(rng_split(48879, trial));
+        let before = allocated();
+        let passed = passing_trial(
+            inst,
+            &constraints,
+            profile,
+            &mut rng,
+            (&mut oe, &mut te),
+            &mut sample,
+        );
+        let after = allocated();
+        assert!(passed, "{}: trial {trial} did not pass", inst.label);
+        let (n, bytes) = (after.0 - before.0, after.1 - before.1);
+        // The warm-up trial sizes the scratch state and the arenas,
+        // which also shows the counter sees this thread's allocations.
+        assert!(
+            (trial == 1) == (n > 0),
+            "{}: trial {trial} allocated {n} times ({bytes} bytes)",
+            inst.label
+        );
+    }
+}
+
 /// Instances of `sound_small_warm` (the Table-2 programs under the sound
-/// passes) whose cutouts hold no library node. Pinned so a change in
-/// coverage is a deliberate edit, not a silent shrink.
-const ALLOCATION_FREE_INSTANCES: usize = 89;
+/// passes). Pinned so a change in coverage is a deliberate edit, not a
+/// silent shrink.
+const ALLOCATION_FREE_INSTANCES: usize = 90;
 
 /// ROADMAP 1(c)'s first deterministic work counter: bytes allocated per
-/// trial. Sizes are pinned by custom constraints (a drawn shape change
-/// reallocates that container by design); index and loop-variable symbols
-/// and every array element still vary per trial.
+/// trial, on every `sound_small_warm` instance (library nodes included:
+/// they run on the arena's f64 slots) and on the MHA tiling whose cutout
+/// holds the `scores` MatMul at sizes 28..=32.
 #[test]
 fn passing_trials_allocate_nothing_after_warm_up() {
     let profile = ValueProfile {
         size_max: 8,
         ..ValueProfile::default()
     };
-    let mut covered = 0usize;
-    for inst in instances(&common::sound_passes(), profile.size_max) {
-        if has_library_node(&inst.cutout.sdfg) || has_library_node(&inst.transformed) {
-            continue;
-        }
-        assert!(validate(&inst.transformed).is_ok(), "{}", inst.label);
-        let (orig, trans) = (
-            Program::compile(&inst.cutout.sdfg),
-            Program::compile(&inst.transformed),
-        );
-        let (mut oe, mut te) = (orig.executor(), trans.executor());
-        let constraints = pin_sizes(&inst, &profile, &mut oe)
-            .unwrap_or_else(|| panic!("{}: no accepted input", inst.label));
-        let mut sample = ExecState::new();
-        for trial in 1..=50 {
-            let mut rng = Xoshiro256::seed_from(rng_split(48879, trial));
-            let before = allocated();
-            let passed = passing_trial(
-                &inst,
-                &constraints,
-                &profile,
-                &mut rng,
-                (&mut oe, &mut te),
-                &mut sample,
-            );
-            let after = allocated();
-            assert!(passed, "{}: trial {trial} did not pass", inst.label);
-            let (n, bytes) = (after.0 - before.0, after.1 - before.1);
-            // The warm-up trial sizes the scratch state and the arenas,
-            // which also shows the counter sees this thread's allocations.
-            assert!(
-                (trial == 1) == (n > 0),
-                "{}: trial {trial} allocated {n} times ({bytes} bytes)",
-                inst.label
-            );
-        }
-        covered += 1;
+    let all = instances(&common::sound_passes(), profile.size_max);
+    for inst in &all {
+        assert_allocation_free(inst, &inst.constraints, &profile);
     }
-    println!("{covered} instances allocate nothing per passing trial after warm-up");
-    assert_eq!(covered, ALLOCATION_FREE_INSTANCES);
+    println!(
+        "{} instances allocate nothing per passing trial after warm-up",
+        all.len()
+    );
+    assert_eq!(all.len(), ALLOCATION_FREE_INSTANCES);
+
+    let large = ValueProfile {
+        size_max: 32,
+        ..ValueProfile::default()
+    };
+    let mha = instances(&common::sound_passes(), large.size_max)
+        .into_iter()
+        .find(|i| i.label.starts_with("mha_encoder x MapTiling") && i.label.contains("(map n6 "))
+        .expect("the MHA tiling of map n6");
+    let mut constraints = mha.constraints.clone();
+    for (s, role) in &mha.constraints.roles {
+        if *role == SymbolRole::Size {
+            constraints.constrain(s.clone(), 28, 32);
+        }
+    }
+    assert_allocation_free(&mha, &constraints, &large);
 }
